@@ -37,6 +37,12 @@ def _seed_list(text: str) -> tuple[int, ...]:
     return seeds
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_common_flags(parser: argparse.ArgumentParser, with_grid_flags: bool) -> None:
     parser.add_argument("--config", type=Path, required=True,
                         help="experiment config document")
@@ -45,7 +51,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, with_grid_flags: bool) ->
     if with_grid_flags:
         parser.add_argument("--seeds", type=_seed_list, default=None,
                             help="comma-separated seed list overriding the config")
-        parser.add_argument("--jobs", type=int, default=1,
+        parser.add_argument("--jobs", type=_positive_int, default=1,
                             help="parallel workers for grid cells")
 
 

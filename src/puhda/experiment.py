@@ -15,6 +15,7 @@ code never receives; it is opened exactly once, after selection.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import os
@@ -589,9 +590,12 @@ def _grid_worker(payload) -> CellResult:
         art = train_method(method, source, train, val, _cell_config(cell, seed, training))
         val_acc = accuracy(predict(art, val), val.labels)
         return CellResult(method, cell, seed, "ok", val_acc, "")
-    except PuhdaError as exc:
-        logger.warning("%s %s seed %d failed: %s", method, cell, seed, exc)
-        return CellResult(method, cell, seed, "failed", float("nan"), str(exc))
+    except Exception as exc:  # a failed cell, expected or not, must not lose the grid
+        expected = isinstance(exc, PuhdaError)
+        error = str(exc) if expected else f"{type(exc).__name__}: {exc}"
+        logger.warning("%s %s seed %d failed: %s", method, cell, seed, error,
+                       exc_info=not expected)
+        return CellResult(method, cell, seed, "failed", float("nan"), error)
 
 
 def run_grid(config: ExperimentConfig, data: PreparedData, jobs: int = 1) -> list[CellResult]:
@@ -710,10 +714,12 @@ def _fmt(value) -> str:
 
 
 def _write_rows(path: Path, header: tuple[str, ...], rows) -> None:
+    """Comma-separated rows; a cell holding a comma, quote or newline is quoted."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_aligned(path: Path, header: tuple[str, ...], rows) -> None:
@@ -851,11 +857,11 @@ def run_experiment(
 
 
 def _read_rows(path: Path) -> list[dict]:
-    lines = path.read_text().splitlines()
-    if not lines:
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
         raise DataError(f"{path}: file is empty")
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:] if line]
+    return [dict(zip(rows[0], row)) for row in rows[1:] if row]
 
 
 def _read_overrides(path: Path) -> dict[str, float]:

@@ -105,16 +105,13 @@ class FeatureAnalytics:
     correlations between the hidden label and the target-specific / common
     feature blocks; ``r_tar_com`` is their ratio. ``corr_tar_sou`` is the
     mean absolute correlation over all target-specific x source-specific
-    feature pairs (requires jointly observed blocks). The two improvement
-    ratios are filled in only when method accuracies are available.
+    feature pairs (requires jointly observed blocks).
     """
 
     corr_tar_lab: float
     corr_com_lab: float
     r_tar_com: float
     corr_tar_sou: float | None
-    p_dist: float | None = None
-    p_pada_s: float | None = None
 
 
 def _abs_corr_mean(a: np.ndarray, b: np.ndarray, what: str) -> float:

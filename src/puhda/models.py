@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, InvalidInputError
-from .numerics import EPS, clamp_probs, require_finite
+from .numerics import _softmax2, prob_pairs, require_finite, softmax2
 
 CHECKPOINT_FORMAT = 1
 
@@ -47,19 +47,40 @@ def _init_weights(rng: np.random.Generator, in_dim: int, out_dim: int) -> np.nda
 
 @dataclass
 class GradientBundle:
-    """Gradients for one model; ``d_input`` is filled only by input_gradients."""
+    """Gradients for one model's weights and bias."""
 
     d_weights: np.ndarray
     d_bias: np.ndarray
-    d_input: np.ndarray | None = None
 
-    def add_scaled(self, other: "GradientBundle", scale: float = 1.0) -> None:
-        self.d_weights += scale * other.d_weights
-        self.d_bias += scale * other.d_bias
+
+class _Linear:
+    """What the two affine pieces share: ``x @ weights + bias`` and its updates."""
+
+    @property
+    def input_dim(self) -> int:
+        return self.weights.shape[0]
+
+    def _affine(self, x, what: str) -> np.ndarray:
+        x = require_finite("inputs", x)
+        if x.shape[-1] != self.input_dim:
+            raise InvalidInputError(
+                f"inputs have {x.shape[-1]} columns, {what} expects {self.input_dim}"
+            )
+        return x @ self.weights + self.bias
+
+    def apply_step(self, grads: GradientBundle, scale: float) -> None:
+        """In-place parameter update ``theta += scale * grad``; rejects non-finite results."""
+        self.weights = self.weights + scale * grads.d_weights
+        self.bias = self.bias + scale * grads.d_bias
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
+            raise InvalidInputError("parameter update produced non-finite values")
+
+    def copy(self):
+        return type(self)(self.weights.copy(), self.bias.copy())
 
 
 @dataclass
-class LinearSoftmaxModel:
+class LinearSoftmaxModel(_Linear):
     """Two-class linear head: ``classify(x) = softmax2(x @ weights + bias)``."""
 
     weights: np.ndarray  # (input_dim, 2)
@@ -80,38 +101,16 @@ class LinearSoftmaxModel:
             raise InvalidInputError(f"input_dim must be >= 1, got {input_dim}")
         return cls(weights=_init_weights(rng, input_dim, 2), bias=np.zeros(2))
 
-    @property
-    def input_dim(self) -> int:
-        return self.weights.shape[0]
-
     def logits(self, x) -> np.ndarray:
-        x = require_finite("inputs", x)
-        if x.shape[-1] != self.input_dim:
-            raise InvalidInputError(
-                f"inputs have {x.shape[-1]} columns, model expects {self.input_dim}"
-            )
-        return x @ self.weights + self.bias
+        return self._affine(x, "model")
 
     def classify(self, x) -> np.ndarray:
         """Probability pairs for a batch (n, d) -> (n, 2), or one row (d,) -> (2,)."""
-        z = self.logits(x)
-        m = z.max(axis=-1, keepdims=True)
-        e = np.exp(z - m)
-        return clamp_probs(e / e.sum(axis=-1, keepdims=True))
-
-    def apply_step(self, grads: GradientBundle, scale: float) -> None:
-        """In-place parameter update ``theta += scale * grad``; rejects non-finite results."""
-        self.weights = self.weights + scale * grads.d_weights
-        self.bias = self.bias + scale * grads.d_bias
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
-            raise InvalidInputError("parameter update produced non-finite values")
-
-    def copy(self) -> "LinearSoftmaxModel":
-        return LinearSoftmaxModel(self.weights.copy(), self.bias.copy())
+        return softmax2(self.logits(x))
 
 
 @dataclass
-class LinearTransform:
+class LinearTransform(_Linear):
     """Affine block map: ``transform(x) = x @ weights + bias``."""
 
     weights: np.ndarray  # (in_dim, out_dim)
@@ -133,29 +132,11 @@ class LinearTransform:
         return cls(weights=_init_weights(rng, in_dim, out_dim), bias=np.zeros(out_dim))
 
     @property
-    def input_dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def output_dim(self) -> int:
         return self.weights.shape[1]
 
     def transform(self, x) -> np.ndarray:
-        x = require_finite("inputs", x)
-        if x.shape[-1] != self.input_dim:
-            raise InvalidInputError(
-                f"inputs have {x.shape[-1]} columns, transform expects {self.input_dim}"
-            )
-        return x @ self.weights + self.bias
-
-    def apply_step(self, grads: GradientBundle, scale: float) -> None:
-        self.weights = self.weights + scale * grads.d_weights
-        self.bias = self.bias + scale * grads.d_bias
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
-            raise InvalidInputError("parameter update produced non-finite values")
-
-    def copy(self) -> "LinearTransform":
-        return LinearTransform(self.weights.copy(), self.bias.copy())
+        return self._affine(x, "transform")
 
 
 Model = Union[LinearSoftmaxModel, LinearTransform]
@@ -199,6 +180,17 @@ class TransformedBatch:
         object.__setattr__(self, "common", common)
         object.__setattr__(self, "raw", raw)
 
+    @classmethod
+    def aligned(cls, rows, n_common: int, transform: str = "F") -> "TransformedBatch":
+        """Rows ``[common | specific]`` as ``[common ; T(rows)]``; one check covers both blocks."""
+        rows = require_finite("target batch", rows)
+        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] <= n_common:
+            raise InvalidInputError(f"target batch must be non-empty and 2-D with more than "
+                                    f"{n_common} columns, got shape {rows.shape}")
+        batch = object.__new__(cls)   # skips __post_init__, which would check the rows again
+        batch.__dict__.update(common=rows[:, :n_common], raw=rows, transform=transform)
+        return batch
+
 
 Batch = Union[RawBatch, TransformedBatch]
 
@@ -208,11 +200,14 @@ class ConstTarget:
     """A constant probability batch; no gradient flows into it."""
 
     probs: np.ndarray  # (2,) or (n, 2), already clamped
+    log_probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        from .numerics import prob_pairs
-
-        object.__setattr__(self, "probs", prob_pairs(self.probs))
+        probs = prob_pairs(self.probs)
+        log_probs = np.log(probs)
+        log_probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "log_probs", log_probs)
 
 
 @dataclass(frozen=True)
@@ -244,88 +239,77 @@ class LossResult:
     grads: dict[str, GradientBundle] = field(default_factory=dict)
 
 
-class _SideState:
-    """Forward cache for one model side: inputs, probabilities, clamp mask."""
+class _Forward:
+    """One distinct (model, batch) forward of a call, shared by every side that
+    reads it, swapped or not; ``grad`` sums dL/dprobs over those sides."""
 
-    __slots__ = ("model_name", "x_in", "probs", "clamped", "batch")
+    __slots__ = ("model", "batch", "x_in", "probs", "log_probs", "clamped", "grad")
 
-    def __init__(self, model_name, x_in, probs, clamped, batch):
-        self.model_name = model_name
-        self.x_in = x_in
-        self.probs = probs
-        self.clamped = clamped
-        self.batch = batch
-
-
-def _zero_bundle(model: Model) -> GradientBundle:
-    return GradientBundle(np.zeros_like(model.weights), np.zeros_like(model.bias))
+    def __init__(self, model, batch, x_in, probs, clamped):
+        self.model, self.batch, self.x_in = model, batch, x_in
+        self.probs, self.log_probs, self.clamped = probs, np.log(probs), clamped
+        self.grad = None
 
 
-def _forward_side(models: Mapping[str, Model], side: Side):
-    """Return (effective probs, state or None for constants)."""
+def _bound(models: Mapping[str, Model], name: str, kind: type, what: str):
+    if name not in models:
+        raise ConfigurationError(f"loss term references unbound model {name!r}")
+    model = models[name]
+    if not isinstance(model, kind):
+        raise ConfigurationError(f"model {name!r} is not a {what}")
+    return model
+
+
+def _model_inputs(models: Mapping[str, Model], batch: Batch, aligned: dict) -> np.ndarray:
+    """The rows a model reads; a transform runs once per batch in a call."""
+    if isinstance(batch, RawBatch):
+        return batch.x
+    x_in = aligned.get(id(batch))
+    if x_in is None:
+        t = _bound(models, batch.transform, LinearTransform, "transform")
+        if batch.raw.shape[1] != t.input_dim:
+            raise InvalidInputError(f"raw block has {batch.raw.shape[1]} columns, "
+                                    f"transform {batch.transform!r} expects {t.input_dim}")
+        x_in = np.concatenate([batch.common, batch.raw @ t.weights + t.bias], axis=1)
+        aligned[id(batch)] = x_in
+    return x_in
+
+
+def _forward(models: Mapping[str, Model], side: ModelOutput, forwards: dict, aligned: dict):
+    key = (side.model, id(side.batch))
+    fwd = forwards.get(key)
+    if fwd is None:
+        model = _bound(models, side.model, LinearSoftmaxModel, "two-class head")
+        x_in = _model_inputs(models, side.batch, aligned)
+        if x_in.shape[1] != model.input_dim:
+            raise InvalidInputError(f"inputs have {x_in.shape[1]} columns, "
+                                    f"model {side.model!r} expects {model.input_dim}")
+        # a non-finite input or transform output leaves every logit of its row non-finite
+        z = require_finite(f"logits of {side.model!r}", x_in @ model.weights + model.bias)
+        fwd = _Forward(side.model, side.batch, x_in, *_softmax2(z))
+        forwards[key] = fwd
+    return fwd
+
+
+def _side_probs(models, side: Side, forwards: dict, aligned: dict):
+    """Effective (probs, log probs, forward or None for constants) of one side."""
     if isinstance(side, ConstTarget):
-        return side.probs, None
-    if side.model not in models:
-        raise ConfigurationError(f"loss term references unbound model {side.model!r}")
-    model = models[side.model]
-    if not isinstance(model, LinearSoftmaxModel):
-        raise ConfigurationError(f"model {side.model!r} is not a two-class head")
-    batch = side.batch
-    if isinstance(batch, TransformedBatch):
-        if batch.transform not in models:
-            raise ConfigurationError(f"loss term references unbound transform {batch.transform!r}")
-        t = models[batch.transform]
-        if not isinstance(t, LinearTransform):
-            raise ConfigurationError(f"model {batch.transform!r} is not a transform")
-        x_in = np.hstack([batch.common, t.transform(batch.raw)])
-    else:
-        x_in = batch.x
-    z = model.logits(x_in)
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    p_raw = e / e.sum(axis=-1, keepdims=True)
-    clamped = (p_raw[:, 1] <= EPS) | (p_raw[:, 1] >= 1.0 - EPS)
-    probs = clamp_probs(p_raw)
-    state = _SideState(side.model, x_in, probs, clamped, batch)
-    eff = probs[:, ::-1] if side.swapped else probs
-    return eff, state
+        return side.probs, side.log_probs, None
+    fwd = _forward(models, side, forwards, aligned)
+    if side.swapped:
+        return fwd.probs[:, ::-1], fwd.log_probs[:, ::-1], fwd
+    return fwd.probs, fwd.log_probs, fwd
 
 
-def _needs_grad(side: Side, wrt: frozenset[str]) -> bool:
-    if isinstance(side, ConstTarget):
-        return False
-    if side.model in wrt:
-        return True
-    return isinstance(side.batch, TransformedBatch) and side.batch.transform in wrt
+def _needs_grad(fwd: _Forward, wrt: frozenset[str]) -> bool:
+    batch = fwd.batch
+    return fwd.model in wrt or (isinstance(batch, TransformedBatch) and batch.transform in wrt)
 
 
-def _backward_side(
-    models: Mapping[str, Model],
-    side: ModelOutput,
-    state: _SideState,
-    d_probs_eff: np.ndarray,
-    wrt: frozenset[str],
-    grads: dict[str, GradientBundle],
-) -> None:
-    g_p = d_probs_eff[:, ::-1] if side.swapped else d_probs_eff
-    p = state.probs
-    inner = (g_p * p).sum(axis=-1, keepdims=True)
-    dz = p * (g_p - inner)
-    if np.any(state.clamped):
-        dz = np.where(state.clamped[:, None], 0.0, dz)
-    model = models[side.model]
-    if side.model in wrt:
-        bundle = grads[side.model]
-        bundle.d_weights += state.x_in.T @ dz
-        bundle.d_bias += dz.sum(axis=0)
-    batch = state.batch
-    if isinstance(batch, TransformedBatch) and batch.transform in wrt:
-        dx_in = dz @ model.weights.T
-        c = batch.common.shape[1]
-        d_out = dx_in[:, c:]
-        bundle = grads[batch.transform]
-        bundle.d_weights += batch.raw.T @ d_out
-        bundle.d_bias += d_out.sum(axis=0)
+def _add_grad(fwd: _Forward, side: ModelOutput, g: np.ndarray) -> None:
+    if side.swapped:
+        g = g[:, ::-1]
+    fwd.grad = g if fwd.grad is None else fwd.grad + g
 
 
 def loss_and_grads(
@@ -347,54 +331,55 @@ def loss_and_grads(
     Returns
     -------
     LossResult with the total value, each term's weighted contribution, and
-    one GradientBundle per requested name.
+    one GradientBundle per requested name. Each distinct (model, batch)
+    forward and transform output runs once per call, keyed by batch
+    identity; each forward sums the probability gradients of the sides that
+    read it, then runs one softmax Jacobian and one backward product.
     """
     wrt_set = frozenset(wrt)
     for name in wrt_set:
         if name not in models:
             raise ConfigurationError(f"gradient requested for unbound model {name!r}")
-    grads = {name: _zero_bundle(models[name]) for name in wrt_set}
+    grads = {name: GradientBundle(np.zeros_like(models[name].weights),
+                                  np.zeros_like(models[name].bias)) for name in wrt_set}
+    forwards: dict = {}
+    aligned: dict = {}
     total = 0.0
     term_values = np.zeros(len(terms))
     for idx, term in enumerate(terms):
-        a, state_a = _forward_side(models, term.left)
-        b, state_b = _forward_side(models, term.right)
-        log_ratio = np.log(a) - np.log(b)
-        kl = np.sum(a * log_ratio, axis=-1)
-        value = term.weight * float(np.sum(kl))
+        a, log_a, fwd_a = _side_probs(models, term.left, forwards, aligned)
+        b, log_b, fwd_b = _side_probs(models, term.right, forwards, aligned)
+        log_ratio = log_a - log_b
+        value = term.weight * float((a * log_ratio).sum(axis=-1).sum())
         term_values[idx] = value
         total += value
-        if state_a is not None and _needs_grad(term.left, wrt_set):
-            g_a = term.weight * (log_ratio + 1.0)
-            if g_a.ndim == 1:
-                g_a = np.broadcast_to(g_a, state_a.probs.shape)
-            _backward_side(models, term.left, state_a, np.ascontiguousarray(g_a), wrt_set, grads)
-        if state_b is not None and _needs_grad(term.right, wrt_set):
-            g_b = term.weight * (-(a / b))
-            if g_b.ndim == 1:
-                g_b = np.broadcast_to(g_b, state_b.probs.shape)
-            _backward_side(models, term.right, state_b, np.ascontiguousarray(g_b), wrt_set, grads)
+        if fwd_a is not None and _needs_grad(fwd_a, wrt_set):
+            _add_grad(fwd_a, term.left, term.weight * (log_ratio + 1.0))
+        if fwd_b is not None and _needs_grad(fwd_b, wrt_set):
+            _add_grad(fwd_b, term.right, term.weight * (-(a / b)))
+
+    d_aligned: dict = {}   # id(batch) -> (batch, dL/d transform output)
+    for fwd in forwards.values():
+        if fwd.grad is None:
+            continue
+        p, g = fwd.probs, fwd.grad
+        dz = p * (g - (g * p).sum(axis=-1, keepdims=True))
+        if fwd.clamped.any():
+            dz = np.where(fwd.clamped[:, None], 0.0, dz)
+        if fwd.model in wrt_set:
+            bundle = grads[fwd.model]
+            bundle.d_weights += fwd.x_in.T @ dz
+            bundle.d_bias += dz.sum(axis=0)
+        batch = fwd.batch
+        if isinstance(batch, TransformedBatch) and batch.transform in wrt_set:
+            d_out = dz @ models[fwd.model].weights[batch.common.shape[1]:].T
+            prev = d_aligned.get(id(batch))
+            d_aligned[id(batch)] = (batch, d_out if prev is None else prev[1] + d_out)
+    for batch, d_out in d_aligned.values():
+        bundle = grads[batch.transform]
+        bundle.d_weights += batch.raw.T @ d_out
+        bundle.d_bias += d_out.sum(axis=0)
     return LossResult(value=total, term_values=term_values, grads=grads)
-
-
-def input_gradients(model: LinearSoftmaxModel, x, d_probs) -> GradientBundle:
-    """Gradients of ``sum(d_probs * classify(x))`` including the input direction."""
-    x = require_finite("inputs", np.atleast_2d(x))
-    d_probs = require_finite("d_probs", d_probs)
-    z = model.logits(x)
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    p_raw = e / e.sum(axis=-1, keepdims=True)
-    clamped = (p_raw[:, 1] <= EPS) | (p_raw[:, 1] >= 1.0 - EPS)
-    p = clamp_probs(p_raw)
-    g_p = np.broadcast_to(d_probs, p.shape)
-    dz = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))
-    dz = np.where(clamped[:, None], 0.0, dz)
-    return GradientBundle(
-        d_weights=x.T @ dz,
-        d_bias=dz.sum(axis=0),
-        d_input=dz @ model.weights.T,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,7 @@ EPS = 1e-7
 def require_finite(name: str, values) -> np.ndarray:
     """Return ``values`` as a float64 array, rejecting NaN and infinity."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise InvalidInputError(f"{name}: values must be finite")
     return arr
 
@@ -38,7 +38,11 @@ def clamp_probs(probs) -> np.ndarray:
     p = require_finite("probs", probs)
     if p.shape[-1] != 2:
         raise InvalidInputError(f"probs: last axis must have length 2, got shape {p.shape}")
-    q = np.clip(p, EPS, 1.0 - EPS)
+    return _clamp(p)
+
+
+def _clamp(p: np.ndarray) -> np.ndarray:
+    q = np.minimum(np.maximum(p, EPS), 1.0 - EPS)   # np.clip, without its call overhead
     return q / q.sum(axis=-1, keepdims=True)
 
 
@@ -63,9 +67,16 @@ def softmax2(logits) -> np.ndarray:
     z = require_finite("logits", logits)
     if z.shape[-1] != 2:
         raise InvalidInputError(f"logits: last axis must have length 2, got shape {z.shape}")
+    return _softmax2(z)[0]
+
+
+def _softmax2(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one softmax-and-clamp: clamped pairs for finite logits, plus the mask
+    of rows whose raw output left the clamp interval (locally constant rows)."""
     m = z.max(axis=-1, keepdims=True)
     e = np.exp(z - m)
-    return clamp_probs(e / e.sum(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    return _clamp(p), (p[..., 1] <= EPS) | (p[..., 1] >= 1.0 - EPS)
 
 
 def kl2(p, q) -> np.ndarray:

@@ -27,7 +27,7 @@ gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,20 +66,36 @@ class ObjectiveSpec:
             raise ConfigurationError("gamma_mmd applies only to DSFT")
 
 
+# The one-hot targets, validated once when the module loads.
+_REAL = ConstTarget(P1)
+_FAKE = ConstTarget(P0)
+
+
 def _classifier_pair(batch, lam: float, n: int, classifier: str, discriminator: str):
+    d = ModelOutput(discriminator, batch)
     return [
-        KLTerm(
-            lam / n,
-            ModelOutput(discriminator, batch),
-            ModelOutput(classifier, batch),
-            name="kl_dc",
-        ),
-        KLTerm(
-            -lam / n,
-            ModelOutput(discriminator, batch),
-            ModelOutput(classifier, batch, swapped=True),
-            name="kl_dc_swap",
-        ),
+        KLTerm(lam / n, d, ModelOutput(classifier, batch), name="kl_dc"),
+        KLTerm(-lam / n, d, ModelOutput(classifier, batch, swapped=True), name="kl_dc_swap"),
+    ]
+
+
+def _teacher(teacher_probs, n: int) -> ConstTarget:
+    teacher = ConstTarget(teacher_probs)
+    if teacher.probs.ndim != 2 or teacher.probs.shape[0] != n:
+        raise ConfigurationError(
+            f"teacher probabilities must cover the batch: expected {n} rows, "
+            f"got shape {teacher.probs.shape}"
+        )
+    return teacher
+
+
+def _teacher_pair(teacher_probs, batch: TransformedBatch, eta: float, classifier: str):
+    n_t = batch.raw.shape[0]
+    teacher = _teacher(teacher_probs, n_t)
+    return [
+        KLTerm(eta / n_t, teacher, ModelOutput(classifier, batch), name="kl_soft"),
+        KLTerm(-eta / n_t, teacher, ModelOutput(classifier, batch, swapped=True),
+               name="kl_soft_swap"),
     ]
 
 
@@ -97,14 +113,12 @@ def pan_terms(
     """
     bp = RawBatch(batch_pos)
     bu = RawBatch(batch_unl)
-    n_p = bp.x.shape[0]
     n_u = bu.x.shape[0]
-    terms = [
-        KLTerm(-1.0 / n_p, ConstTarget(P1), ModelOutput(discriminator, bp), name="kl_pos"),
-        KLTerm(-1.0 / n_u, ConstTarget(P0), ModelOutput(discriminator, bu), name="kl_unl"),
+    return [
+        KLTerm(-1.0 / bp.x.shape[0], _REAL, ModelOutput(discriminator, bp), name="kl_pos"),
+        KLTerm(-1.0 / n_u, _FAKE, ModelOutput(discriminator, bu), name="kl_unl"),
+        *_classifier_pair(bu, lam, n_u, classifier, discriminator),
     ]
-    terms.extend(_classifier_pair(bu, lam, n_u, classifier, discriminator))
-    return terms
 
 
 def classifier_terms(
@@ -128,41 +142,29 @@ def aligned_classifier_terms(
     lam: float,
     classifier: str = "C",
     discriminator: str = "D",
+    *,
+    teacher_probs: np.ndarray | None = None,
+    eta: float = 0.0,
 ) -> list[KLTerm]:
-    """Only the classifier-dependent pair, on one aligned target batch."""
-    tgt = _aligned_batch(batch_target, n_common, "F")
-    return _classifier_pair(tgt, lam, tgt.common.shape[0], classifier, discriminator)
+    """Only the classifier-dependent pair, on one aligned target batch.
+
+    With ``teacher_probs`` the frozen-teacher pair (weight ``eta``) follows on
+    the same batch, which is the soft-label classifier's whole surface.
+    """
+    tgt = TransformedBatch.aligned(batch_target, n_common, "F")
+    terms = _classifier_pair(tgt, lam, tgt.raw.shape[0], classifier, discriminator)
+    if teacher_probs is not None:
+        terms.extend(_teacher_pair(teacher_probs, tgt, eta, classifier))
+    return terms
 
 
-def soft_label_terms(
-    teacher_probs: np.ndarray,
-    batch_target: np.ndarray,
-    n_common: int,
-    eta: float,
-    classifier: str = "C",
-) -> list[KLTerm]:
-    """Only the frozen-teacher pair, on one aligned target batch."""
-    tgt = _aligned_batch(batch_target, n_common, "F")
-    n_t = tgt.common.shape[0]
-    teacher = ConstTarget(teacher_probs)
-    if teacher.probs.ndim != 2 or teacher.probs.shape[0] != n_t:
-        raise ConfigurationError(
-            f"teacher probabilities must cover the target batch: "
-            f"expected {n_t} rows, got shape {teacher.probs.shape}"
-        )
+def _pada_terms(bs: RawBatch, tgt: TransformedBatch, lam: float) -> list[KLTerm]:
+    n_t = tgt.raw.shape[0]
     return [
-        KLTerm(eta / n_t, teacher, ModelOutput(classifier, tgt), name="kl_soft"),
-        KLTerm(-eta / n_t, teacher, ModelOutput(classifier, tgt, swapped=True), name="kl_soft_swap"),
+        KLTerm(-1.0 / bs.x.shape[0], _REAL, ModelOutput("D", bs), name="kl_pos"),
+        KLTerm(-1.0 / n_t, _FAKE, ModelOutput("D", tgt), name="kl_unl"),
+        *_classifier_pair(tgt, lam, n_t, "C", "D"),
     ]
-
-
-def _aligned_batch(batch_target: np.ndarray, n_common: int, transform: str) -> TransformedBatch:
-    bt = require_finite("target batch", batch_target)
-    if bt.ndim != 2 or bt.shape[1] <= n_common:
-        raise InvalidInputError(
-            f"target batch must be 2-D with more than {n_common} columns, got shape {bt.shape}"
-        )
-    return TransformedBatch(common=bt[:, :n_common], raw=bt, transform=transform)
 
 
 def pada_terms(
@@ -178,15 +180,7 @@ def pada_terms(
     source-specific slots, so D and C operate in the source feature space.
     """
     bs = RawBatch(batch_source)
-    tgt = _aligned_batch(batch_target, n_common, "F")
-    n_s = bs.x.shape[0]
-    n_t = tgt.common.shape[0]
-    terms = [
-        KLTerm(-1.0 / n_s, ConstTarget(P1), ModelOutput("D", bs), name="kl_pos"),
-        KLTerm(-1.0 / n_t, ConstTarget(P0), ModelOutput("D", tgt), name="kl_unl"),
-    ]
-    terms.extend(_classifier_pair(tgt, lam, n_t, "C", "D"))
-    return terms
+    return _pada_terms(bs, TransformedBatch.aligned(batch_target, n_common, "F"), lam)
 
 
 def pada_s_terms(
@@ -204,9 +198,9 @@ def pada_s_terms(
     ``eta = 0`` the result is bit-identical in value and gradients to
     :func:`pada_terms`.
     """
-    terms = pada_terms(batch_source, batch_target, n_common, lam)
-    terms.extend(soft_label_terms(teacher_probs, batch_target, n_common, eta))
-    return terms
+    bs = RawBatch(batch_source)
+    tgt = TransformedBatch.aligned(batch_target, n_common, "F")
+    return _pada_terms(bs, tgt, lam) + _teacher_pair(teacher_probs, tgt, eta, "C")
 
 
 def domain_adv_terms(
@@ -222,12 +216,11 @@ def domain_adv_terms(
     target distribution toward the source regardless of class.
     """
     bs = RawBatch(batch_source)
-    tgt = _aligned_batch(batch_target, n_common, "F")
-    n_s = bs.x.shape[0]
-    n_t = tgt.common.shape[0]
+    tgt = TransformedBatch.aligned(batch_target, n_common, "F")
     return [
-        KLTerm(-1.0 / n_s, ConstTarget(P1), ModelOutput(discriminator, bs), name="kl_adv_src"),
-        KLTerm(-1.0 / n_t, ConstTarget(P0), ModelOutput(discriminator, tgt), name="kl_adv_tgt"),
+        KLTerm(-1.0 / bs.x.shape[0], _REAL, ModelOutput(discriminator, bs), name="kl_adv_src"),
+        KLTerm(-1.0 / tgt.raw.shape[0], _FAKE, ModelOutput(discriminator, tgt),
+               name="kl_adv_tgt"),
     ]
 
 
@@ -237,13 +230,8 @@ def distillation_terms(
     """Match a frozen teacher's soft labels on full target rows."""
     bt = RawBatch(batch_target)
     n = bt.x.shape[0]
-    teacher = ConstTarget(teacher_probs)
-    if teacher.probs.ndim != 2 or teacher.probs.shape[0] != n:
-        raise ConfigurationError(
-            f"teacher probabilities must cover the batch: expected {n} rows, "
-            f"got shape {teacher.probs.shape}"
-        )
-    return [KLTerm(1.0 / n, teacher, ModelOutput(classifier, bt), name="kl_distill")]
+    return [KLTerm(1.0 / n, _teacher(teacher_probs, n), ModelOutput(classifier, bt),
+                   name="kl_distill")]
 
 
 def supervised_terms(
@@ -253,8 +241,8 @@ def supervised_terms(
     bp = RawBatch(batch_pos)
     bn = RawBatch(batch_neg)
     return [
-        KLTerm(-1.0 / bp.x.shape[0], ConstTarget(P1), ModelOutput(discriminator, bp), name="ce_pos"),
-        KLTerm(-1.0 / bn.x.shape[0], ConstTarget(P0), ModelOutput(discriminator, bn), name="ce_neg"),
+        KLTerm(-1.0 / bp.x.shape[0], _REAL, ModelOutput(discriminator, bp), name="ce_pos"),
+        KLTerm(-1.0 / bn.x.shape[0], _FAKE, ModelOutput(discriminator, bn), name="ce_neg"),
     ]
 
 
@@ -278,11 +266,21 @@ def mmd2(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass
 class DsftLoss:
+    """One evaluation of :func:`dsft_loss`. ``grads`` is derived on first
+    access, so a line search pays for gradients only on the step it accepts."""
+
     value: float
     rec_source: float
     rec_target: float
     mmd: float
-    grads: dict[str, GradientBundle]
+    _parts: tuple = field(repr=False, compare=False)
+    _grads: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def grads(self) -> dict[str, GradientBundle]:
+        if self._grads is None:
+            self._grads = _dsft_grads(*self._parts)
+        return self._grads
 
 
 def dsft_loss(
@@ -304,7 +302,9 @@ def dsft_loss(
 
     with the augmented matrices laid out ``[common | source-spec | target-spec]``
     where each domain's missing block is filled by the corresponding map.
-    Gradients for both maps are returned in closed form.
+    The linear-kernel MMD needs only block means, and an affine map commutes
+    with the mean, so the augmented matrices are never built. Gradients for
+    both maps are returned in closed form.
     """
     s_c = require_finite("source common", source_common)
     s_s = require_finite("source specific", source_specific)
@@ -316,49 +316,44 @@ def dsft_loss(
         raise InvalidInputError("row counts differ between common and specific blocks")
     if s_c.shape[0] == 0 or t_c.shape[0] == 0:
         raise InvalidInputError("dsft_loss needs non-empty domains")
+    if not psi_s.input_dim == psi_t.input_dim == s_c.shape[1] == t_c.shape[1]:
+        raise InvalidInputError("common blocks and completion maps disagree on the common width")
+
+    resid_s = s_c @ psi_s.weights + psi_s.bias - s_s   # source-specific reconstruction
+    resid_t = t_c @ psi_t.weights + psi_t.bias - t_t   # target-specific reconstruction
+    rec_source = float(np.sum(resid_s * resid_s)) / s_c.shape[0]
+    rec_target = float(np.sum(resid_t * resid_t)) / t_c.shape[0]
+
+    mean_s_c = s_c.mean(axis=0)
+    mean_t_c = t_c.mean(axis=0)
+    delta_c = mean_s_c - mean_t_c
+    # source-specific slots, filled by psi_s on target rows; target-specific, by psi_t on source
+    delta_s = s_s.mean(axis=0) - (mean_t_c @ psi_s.weights + psi_s.bias)
+    delta_t = (mean_s_c @ psi_t.weights + psi_t.bias) - t_t.mean(axis=0)
+    mmd_val = float(delta_c @ delta_c + delta_s @ delta_s + delta_t @ delta_t)
+
+    return DsftLoss(
+        value=rec_source + rec_target + gamma_mmd * mmd_val,
+        rec_source=rec_source,
+        rec_target=rec_target,
+        mmd=mmd_val,
+        _parts=(s_c, t_c, resid_s, resid_t, mean_s_c, mean_t_c, delta_s, delta_t, gamma_mmd),
+    )
+
+
+def _dsft_grads(s_c, t_c, resid_s, resid_t, mean_s_c, mean_t_c, delta_s, delta_t, gamma_mmd):
     n_s = s_c.shape[0]
     n_t = t_c.shape[0]
-
-    pred_ss = psi_s.transform(s_c)   # source-specific reconstruction
-    pred_ts = psi_s.transform(t_c)   # source-specific slots of target rows
-    pred_tt = psi_t.transform(t_c)   # target-specific reconstruction
-    pred_st = psi_t.transform(s_c)   # target-specific slots of source rows
-
-    resid_s = pred_ss - s_s
-    resid_t = pred_tt - t_t
-    rec_source = float(np.sum(resid_s * resid_s)) / n_s
-    rec_target = float(np.sum(resid_t * resid_t)) / n_t
-
-    xs_hat = np.hstack([s_c, s_s, pred_st])
-    xt_hat = np.hstack([t_c, pred_ts, t_t])
-    mmd_val = mmd2(xs_hat, xt_hat)
-
-    value = rec_source + rec_target + gamma_mmd * mmd_val
-
     g_psi_s_w = (2.0 / n_s) * (s_c.T @ resid_s)
     g_psi_s_b = (2.0 / n_s) * resid_s.sum(axis=0)
     g_psi_t_w = (2.0 / n_t) * (t_c.T @ resid_t)
     g_psi_t_b = (2.0 / n_t) * resid_t.sum(axis=0)
-
     if gamma_mmd > 0:
-        c = s_c.shape[1]
-        s_dim = s_s.shape[1]
-        delta = xs_hat.mean(axis=0) - xt_hat.mean(axis=0)
-        delta_s = delta[c : c + s_dim]      # source-specific slots, filled by psi_s on target
-        delta_t = delta[c + s_dim :]        # target-specific slots, filled by psi_t on source
-        # mean of the psi_t(S_c) block is psi_t applied to mean(S_c); same for psi_s
-        g_psi_t_w += gamma_mmd * np.outer(s_c.mean(axis=0), 2.0 * delta_t)
+        g_psi_t_w += gamma_mmd * np.outer(mean_s_c, 2.0 * delta_t)
         g_psi_t_b += gamma_mmd * 2.0 * delta_t
-        g_psi_s_w += gamma_mmd * np.outer(t_c.mean(axis=0), -2.0 * delta_s)
+        g_psi_s_w += gamma_mmd * np.outer(mean_t_c, -2.0 * delta_s)
         g_psi_s_b += gamma_mmd * -2.0 * delta_s
-
-    return DsftLoss(
-        value=value,
-        rec_source=rec_source,
-        rec_target=rec_target,
-        mmd=mmd_val,
-        grads={
-            "psi_s": GradientBundle(g_psi_s_w, g_psi_s_b),
-            "psi_t": GradientBundle(g_psi_t_w, g_psi_t_b),
-        },
-    )
+    return {
+        "psi_s": GradientBundle(g_psi_s_w, g_psi_s_b),
+        "psi_t": GradientBundle(g_psi_t_w, g_psi_t_b),
+    }

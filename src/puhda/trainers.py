@@ -52,7 +52,6 @@ from .objectives import (
     pada_s_terms,
     pada_terms,
     pan_terms,
-    soft_label_terms,
     supervised_terms,
 )
 
@@ -267,9 +266,8 @@ def _pada_loop(x_s, x_t, n_common, s_dim, config, seed, teacher_fn, eta):
         f.apply_step(res_f.grads["F"], -config.learning_rate)
 
         bt3 = _draw(rng, x_t, config.batch_size)
-        c_terms = aligned_classifier_terms(bt3, n_common, config.lam)
-        if soft:
-            c_terms.extend(soft_label_terms(teacher_fn(bt3), bt3, n_common, eta))
+        teacher = teacher_fn(bt3) if soft else None
+        c_terms = aligned_classifier_terms(bt3, n_common, config.lam, teacher_probs=teacher, eta=eta)
         res_c = loss_and_grads(models, c_terms, wrt=("C",))
         c.apply_step(res_c.grads["C"], -config.learning_rate)
 

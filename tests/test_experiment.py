@@ -1,5 +1,6 @@
 """End-to-end tests for the experiment pipeline and its command line."""
 
+import csv
 import json
 import re
 
@@ -465,6 +466,61 @@ def test_failing_cell_falls_back_to_a_surviving_one(tmp_path, monkeypatch):
     assert float(sel["PADA"]["learning_rate"]) == 0.02
 
 
+def test_error_text_with_comma_and_quote_round_trips(tmp_path, monkeypatch):
+    doc = base_doc()
+    doc["methods"] = ["COM_P", "DIST", "PADA_S", "PADA"]
+    doc["grid"]["learning_rate"] = [0.05]
+    config = build_config(doc)
+    message = 'got s=0, t=1 and a "quoted" name'
+
+    real = experiment_module.train_method
+
+    def sabotaged(method, source, train, val, cfg):
+        if method == "PADA":
+            raise DataError(message)
+        return real(method, source, train, val, cfg)
+
+    monkeypatch.setattr(experiment_module, "train_method", sabotaged)
+    out = run_experiment(config, out_dir=tmp_path / "quoted")
+
+    with (out / "grid.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert all(len(row) == len(header) for row in rows)
+    by_method = {}
+    for row in rows:
+        by_method.setdefault(row[header.index("method")], []).append(dict(zip(header, row)))
+    assert [r["error"] for r in by_method["PADA"]] == [message] * len(config.seeds)
+    assert all(r["status"] == "ok" and r["error"] == "" for r in by_method["COM_P"])
+    (row,) = read_table(analyze_experiment(out))
+    assert 0.0 <= float(row["acc_pada_s"]) <= 1.0
+
+
+def test_unexpected_exception_fails_only_its_cells(tmp_path, monkeypatch):
+    doc = base_doc()
+    doc["methods"] = ["COM_P", "PADA"]
+    doc["grid"]["learning_rate"] = [0.05]
+    config = build_config(doc)
+
+    real = experiment_module.train_method
+
+    def crashing(method, source, train, val, cfg):
+        if method == "PADA":
+            raise RuntimeError("worker bug")
+        return real(method, source, train, val, cfg)
+
+    monkeypatch.setattr(experiment_module, "train_method", crashing)
+    out = run_experiment(config, out_dir=tmp_path / "crashed")
+
+    grid_rows = read_table(out / "grid.csv")
+    pada_rows = [r for r in grid_rows if r["method"] == "PADA"]
+    assert pada_rows and all(r["status"] == "failed" for r in pada_rows)
+    assert all(r["error"] == "RuntimeError: worker bug" for r in pada_rows)
+    sel = {r["method"]: r for r in read_table(out / "selection.csv")}
+    assert sel["COM_P"]["status"] == "ok"
+    assert {r["method"] for r in read_table(out / "eval.csv")} == {"COM_P"}
+    assert (out / "checkpoints" / "COM_P" / "seed-0.json").is_file()
+
+
 # --------------------------------------------------------------------------
 # Analysis
 
@@ -770,6 +826,15 @@ def test_cli_reports_domain_errors_on_stderr(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "not a completed experiment" in err
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_cli_rejects_jobs_below_one(command, jobs, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--config", "c.yaml", "--jobs", jobs])
+    assert exc_info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from puhda.models import (
     ModelOutput,
     RawBatch,
     TransformedBatch,
-    input_gradients,
     load_checkpoint,
     loss_and_grads,
     save_checkpoint,
@@ -220,20 +219,6 @@ class TestLossAndGrads:
             loss_and_grads(models, terms)
         with pytest.raises(ConfigurationError):
             loss_and_grads(models, [], wrt=("Q",))
-
-    def test_input_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(17)
-        model = LinearSoftmaxModel(rng.normal(size=(3, 2)), rng.normal(size=2))
-        x = rng.normal(size=(4, 3))
-        d_probs = rng.normal(size=(4, 2))
-        bundle = input_gradients(model, x, d_probs)
-
-        def value_fn(vec):
-            xs = vec.reshape(x.shape)
-            return float(np.sum(d_probs * model.classify(xs)))
-
-        fd = finite_difference(value_fn, x.ravel().copy())
-        assert relative_error(bundle.d_input.ravel(), fd) < 1e-4
 
 
 def _rebind(terms):

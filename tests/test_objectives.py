@@ -440,3 +440,72 @@ class TestObjectiveSpec:
             ObjectiveSpec("NOPE")
         with pytest.raises(ConfigurationError):
             ObjectiveSpec("PAN", lam=-0.5)
+
+
+class _CountingWeights(np.ndarray):
+    """Model weights that count the products taken with them, per model name."""
+
+    def __array_finalize__(self, obj):
+        self.name = getattr(obj, "name", None)
+        self.counts = getattr(obj, "counts", None)
+
+    def __rmatmul__(self, other):
+        self.counts[self.name] += 1
+        return np.asarray(other) @ self.view(np.ndarray)
+
+
+class TestHotPath:
+    def _counted(self, models):
+        counts = {name: 0 for name in models}
+        for name, model in models.items():
+            weights = model.weights.view(_CountingWeights)
+            weights.name, weights.counts = name, counts
+            model.weights = weights
+        return counts
+
+    def test_each_distinct_forward_runs_once(self):
+        rng = np.random.default_rng(70)
+        c, s, t = 2, 3, 2
+        models = _models(rng, c, s, t)
+        terms = pada_terms(rng.normal(size=(6, c + s)), rng.normal(size=(5, c + t)), c, 0.4)
+        want = loss_and_grads(models, terms, wrt=("C", "D", "F"))
+        counts = self._counted(models)
+        got = loss_and_grads(models, terms)
+        # D on source rows and on aligned target rows, C on aligned target rows,
+        # and one transform output shared by both aligned forwards
+        assert counts == {"D": 2, "C": 1, "F": 1}
+        assert got.value == want.value
+
+    def test_gradients_take_one_backward_product_per_forward(self):
+        rng = np.random.default_rng(71)
+        c, s, t = 2, 3, 2
+        models = _models(rng, c, s, t)
+        terms = pada_s_terms(rng.normal(size=(6, c + s)), rng.normal(size=(5, c + t)), c, 0.4,
+                             eta=0.2, teacher_probs=numerics.softmax2(rng.normal(size=(5, 2))))
+        counts = self._counted(models)
+        loss_and_grads(models, terms, wrt=("F",))
+        # three forwards, one transform, and one product back through D and C each
+        assert counts == {"D": 3, "C": 2, "F": 1}
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_transform_is_rejected(self):
+        rng = np.random.default_rng(72)
+        c, s, t = 2, 2, 2
+        models = _models(rng, c, s, t)
+        models["F"] = LinearTransform(np.full((c + t, s), 1e300), np.zeros(s))
+        terms = pada_terms(rng.normal(size=(4, c + s)), np.full((3, c + t), 1e10), c, 0.3)
+        with pytest.raises(InvalidInputError, match="finite"):
+            loss_and_grads(models, terms, wrt=("F",))
+
+    @pytest.mark.parametrize("build", [lambda a, b: pan_terms(a, b, 0.1),
+                                       lambda a, b: pada_terms(a, b, 2, 0.1)],
+                             ids=["pan", "pada"])
+    def test_nan_batch_is_rejected_when_terms_are_built(self, build):
+        rng = np.random.default_rng(73)
+        good = rng.normal(size=(4, 5))
+        bad = good.copy()
+        bad[2, 3] = np.nan
+        for first, second in ((bad, good), (good, bad)):
+            with pytest.raises(InvalidInputError, match="finite"):
+                build(first, second)

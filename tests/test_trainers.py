@@ -6,6 +6,7 @@ the batch order and which player each phase updates.
 """
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from puhda.data import DomainMatrix, FeatureSchema
 from puhda.errors import ConfigurationError, InvalidInputError, SchemaError
 from puhda.metrics import accuracy
 from puhda.models import LinearSoftmaxModel, LinearTransform, loss_and_grads
-from puhda.numerics import make_rng
+from puhda.numerics import derive_seed, make_rng
 from puhda.objectives import (
     aligned_classifier_terms,
     classifier_terms,
     domain_adv_terms,
+    pada_s_terms,
     pada_terms,
     pan_terms,
 )
@@ -344,6 +346,55 @@ def test_soft_rounds_return_best_round_and_stop_early(tiny_data):
     assert returned_val == max(vals)
     if art.rounds_run < cfg.max_soft_rounds:
         assert vals[-1] <= max(vals[:-1])
+
+
+def test_pada_s_single_step_matches_manual_replay(tiny_data):
+    """Round one with a live teacher pair: the base run, the teacher on every
+    phase's target batch, and the classifier phase's teacher terms."""
+    source, train, val, _ = tiny_data
+    schema = source.schema
+    x_s, x_t = source.features(), train.features()
+    cfg = TrainConfig(learning_rate=1e-3, lam=0.2, eta=0.3, steps=1, batch_size=48, seed=19,
+                      max_soft_rounds=1)
+    art = train_pada_s(source, train, cfg, val_target=val)
+
+    base = train_pan(source.common, train.common,
+                     replace(cfg, seed=derive_seed(cfg.seed, "soft-base")))
+
+    def teacher(bt):
+        return base.classifier.classify(bt[:, :schema.c])
+
+    rng = make_rng(cfg.seed)
+    d = LinearSoftmaxModel.initialize(x_s.shape[1], rng)
+    c = LinearSoftmaxModel.initialize(x_s.shape[1], rng)
+    f = LinearTransform.initialize(x_t.shape[1], schema.s, rng)
+    models = {"D": d, "C": c, "F": f}
+
+    def draw(x):
+        return x[rng.integers(0, x.shape[0], size=cfg.batch_size)]
+
+    bs, bt = draw(x_s), draw(x_t)
+    terms_d = pada_s_terms(bs, bt, schema.c, cfg.lam, cfg.eta, teacher(bt))
+    res_d = loss_and_grads(models, terms_d, wrt=("D",))
+    d.apply_step(res_d.grads["D"], cfg.learning_rate)
+
+    bs2, bt2 = draw(x_s), draw(x_t)
+    terms_f = pada_s_terms(bs2, bt2, schema.c, cfg.lam, cfg.eta, teacher(bt2))
+    res_f = loss_and_grads(models, terms_f, wrt=("F",))
+    f.apply_step(res_f.grads["F"], -cfg.learning_rate)
+
+    bt3 = draw(x_t)
+    terms_c = aligned_classifier_terms(bt3, schema.c, cfg.lam,
+                                       teacher_probs=teacher(bt3), eta=cfg.eta)
+    assert [t.name for t in terms_c] == ["kl_dc", "kl_dc_swap", "kl_soft", "kl_soft_swap"]
+    res_c = loss_and_grads(models, terms_c, wrt=("C",))
+    c.apply_step(res_c.grads["C"], -cfg.learning_rate)
+
+    assert art.rounds_run == 1
+    assert models_equal(art.discriminator, d)
+    assert models_equal(art.classifier, c)
+    assert models_equal(art.transformer, f)
+    assert art.trace.rows[0][1:] == (res_d.value, *res_d.term_values)
 
 
 def test_soft_rounds_need_labeled_validation(tiny_data):
