@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,21 +74,11 @@ class FeatureSchema:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "common": list(self.common),
-            "source_specific": list(self.source_specific),
-            "target_specific": list(self.target_specific),
-            "label_column": self.label_column,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSchema":
-        return cls(
-            common=tuple(d["common"]),
-            source_specific=tuple(d["source_specific"]),
-            target_specific=tuple(d["target_specific"]),
-            label_column=d.get("label_column"),
-        )
+        return cls(**d)
 
 
 def _check_role(role: str) -> None:
@@ -316,19 +306,9 @@ def load_domain_matrix(path) -> DomainMatrix:
         raise DataError(f"{path}: missing schema sidecar {sidecar_path.name}")
     sidecar = json.loads(sidecar_path.read_text())
     schema = FeatureSchema.from_dict(sidecar["schema"])
-    role = sidecar["role"]
-    if sidecar["has_labels"]:
-        label_header = sidecar["label_header"]
-        schema_for_load = schema if schema.label_column else replace_schema_label(schema, label_header)
-    else:
-        schema_for_load = schema
-    return load_csv(path, schema_for_load, role)
-
-
-def replace_schema_label(schema: FeatureSchema, label_column: str | None) -> FeatureSchema:
-    return FeatureSchema(
-        schema.common, schema.source_specific, schema.target_specific, label_column
-    )
+    if sidecar["has_labels"] and not schema.label_column:
+        schema = replace(schema, label_column=sidecar["label_header"])
+    return load_csv(path, schema, sidecar["role"])
 
 
 # --------------------------------------------------------------------------

@@ -20,9 +20,10 @@ import json
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from itertools import product
 from pathlib import Path
+from typing import NewType, get_args, get_type_hints
 
 import numpy as np
 import yaml
@@ -51,24 +52,20 @@ from .metrics import (
     discrimination_accuracy,
     improvement_metrics,
 )
+from .models import save_checkpoint
 from .trainers import (
     GRID_LEARNING_RATE,
     GRID_WEIGHT,
+    METHOD_TABLE,
     TrainConfig,
     TrainedArtifacts,
     align_features,
     predict,
-    train_com_p,
-    train_dist,
-    train_dsft_p,
-    train_pada,
-    train_pada_f,
-    train_pada_s,
 )
 
 logger = logging.getLogger(__name__)
 
-METHODS = ("COM_P", "DIST", "DSFT_P_linear", "PADA", "PADA_S", "PADA_F")
+METHODS = tuple(METHOD_TABLE)
 OUTPUT_ENV_VAR = "PUHDA_OUT"
 
 
@@ -106,10 +103,72 @@ def _integer(value, where: str) -> int:
     return value
 
 
-def _string_list(value, where: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigurationError(f"{where}: expected a list of names")
-    return tuple(value)
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def _label_value(value, where: str) -> str:
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ConfigurationError(f"{where}: expected a label value, got {value!r}")
+    return str(value)
+
+
+# A csv label cell; an unquoted integer such as ``1`` stands for its digits.
+LabelValue = NewType("LabelValue", str)
+
+# Value rule per annotated field type, and what a list of each is called.
+_SCALARS = {int: _integer, float: _number, str: _string, LabelValue: _label_value,
+            Path: lambda value, where: Path(_string(value, where))}
+_LISTS = {int: "list of integers", float: "non-empty list of numbers", str: "list of names"}
+# Config-grammar names that differ from the dataclass field names.
+_GRAMMAR_NAMES = {"c": "common", "s": "source_specific", "t": "target_specific",
+                  "label_column": "label"}
+
+
+def _value(hint, value, where: str):
+    """Check one config value against a field's annotated type."""
+    if hint in _SCALARS:
+        return _SCALARS[hint](value, where)
+    if is_dataclass(hint):
+        return _section(hint, value, where)
+    item, *rest = get_args(hint)
+    if rest == [type(None)]:   # ``item | None``: null stands for None
+        return None if value is None else _value(item, value, where)
+    # ``tuple[item, ...]``, from a list; a number axis may not be empty
+    if not isinstance(value, list) or (item is float and not value):
+        raise ConfigurationError(f"{where}: expected a {_LISTS[item]}")
+    return tuple(_value(item, v, where) for v in value)
+
+
+def _section(cls, doc, where: str):
+    """Build a section dataclass from its document, driven by the class's own
+    fields: the annotated types check the values, and a field without a
+    default is required."""
+    doc = _require_mapping(doc, where)
+    by_key = {_GRAMMAR_NAMES.get(f.name, f.name): f for f in fields(cls)}
+    _reject_unknown(doc, by_key, where)
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for key, f in by_key.items():
+        if key in doc:
+            kwargs[f.name] = _value(hints[f.name], doc[key], f"{where}.{key}")
+        elif f.default is MISSING:
+            raise ConfigurationError(f"{where}: missing field {key!r}")
+    return cls(**kwargs)
+
+
+def _echo(value):
+    """JSON-ready form of a section, in config-grammar names, that parses back."""
+    if is_dataclass(value):
+        return {_GRAMMAR_NAMES.get(f.name, f.name): _echo(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_echo(v) for v in value]
+    if isinstance(value, Path):
+        return str(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -117,7 +176,7 @@ class CsvDataset:
     source: Path
     target: Path
     schema: FeatureSchema
-    positive_value: str = "1"
+    positive_value: LabelValue = "1"
 
 
 @dataclass(frozen=True)
@@ -128,6 +187,10 @@ class RatingsDataset:
     source_genres: tuple[str, ...]
     target_genres: tuple[str, ...]
     label_genre: str
+
+
+# One section per dataset kind, under the kind's name.
+_DATASET_SECTIONS = {"synthetic": SyntheticSpec, "csv": CsvDataset, "ratings": RatingsDataset}
 
 
 @dataclass(frozen=True)
@@ -164,8 +227,16 @@ class TrainingSpec:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1 or self.probe_steps < 1:
             raise ConfigurationError("training: steps and batch sizes must be >= 1")
+        for name in ("max_soft_rounds", "val_patience"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"training.{name}: must be >= 1")
+        if self.gamma_mmd < 0:
+            raise ConfigurationError("training.gamma_mmd: must be >= 0")
         if self.probe_learning_rate <= 0:
             raise ConfigurationError("training.probe_learning_rate: must be positive")
+
+
+_DEFAULT_SPLIT = SplitSpec(train=0.6, val=0.2, test=0.2, seed=0)
 
 
 @dataclass(frozen=True)
@@ -199,162 +270,9 @@ class ExperimentConfig:
             raise ConfigurationError("seeds: duplicate entries")
 
 
-def _parse_schema(doc: dict, where: str) -> FeatureSchema:
-    doc = _require_mapping(doc, where)
-    _reject_unknown(doc, ("common", "source_specific", "target_specific", "label"), where)
-    label = doc.get("label")
-    if label is not None and not isinstance(label, str):
-        raise ConfigurationError(f"{where}.label: expected a column name")
-    return FeatureSchema(
-        common=_string_list(_get(doc, "common", where), f"{where}.common"),
-        source_specific=_string_list(
-            _get(doc, "source_specific", where), f"{where}.source_specific"),
-        target_specific=_string_list(
-            _get(doc, "target_specific", where), f"{where}.target_specific"),
-        label_column=label,
-    )
-
-
-_SYNTHETIC_FIELDS = {
-    "common": "c",
-    "source_specific": "s",
-    "target_specific": "t",
-    "n_source": "n_source",
-    "n_target": "n_target",
-    "positive_ratio": "positive_ratio",
-    "signal_common": "signal_common",
-    "signal_source": "signal_source",
-    "signal_target": "signal_target",
-    "coupling": "coupling",
-    "noise_scale": "noise_scale",
-    "label_separation": "label_separation",
-    "latent_noise_dim": "latent_noise_dim",
-    "seed": "seed",
-}
-
-
-def _parse_synthetic(doc: dict, where: str) -> SyntheticSpec:
-    doc = _require_mapping(doc, where)
-    _reject_unknown(doc, _SYNTHETIC_FIELDS, where)
-    kwargs = {}
-    for field_name, spec_name in _SYNTHETIC_FIELDS.items():
-        if field_name in doc:
-            value = doc[field_name]
-            loc = f"{where}.{field_name}"
-            if spec_name in ("c", "s", "t", "n_source", "n_target",
-                             "latent_noise_dim", "seed"):
-                kwargs[spec_name] = _integer(value, loc)
-            else:
-                kwargs[spec_name] = _number(value, loc)
-    for required in ("common", "source_specific", "target_specific",
-                     "n_source", "n_target"):
-        if required not in doc:
-            raise ConfigurationError(f"{where}: missing field {required!r}")
-    return SyntheticSpec(**kwargs)
-
-
-def _parse_dataset(doc: dict) -> tuple[str, SyntheticSpec | None, CsvDataset | None, RatingsDataset | None]:
-    doc = _require_mapping(doc, "dataset")
-    _reject_unknown(doc, ("kind", "synthetic", "csv", "ratings"), "dataset")
-    kind = _get(doc, "kind", "dataset")
-    if kind not in ("synthetic", "csv", "ratings"):
-        raise ConfigurationError(
-            f"dataset.kind: expected synthetic, csv, or ratings, got {kind!r}")
-    if kind not in doc:
-        raise ConfigurationError(f"dataset: missing section {kind!r} for kind {kind!r}")
-
-    synthetic = csv_ds = ratings = None
-    if kind == "synthetic":
-        synthetic = _parse_synthetic(doc["synthetic"], "dataset.synthetic")
-    elif kind == "csv":
-        section = _require_mapping(doc["csv"], "dataset.csv")
-        _reject_unknown(section, ("source", "target", "schema", "positive_value"),
-                        "dataset.csv")
-        csv_ds = CsvDataset(
-            source=Path(_get(section, "source", "dataset.csv")),
-            target=Path(_get(section, "target", "dataset.csv")),
-            schema=_parse_schema(_get(section, "schema", "dataset.csv"),
-                                 "dataset.csv.schema"),
-            positive_value=str(section.get("positive_value", "1")),
-        )
-    else:
-        section = _require_mapping(doc["ratings"], "dataset.ratings")
-        _reject_unknown(
-            section,
-            ("ratings", "genres", "common_genres", "source_genres",
-             "target_genres", "label_genre"),
-            "dataset.ratings",
-        )
-        label_genre = _get(section, "label_genre", "dataset.ratings")
-        if not isinstance(label_genre, str):
-            raise ConfigurationError("dataset.ratings.label_genre: expected a genre name")
-        ratings = RatingsDataset(
-            ratings=Path(_get(section, "ratings", "dataset.ratings")),
-            genres=Path(_get(section, "genres", "dataset.ratings")),
-            common_genres=_string_list(
-                _get(section, "common_genres", "dataset.ratings"),
-                "dataset.ratings.common_genres"),
-            source_genres=_string_list(
-                _get(section, "source_genres", "dataset.ratings"),
-                "dataset.ratings.source_genres"),
-            target_genres=_string_list(
-                _get(section, "target_genres", "dataset.ratings"),
-                "dataset.ratings.target_genres"),
-            label_genre=label_genre,
-        )
-    return kind, synthetic, csv_ds, ratings
-
-
-def _parse_grid(doc: dict | None) -> GridSpec:
-    if doc is None:
-        return GridSpec()
-    doc = _require_mapping(doc, "grid")
-    _reject_unknown(doc, ("learning_rate", "lam", "eta"), "grid")
-
-    def axis(name, default):
-        if name not in doc:
-            return default
-        values = doc[name]
-        if not isinstance(values, list) or not values:
-            raise ConfigurationError(f"grid.{name}: expected a non-empty list of numbers")
-        return tuple(_number(v, f"grid.{name}") for v in values)
-
-    return GridSpec(
-        learning_rate=axis("learning_rate", GRID_LEARNING_RATE),
-        lam=axis("lam", GRID_WEIGHT),
-        eta=axis("eta", GRID_WEIGHT),
-    )
-
-
-def _parse_training(doc: dict | None) -> TrainingSpec:
-    if doc is None:
-        return TrainingSpec()
-    doc = _require_mapping(doc, "training")
-    allowed = ("steps", "batch_size", "max_soft_rounds", "val_patience",
-               "gamma_mmd", "probe_learning_rate", "probe_steps")
-    _reject_unknown(doc, allowed, "training")
-    kwargs = {}
-    for name in allowed:
-        if name in doc:
-            loc = f"training.{name}"
-            if name in ("gamma_mmd", "probe_learning_rate"):
-                kwargs[name] = _number(doc[name], loc)
-            else:
-                kwargs[name] = _integer(doc[name], loc)
-    return TrainingSpec(**kwargs)
-
-
-def _parse_split(doc: dict | None) -> SplitSpec:
-    if doc is None:
-        return SplitSpec(train=0.6, val=0.2, test=0.2, seed=0)
-    doc = _require_mapping(doc, "split")
-    _reject_unknown(doc, ("train", "val", "test", "seed"), "split")
-    return SplitSpec(
-        train=_number(_get(doc, "train", "split"), "split.train"),
-        val=_number(_get(doc, "val", "split"), "split.val"),
-        test=_number(_get(doc, "test", "split"), "split.test"),
-        seed=_integer(doc.get("seed", 0), "split.seed"),
-    )
+def _optional_section(cls, doc: dict, key: str, default):
+    """A top-level section that may be left out, or given as null."""
+    return default if doc.get(key) is None else _section(cls, doc[key], key)
 
 
 def build_config(doc: dict) -> ExperimentConfig:
@@ -363,25 +281,27 @@ def build_config(doc: dict) -> ExperimentConfig:
     _reject_unknown(
         doc, ("dataset", "methods", "seeds", "split", "grid", "training", "output"),
         "config")
-    kind, synthetic, csv_ds, ratings = _parse_dataset(_get(doc, "dataset", "config"))
-    methods = _string_list(_get(doc, "methods", "config"), "methods")
-    seeds_doc = doc.get("seeds", [0, 1, 2])
-    if not isinstance(seeds_doc, list):
-        raise ConfigurationError("seeds: expected a list of integers")
-    seeds = tuple(_integer(s, "seeds") for s in seeds_doc)
+    dataset = _require_mapping(_get(doc, "dataset", "config"), "dataset")
+    _reject_unknown(dataset, ("kind", *_DATASET_SECTIONS), "dataset")
+    kind = _get(dataset, "kind", "dataset")
+    if not isinstance(kind, str) or kind not in _DATASET_SECTIONS:
+        raise ConfigurationError(
+            f"dataset.kind: expected synthetic, csv, or ratings, got {kind!r}")
+    if kind not in dataset:
+        raise ConfigurationError(f"dataset: missing section {kind!r} for kind {kind!r}")
+    sections = dict.fromkeys(_DATASET_SECTIONS)
+    sections[kind] = _section(_DATASET_SECTIONS[kind], dataset[kind], f"dataset.{kind}")
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigurationError("output: expected a directory path")
     return ExperimentConfig(
         dataset_kind=kind,
-        synthetic=synthetic,
-        csv=csv_ds,
-        ratings=ratings,
-        methods=methods,
-        seeds=seeds,
-        split_spec=_parse_split(doc.get("split")),
-        grid=_parse_grid(doc.get("grid")),
-        training=_parse_training(doc.get("training")),
+        **sections,
+        methods=_value(tuple[str, ...], _get(doc, "methods", "config"), "methods"),
+        seeds=_value(tuple[int, ...], doc.get("seeds", [0, 1, 2]), "seeds"),
+        split_spec=_optional_section(SplitSpec, doc, "split", _DEFAULT_SPLIT),
+        grid=_optional_section(GridSpec, doc, "grid", GridSpec()),
+        training=_optional_section(TrainingSpec, doc, "training", TrainingSpec()),
         output=None if output is None else Path(output),
     )
 
@@ -404,51 +324,15 @@ def load_config(path) -> ExperimentConfig:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """JSON-ready echo of a config, written into run metadata."""
-    doc: dict = {
-        "dataset": {"kind": config.dataset_kind},
+    kind = config.dataset_kind
+    doc = {
+        "dataset": {"kind": kind, kind: _echo(getattr(config, kind))},
         "methods": list(config.methods),
         "seeds": list(config.seeds),
-        "split": {
-            "train": config.split_spec.train,
-            "val": config.split_spec.val,
-            "test": config.split_spec.test,
-            "seed": config.split_spec.seed,
-        },
-        "grid": {
-            "learning_rate": list(config.grid.learning_rate),
-            "lam": list(config.grid.lam),
-            "eta": list(config.grid.eta),
-        },
-        "training": asdict(config.training),
+        "split": _echo(config.split_spec),
+        "grid": _echo(config.grid),
+        "training": _echo(config.training),
     }
-    if config.synthetic is not None:
-        # Echo with config-grammar field names so the document parses back.
-        doc["dataset"]["synthetic"] = {
-            field_name: getattr(config.synthetic, spec_name)
-            for field_name, spec_name in _SYNTHETIC_FIELDS.items()
-        }
-    if config.csv is not None:
-        schema = config.csv.schema
-        doc["dataset"]["csv"] = {
-            "source": str(config.csv.source),
-            "target": str(config.csv.target),
-            "positive_value": config.csv.positive_value,
-            "schema": {
-                "common": list(schema.common),
-                "source_specific": list(schema.source_specific),
-                "target_specific": list(schema.target_specific),
-                "label": schema.label_column,
-            },
-        }
-    if config.ratings is not None:
-        doc["dataset"]["ratings"] = {
-            "ratings": str(config.ratings.ratings),
-            "genres": str(config.ratings.genres),
-            "common_genres": list(config.ratings.common_genres),
-            "source_genres": list(config.ratings.source_genres),
-            "target_genres": list(config.ratings.target_genres),
-            "label_genre": config.ratings.label_genre,
-        }
     if config.output is not None:
         doc["output"] = str(config.output)
     return doc
@@ -509,6 +393,12 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
             "the target data carries no hidden labels, so validation selection "
             "and test evaluation are impossible")
     train, val, test = split(target, config.split_spec)
+    # Only the class set of the test rows is read here, so a grid is never
+    # trained for a split whose AUC cannot be computed.
+    if len(np.unique(test.labels)) < 2:
+        raise ConfigurationError(
+            f"the test split holds only class {int(test.labels[0])}; "
+            "test evaluation needs both classes")
     source, train, val, test = standardize_splits(source, train, val, test)
     return PreparedData(
         source=source, train=train, val=val,
@@ -539,7 +429,7 @@ class CellResult:
 
 def grid_cells(method: str, grid: GridSpec) -> list[GridCell]:
     """Every hyperparameter combination a method searches, sorted ascending."""
-    etas = grid.eta if method == "PADA_S" else (0.0,)
+    etas = grid.eta if METHOD_TABLE[method].searches_eta else (0.0,)
     cells = [GridCell(lr, lam, eta)
              for lr, lam, eta in product(grid.learning_rate, grid.lam, etas)]
     return sorted(cells)
@@ -566,22 +456,10 @@ def train_method(
     val: DomainMatrix,
     config: TrainConfig,
 ) -> TrainedArtifacts:
-    """Train one method end to end; the distillation baseline trains its
-    common-features teacher inside the same cell."""
-    if method == "COM_P":
-        return train_com_p(source, train, config)
-    if method == "PADA":
-        return train_pada(source, train, config)
-    if method == "PADA_F":
-        return train_pada_f(source, train, config)
-    if method == "PADA_S":
-        return train_pada_s(source, train, config, val_target=val)
-    if method == "DSFT_P_linear":
-        return train_dsft_p(source, train, config)
-    if method == "DIST":
-        teacher = train_com_p(source, train, config)
-        return train_dist(train, teacher.classifier, config)
-    raise ConfigurationError(f"unknown method {method!r}")
+    """Train one method end to end, the way its method-table entry says."""
+    if method not in METHOD_TABLE:
+        raise ConfigurationError(f"unknown method {method!r}")
+    return METHOD_TABLE[method].train(source, train, val, config)
 
 
 def _grid_worker(payload) -> CellResult:
@@ -733,14 +611,7 @@ def _write_aligned(path: Path, header: tuple[str, ...], rows) -> None:
 
 
 def _write_checkpoint(path: Path, artifacts: TrainedArtifacts) -> None:
-    doc = {"version": __version__, "method": artifacts.method, "models": {}}
-    for name, model in sorted(artifacts.models().items()):
-        doc["models"][name] = {
-            "weights": model.weights.tolist(),
-            "bias": model.bias.tolist(),
-        }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    save_checkpoint(path, artifacts.method, artifacts.models())
 
 
 def _analytics_row(data: PreparedData) -> tuple:
@@ -867,25 +738,27 @@ def _read_rows(path: Path) -> list[dict]:
 def _read_overrides(path: Path) -> dict[str, float]:
     """Method-accuracy pairs; values above 1 are read as percentages."""
     overrides = {}
-    for idx, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if idx == 1 and parts[:2] == ["method", "accuracy"]:
-            continue
-        if len(parts) != 2:
-            raise DataError(f"{path}: line {idx}: expected method,accuracy")
-        try:
-            value = float(parts[1])
-        except ValueError:
-            raise DataError(
-                f"{path}: line {idx}: cannot parse accuracy {parts[1]!r}") from None
-        if value > 1.0:
-            value /= 100.0
-        if not 0.0 <= value <= 1.0:
-            raise DataError(f"{path}: line {idx}: accuracy {parts[1]} out of range")
-        overrides[parts[0]] = value
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            parts = [p.strip() for p in row]
+            if not any(parts):
+                continue
+            idx = reader.line_num
+            if idx == 1 and parts[:2] == ["method", "accuracy"]:
+                continue
+            if len(parts) != 2:
+                raise DataError(f"{path}: line {idx}: expected method,accuracy")
+            try:
+                value = float(parts[1])
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {idx}: cannot parse accuracy {parts[1]!r}") from None
+            if value > 1.0:
+                value /= 100.0
+            if not 0.0 <= value <= 1.0:
+                raise DataError(f"{path}: line {idx}: accuracy {parts[1]} out of range")
+            overrides[parts[0]] = value
     return overrides
 
 
@@ -965,6 +838,9 @@ def ablate_experiment(
     out.mkdir(parents=True, exist_ok=True)
 
     data = prepare_data(config)
+    train_dm = data.train
+    if len(np.unique(train_dm.labels)) < 2:
+        raise ConfigurationError("ablation needs both classes in the target training rows")
     results = run_grid(config, data, jobs=jobs)
     selections = select_cells(config, results)
     for m in ("PADA", "PADA_F"):
@@ -973,9 +849,6 @@ def ablate_experiment(
     artifacts = retrain_selected(config, data, selections)
     reports = evaluate_on_test(config, data, artifacts)
 
-    train_dm = data.train
-    if len(np.unique(train_dm.labels)) < 2:
-        raise ConfigurationError("ablation needs both classes in the target training rows")
     pos_mask = train_dm.labels == 1
     probe_cfg = TrainConfig(
         learning_rate=config.training.probe_learning_rate,

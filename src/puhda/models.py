@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -35,8 +36,6 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError, InvalidInputError
 from .numerics import _softmax2, prob_pairs, require_finite, softmax2
-
-CHECKPOINT_FORMAT = 1
 
 
 def _init_weights(rng: np.random.Generator, in_dim: int, out_dim: int) -> np.ndarray:
@@ -385,44 +384,39 @@ def loss_and_grads(
 # --------------------------------------------------------------------------
 # Checkpoints
 
-_MODEL_KINDS = {"LinearSoftmaxModel": LinearSoftmaxModel, "LinearTransform": LinearTransform}
+# A slot's name fixes its kind: a transform with two output columns has a head's shape.
+_SLOT_KINDS = {
+    "C": LinearSoftmaxModel, "D": LinearSoftmaxModel, "Df": LinearSoftmaxModel,
+    "F": LinearTransform, "psi_s": LinearTransform, "psi_t": LinearTransform,
+}
 
 
-def save_checkpoint(path, models: Mapping[str, Model], meta: Mapping | None = None) -> None:
-    """Write models to a versioned ``.npz``; parameters round-trip bit-exactly."""
-    arrays = {}
-    kinds = {}
-    for name, model in models.items():
-        kinds[name] = type(model).__name__
-        arrays[f"{name}.weights"] = model.weights
-        arrays[f"{name}.bias"] = model.bias
-    header = {
-        "format": CHECKPOINT_FORMAT,
+def save_checkpoint(path, method: str, models: Mapping[str, Model]) -> None:
+    """Write one run's models as JSON; float reprs round-trip every parameter exactly."""
+    doc = {
         "version": __version__,
-        "kinds": kinds,
-        "meta": dict(meta or {}),
+        "method": method,
+        "models": {name: {"weights": model.weights.tolist(), "bias": model.bias.tolist()}
+                   for name, model in models.items()},
     }
-    arrays["__header__"] = np.frombuffer(
-        json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez(path, **arrays)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def load_checkpoint(path) -> tuple[dict[str, Model], dict]:
-    """Load a checkpoint written by :func:`save_checkpoint`."""
-    with np.load(path) as data:
-        try:
-            header = json.loads(bytes(data["__header__"]).decode("utf-8"))
-        except KeyError:
-            raise InvalidInputError(f"{path}: not a model checkpoint") from None
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise InvalidInputError(
-                f"{path}: unsupported checkpoint format {header.get('format')!r}"
-            )
-        models: dict[str, Model] = {}
-        for name, kind in header["kinds"].items():
-            cls = _MODEL_KINDS[kind]
-            models[name] = cls(
-                weights=data[f"{name}.weights"].copy(), bias=data[f"{name}.bias"].copy()
-            )
-    return models, header["meta"]
+def load_checkpoint(path) -> tuple[str, dict[str, Model]]:
+    """The method name and the models, by slot name, of a :func:`save_checkpoint` file."""
+    try:
+        doc = json.loads(Path(path).read_bytes())
+        method, slots = doc["method"], doc["models"]
+        params = {name: (np.array(p["weights"], dtype=np.float64),
+                         np.array(p["bias"], dtype=np.float64)) for name, p in slots.items()}
+    except (ValueError, KeyError, TypeError, AttributeError):
+        raise InvalidInputError(f"{path}: not a model checkpoint") from None
+    unknown = sorted(set(params) - set(_SLOT_KINDS))
+    if unknown:
+        raise InvalidInputError(f"{path}: unknown model slot {unknown[0]!r}")
+    try:
+        return method, {name: _SLOT_KINDS[name](*p) for name, p in params.items()}
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None

@@ -43,29 +43,6 @@ from .models import (
 )
 from .numerics import P0, P1, require_finite
 
-METHODS = ("PAN", "PADA", "PADA_S", "PADA_F", "DSFT", "DIST", "COM_P")
-
-
-@dataclass(frozen=True)
-class ObjectiveSpec:
-    """Which objective to assemble, with its method-specific weights."""
-
-    method: str
-    lam: float = 0.0
-    eta: float | None = None
-    gamma_mmd: float | None = None
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigurationError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.lam < 0:
-            raise ConfigurationError("lam must be >= 0")
-        if self.eta is not None and self.method != "PADA_S":
-            raise ConfigurationError("eta applies only to PADA_S")
-        if self.gamma_mmd is not None and self.method != "DSFT":
-            raise ConfigurationError("gamma_mmd applies only to DSFT")
-
-
 # The one-hot targets, validated once when the module loads.
 _REAL = ConstTarget(P1)
 _FAKE = ConstTarget(P0)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -354,7 +355,7 @@ def train_pada_s(
             x_s, x_t, schema.c, schema.s, config, seed, teacher_fn, config.eta
         )
         rounds_run = round_idx
-        probs = predict_aligned(c, f, val_target)
+        probs = c.classify(align_features(f, val_target))
         val_acc = accuracy(probs, val_target.labels)
         val_accs.append(val_acc)
         if val_acc > best_acc:
@@ -441,14 +442,10 @@ def train_dsft(
     source and target feature matrices for the training rows, each laid out
     ``[common | source-specific | target-specific]``.
     """
-    if source.role != "source" or target.role != "target":
-        raise ConfigurationError("expected a source and a target matrix")
-    if source.schema != target.schema:
-        raise ConfigurationError("source and target matrices disagree on the feature schema")
+    _check_domains(source, target)
     schema = source.schema
     if schema.c < 1:
         raise ConfigurationError("feature completion needs at least one common column")
-    schema.require_heterogeneous()
 
     rng = make_rng(config.seed)
     psi_s = LinearTransform.initialize(schema.c, schema.s, rng)
@@ -581,22 +578,43 @@ def align_features(transform: LinearTransform, dm: DomainMatrix) -> np.ndarray:
     return np.hstack([dm.common, transform.transform(x)])
 
 
-def predict_aligned(
-    classifier: LinearSoftmaxModel, transform: LinearTransform, dm: DomainMatrix
-) -> np.ndarray:
-    return classifier.classify(align_features(transform, dm))
+def _aligned_rows(artifacts: TrainedArtifacts, dm: DomainMatrix) -> np.ndarray:
+    return align_features(artifacts.transformer, dm)
+
+
+@dataclass(frozen=True)
+class Method:
+    """One pipeline method: how it trains from ``(source, train, val, config)``,
+    which rows its classifier scores, and whether its grid has an ``eta`` axis."""
+
+    train: Callable[..., TrainedArtifacts]
+    rows: Callable[[TrainedArtifacts, DomainMatrix], np.ndarray]
+    searches_eta: bool = False
+
+
+# The methods a config can name, in report order. Entries look trainers up by
+# module name at call time, so a replaced module attribute is what runs.
+METHOD_TABLE = {
+    "COM_P": Method(lambda s, t, v, c: train_com_p(s, t, c), lambda art, dm: dm.common),
+    # the distillation baseline trains its common-features teacher in the same cell
+    "DIST": Method(lambda s, t, v, c: train_dist(t, train_com_p(s, t, c).classifier, c),
+                   lambda art, dm: dm.features()),
+    "DSFT_P_linear": Method(lambda s, t, v, c: train_dsft_p(s, t, c),
+                            lambda art, dm: complete_features(art.source_map, art.target_map, dm)),
+    "PADA": Method(lambda s, t, v, c: train_pada(s, t, c), _aligned_rows),
+    "PADA_S": Method(lambda s, t, v, c: train_pada_s(s, t, c, val_target=v), _aligned_rows,
+                     searches_eta=True),
+    "PADA_F": Method(lambda s, t, v, c: train_pada_f(s, t, c), _aligned_rows),
+}
+
+
+# A bare PU run scores the common columns, as the common-features baseline does.
+_SCORED_AS = {"PAN": "COM_P"}
 
 
 def predict(artifacts: TrainedArtifacts, dm: DomainMatrix) -> np.ndarray:
-    """Probability pairs for a matrix, routed by what the method trained on."""
-    method = artifacts.method
-    if method in ("PAN", "COM_P"):
-        return artifacts.classifier.classify(dm.common)
-    if method in ("PADA", "PADA_S", "PADA_F"):
-        return predict_aligned(artifacts.classifier, artifacts.transformer, dm)
-    if method == "DIST":
-        return artifacts.classifier.classify(dm.features())
-    if method == "DSFT_P_linear":
-        completed = complete_features(artifacts.source_map, artifacts.target_map, dm)
-        return artifacts.classifier.classify(completed)
-    raise ConfigurationError(f"method {method!r} has no prediction rule")
+    """Probability pairs for a matrix, routed by the method table."""
+    entry = METHOD_TABLE.get(_SCORED_AS.get(artifacts.method, artifacts.method))
+    if entry is None:
+        raise ConfigurationError(f"method {artifacts.method!r} has no prediction rule")
+    return artifacts.classifier.classify(entry.rows(artifacts, dm))

@@ -33,6 +33,7 @@ from puhda.experiment import (
     select_cells,
 )
 from puhda.metrics import improvement_metrics
+from puhda.models import LinearSoftmaxModel, LinearTransform, load_checkpoint
 from puhda.trainers import GRID_LEARNING_RATE, GRID_WEIGHT
 
 import puhda.experiment as experiment_module
@@ -63,10 +64,35 @@ def base_doc() -> dict:
     }
 
 
+def csv_dataset(**fields) -> dict:
+    """A csv-kind dataset section; keyword arguments replace its fields."""
+    section = {
+        "source": "s.csv",
+        "target": "t.csv",
+        "positive_value": "yes",
+        "schema": {"common": ["a", "b"], "source_specific": ["c"],
+                   "target_specific": ["d"], "label": "y"},
+    }
+    return {"kind": "csv", "csv": {**section, **fields}}
+
+
+def ratings_dataset(**fields) -> dict:
+    """A ratings-kind dataset section; keyword arguments replace its fields."""
+    section = {
+        "ratings": "r.csv",
+        "genres": "g.csv",
+        "common_genres": ["drama", "comedy"],
+        "source_genres": ["action"],
+        "target_genres": ["scifi"],
+        "label_genre": "horror",
+    }
+    return {"kind": "ratings", "ratings": {**section, **fields}}
+
+
 def read_table(path) -> list[dict]:
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:] if line]
+    with path.open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return [dict(zip(header, row)) for row in rows if row]
 
 
 # --------------------------------------------------------------------------
@@ -138,6 +164,16 @@ def _set(doc, path, value):
         (("training", "momentum"), 0.9, "training: unknown field 'momentum'"),
         (("split", "test"), ..., "split: missing field 'test'"),
         (("output",), 7, "output: expected a directory path"),
+        (("dataset", "kind"), ..., "dataset: missing field 'kind'"),
+        (("dataset",), csv_dataset(source=3), "dataset.csv.source: expected a string"),
+        (("dataset",), ratings_dataset(genres=["x"]),
+         "dataset.ratings.genres: expected a string"),
+        (("dataset",), ratings_dataset(label_genre=3), "dataset.ratings.label_genre"),
+        (("dataset",), csv_dataset(positive_value=True), "dataset.csv.positive_value"),
+        (("dataset",), csv_dataset(positive_value=[1]), "dataset.csv.positive_value"),
+        (("training", "max_soft_rounds"), 0, "training.max_soft_rounds: must be >= 1"),
+        (("training", "val_patience"), 0, "training.val_patience: must be >= 1"),
+        (("training", "gamma_mmd"), -1, "training.gamma_mmd: must be >= 0"),
     ],
 )
 def test_build_config_rejects_bad_documents(path, value, message):
@@ -149,6 +185,67 @@ def test_build_config_rejects_bad_documents(path, value, message):
 def test_config_echo_parses_back_to_the_same_config():
     cfg = build_config(base_doc())
     assert build_config(config_to_dict(cfg)) == cfg
+
+
+def test_sections_given_as_null_read_as_absent():
+    doc = base_doc()
+    doc.update(split=None, grid=None, training=None)
+    del doc["seeds"]
+    bare = base_doc()
+    del bare["split"], bare["grid"], bare["training"], bare["seeds"]
+    assert build_config(doc) == build_config(bare)
+
+
+def test_unquoted_positive_value_reads_as_its_digits():
+    doc = base_doc()
+    doc["dataset"] = csv_dataset(positive_value=1)
+    assert build_config(doc).csv.positive_value == "1"
+
+
+def _echo_text(doc: dict) -> str:
+    # the run metadata's serialization, so the echo is pinned to its bytes
+    return json.dumps(config_to_dict(build_config(doc)), sort_keys=True)
+
+
+def test_config_echo_is_pinned():
+    expected = {
+        "dataset": {"kind": "synthetic", "synthetic": {
+            "common": 2, "source_specific": 2, "target_specific": 2,
+            "n_source": 150, "n_target": 300, "positive_ratio": 0.5,
+            "signal_common": 0.5, "signal_source": 1.0, "signal_target": 1.0,
+            "coupling": 0.9, "noise_scale": 0.5, "seed": 7, "latent_noise_dim": 3,
+            "label_separation": 1.0}},
+        "methods": ["COM_P", "DIST", "PADA", "PADA_S"],
+        "seeds": [0, 1],
+        "split": {"train": 0.6, "val": 0.2, "test": 0.2, "seed": 0},
+        "grid": {"learning_rate": [0.02, 0.05], "lam": [0.1], "eta": [0.01]},
+        "training": {"steps": 60, "batch_size": 32, "max_soft_rounds": 2,
+                     "val_patience": 1, "gamma_mmd": 1.0, "probe_learning_rate": 0.05,
+                     "probe_steps": 200},
+    }
+    assert _echo_text(base_doc()) == json.dumps(expected, sort_keys=True)
+
+
+def test_config_echo_of_an_unlabeled_csv_schema_is_pinned():
+    dataset = csv_dataset(positive_value=1)
+    dataset["csv"]["schema"]["label"] = None
+    doc = {"dataset": dataset, "methods": ["COM_P"], "output": "out"}
+    expected = {
+        "dataset": {"kind": "csv", "csv": {
+            "source": "s.csv", "target": "t.csv", "positive_value": "1",
+            "schema": {"common": ["a", "b"], "source_specific": ["c"],
+                       "target_specific": ["d"], "label": None}}},
+        "methods": ["COM_P"],
+        "seeds": [0, 1, 2],
+        "split": {"train": 0.6, "val": 0.2, "test": 0.2, "seed": 0},
+        "grid": {"learning_rate": list(GRID_LEARNING_RATE), "lam": list(GRID_WEIGHT),
+                 "eta": list(GRID_WEIGHT)},
+        "training": {"steps": 5000, "batch_size": 128, "max_soft_rounds": 5,
+                     "val_patience": 1, "gamma_mmd": 1.0, "probe_learning_rate": 0.05,
+                     "probe_steps": 2000},
+        "output": "out",
+    }
+    assert _echo_text(doc) == json.dumps(expected, sort_keys=True)
 
 
 def test_config_echo_round_trips_ratings():
@@ -390,6 +487,14 @@ def test_run_checkpoints_hold_finite_parameters(run_config, run_dir):
     for params in doc["models"].values():
         assert np.all(np.isfinite(np.asarray(params["weights"])))
         assert np.all(np.isfinite(np.asarray(params["bias"])))
+    method, models = load_checkpoint(path)
+    assert method == "PADA"
+    assert isinstance(models["C"], LinearSoftmaxModel)
+    assert isinstance(models["D"], LinearSoftmaxModel)
+    assert isinstance(models["F"], LinearTransform)
+    for name, params in doc["models"].items():
+        assert models[name].weights.tolist() == params["weights"]
+        assert models[name].bias.tolist() == params["bias"]
 
 
 def test_rerun_is_byte_identical(run_config, run_dir, tmp_path):
@@ -411,6 +516,31 @@ def test_seed_override_restricts_the_run(run_config, tmp_path):
     out = run_experiment(run_config, out_dir=tmp_path / "one-seed", seeds=[1])
     rows = read_table(out / "eval.csv")
     assert {row["seed"] for row in rows} == {"1"}
+
+
+def test_single_class_target_is_rejected_before_training(tmp_path, monkeypatch):
+    doc = base_doc()
+    gen = generate_files(build_config(doc), out_dir=tmp_path / "gen")
+    with (gen / "target.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    label = header.index("label")
+    with (gen / "target.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows([header] + [row[:label] + ["1"] + row[label + 1:]
+                                             for row in rows])
+    schema = json.loads((gen / "target.csv.schema.json").read_text())["schema"]
+    doc["dataset"] = {"kind": "csv", "csv": {
+        "source": str(gen / "source.csv"), "target": str(gen / "target.csv"),
+        "schema": {"common": schema["common"], "source_specific": schema["source_specific"],
+                   "target_specific": schema["target_specific"], "label": "label"}}}
+
+    def untouchable(*args):
+        raise AssertionError("trained before the target was checked")
+
+    monkeypatch.setattr(experiment_module, "train_method", untouchable)
+    out = tmp_path / "run"
+    with pytest.raises(ConfigurationError, match="test split holds only class 1"):
+        run_experiment(build_config(doc), out_dir=out)
+    assert not (out / "telemetry").exists() and not (out / "checkpoints").exists()
 
 
 def test_test_split_opens_exactly_once(run_config):
@@ -582,6 +712,12 @@ def test_override_file_diagnostics(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(DataError, match=re.escape(message)):
         _read_overrides(path)
+
+
+def test_override_file_reads_quoted_fields(tmp_path):
+    path = tmp_path / "ov.csv"
+    path.write_text('method,accuracy\n"PADA_S", 0.7\n\n"COM_P","61"\n')
+    assert _read_overrides(path) == {"PADA_S": 0.7, "COM_P": 0.61}
 
 
 def test_override_file_header_is_optional(tmp_path):

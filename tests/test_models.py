@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -253,14 +256,18 @@ class TestCheckpoints:
         rng = np.random.default_rng(9)
         models = {
             "C": LinearSoftmaxModel(rng.normal(size=(5, 2)), rng.normal(size=2)),
-            "F": LinearTransform(rng.normal(size=(6, 4)), rng.normal(size=4)),
+            # a transform with two outputs has a head's shape; its slot name decides
+            "F": LinearTransform(rng.normal(size=(6, 2)), rng.normal(size=2)),
+            "psi_t": LinearTransform(rng.normal(size=(3, 4)), rng.normal(size=4)),
         }
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, models, meta={"method": "PADA", "seed": 3})
-        loaded, meta = load_checkpoint(path)
-        assert meta == {"method": "PADA", "seed": 3}
+        path = tmp_path / "ckpt" / "seed-3.json"
+        save_checkpoint(path, "PADA", models)
+        method, loaded = load_checkpoint(path)
+        assert method == "PADA"
+        assert set(loaded) == set(models)
         assert isinstance(loaded["C"], LinearSoftmaxModel)
         assert isinstance(loaded["F"], LinearTransform)
+        assert isinstance(loaded["psi_t"], LinearTransform)
         for nm in models:
             assert np.array_equal(loaded[nm].weights, models[nm].weights)
             assert np.array_equal(loaded[nm].bias, models[nm].bias)
@@ -268,5 +275,29 @@ class TestCheckpoints:
     def test_rejects_foreign_npz(self, tmp_path):
         path = tmp_path / "other.npz"
         np.savez(path, a=np.ones(3))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("doc", [
+        {"method": "PADA"},
+        {"method": "PADA", "models": {"C": {"weights": [[1.0, 2.0]]}}},
+        {"method": "PADA", "models": [1, 2]},
+        [1, 2, 3],
+    ])
+    def test_rejects_json_that_is_not_a_checkpoint(self, tmp_path, doc):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match="not a model checkpoint"):
+            load_checkpoint(path)
+
+    def test_rejects_an_unknown_slot_name(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, "PADA", {"G": LinearSoftmaxModel(np.ones((3, 2)), np.zeros(2))})
+        with pytest.raises(InvalidInputError, match="unknown model slot 'G'"):
+            load_checkpoint(path)
+
+    def test_rejects_a_head_of_the_wrong_shape(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, "PADA", {"C": LinearTransform(np.ones((3, 4)), np.zeros(4))})
+        with pytest.raises(InvalidInputError, match=re.escape(str(path))):
             load_checkpoint(path)

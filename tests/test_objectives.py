@@ -6,7 +6,6 @@ from puhda.errors import ConfigurationError, InvalidInputError
 from puhda.models import LinearSoftmaxModel, LinearTransform, loss_and_grads
 from puhda.objectives import (
     DsftLoss,
-    ObjectiveSpec,
     distillation_terms,
     domain_adv_terms,
     dsft_loss,
@@ -423,23 +422,6 @@ class TestDsftLoss:
             dsft_loss(s_c, s_s, t_c, t_t, psi_s, psi_t, -0.1)
         with pytest.raises(InvalidInputError):
             dsft_loss(s_c, s_s[:-1] if len(s_s) > 1 else np.vstack([s_s, s_s]), t_c, t_t, psi_s, psi_t, 0.0)
-
-
-class TestObjectiveSpec:
-    def test_valid_specs(self):
-        ObjectiveSpec("PAN", lam=0.1)
-        ObjectiveSpec("PADA_S", lam=0.1, eta=0.3)
-        ObjectiveSpec("DSFT", gamma_mmd=1.0)
-
-    def test_rejects_misplaced_weights(self):
-        with pytest.raises(ConfigurationError):
-            ObjectiveSpec("PAN", eta=0.1)
-        with pytest.raises(ConfigurationError):
-            ObjectiveSpec("PADA", gamma_mmd=1.0)
-        with pytest.raises(ConfigurationError):
-            ObjectiveSpec("NOPE")
-        with pytest.raises(ConfigurationError):
-            ObjectiveSpec("PAN", lam=-0.5)
 
 
 class _CountingWeights(np.ndarray):

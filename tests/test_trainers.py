@@ -589,6 +589,9 @@ def test_predict_routes_by_method(tiny_data):
     com = train_com_p(source, train, cfg)
     np.testing.assert_array_equal(
         predict(com, test), com.classifier.classify(test.common))
+    pan = train_pan(source.common, train.common, cfg)
+    np.testing.assert_array_equal(
+        predict(pan, test), pan.classifier.classify(test.common))
     pada = train_pada(source, train, cfg)
     np.testing.assert_array_equal(
         predict(pada, test),
