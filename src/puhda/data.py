@@ -304,11 +304,16 @@ def load_domain_matrix(path) -> DomainMatrix:
     sidecar_path = Path(str(path) + ".schema.json")
     if not sidecar_path.exists():
         raise DataError(f"{path}: missing schema sidecar {sidecar_path.name}")
-    sidecar = json.loads(sidecar_path.read_text())
-    schema = FeatureSchema.from_dict(sidecar["schema"])
-    if sidecar["has_labels"] and not schema.label_column:
-        schema = replace(schema, label_column=sidecar["label_header"])
-    return load_csv(path, schema, sidecar["role"])
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+        schema = FeatureSchema.from_dict(sidecar["schema"])
+        if sidecar["has_labels"] and not schema.label_column:
+            schema = replace(schema, label_column=sidecar["label_header"])
+        role = sidecar["role"]
+        _check_role(role)
+    except (ValueError, KeyError, TypeError, InvalidInputError, SchemaError) as exc:
+        raise DataError(f"{sidecar_path}: not a schema sidecar: {exc!r}") from None
+    return load_csv(path, schema, role)
 
 
 # --------------------------------------------------------------------------

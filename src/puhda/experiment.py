@@ -864,7 +864,7 @@ def ablate_experiment(
         else:
             art = artifacts[(space, seed)]
             src = data.source.features()
-            tgt = align_features(art.transformer, train_dm)
+            tgt = align_features(art.models()["F"], train_dm)
         return src, tgt[pos_mask], tgt[~pos_mask]
 
     acc_of = {

@@ -211,7 +211,7 @@ def discrimination_accuracy(
         src_train, src_test = holdout(src, f"source-{tag}")
         oth_train, oth_test = holdout(other, tag)
         probe_art = train_discriminator(src_train, oth_train, config)
-        model = probe_art.discriminator
+        model = probe_art.models()["D"]
         pred_src = model.classify(src_test)[:, 1] > 0.5
         pred_oth = model.classify(oth_test)[:, 1] > 0.5
         correct = int(pred_src.sum()) + int((~pred_oth).sum())

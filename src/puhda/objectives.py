@@ -48,12 +48,29 @@ _REAL = ConstTarget(P1)
 _FAKE = ConstTarget(P0)
 
 
-def _classifier_pair(batch, lam: float, n: int, classifier: str, discriminator: str):
-    d = ModelOutput(discriminator, batch)
+def _rows(batch) -> int:
+    return (batch.x if isinstance(batch, RawBatch) else batch.raw).shape[0]
+
+
+def _real_fake(model: str, real, fake, names: tuple[str, str]) -> list[KLTerm]:
+    """A discriminator's pair: ``real`` rows scored toward P1, ``fake`` rows toward P0."""
     return [
-        KLTerm(lam / n, d, ModelOutput(classifier, batch), name="kl_dc"),
-        KLTerm(-lam / n, d, ModelOutput(classifier, batch, swapped=True), name="kl_dc_swap"),
+        KLTerm(-1.0 / _rows(real), _REAL, ModelOutput(model, real), name=names[0]),
+        KLTerm(-1.0 / _rows(fake), _FAKE, ModelOutput(model, fake), name=names[1]),
     ]
+
+
+def _classifier_pair(batch, lam: float) -> list[KLTerm]:
+    n = _rows(batch)
+    d = ModelOutput("D", batch)
+    return [
+        KLTerm(lam / n, d, ModelOutput("C", batch), name="kl_dc"),
+        KLTerm(-lam / n, d, ModelOutput("C", batch, swapped=True), name="kl_dc_swap"),
+    ]
+
+
+def _pu_terms(real, unl, lam: float) -> list[KLTerm]:
+    return _real_fake("D", real, unl, ("kl_pos", "kl_unl")) + _classifier_pair(unl, lam)
 
 
 def _teacher(teacher_probs, n: int) -> ConstTarget:
@@ -66,59 +83,37 @@ def _teacher(teacher_probs, n: int) -> ConstTarget:
     return teacher
 
 
-def _teacher_pair(teacher_probs, batch: TransformedBatch, eta: float, classifier: str):
-    n_t = batch.raw.shape[0]
+def _teacher_pair(teacher_probs, batch: TransformedBatch, eta: float) -> list[KLTerm]:
+    n_t = _rows(batch)
     teacher = _teacher(teacher_probs, n_t)
     return [
-        KLTerm(eta / n_t, teacher, ModelOutput(classifier, batch), name="kl_soft"),
-        KLTerm(-eta / n_t, teacher, ModelOutput(classifier, batch, swapped=True),
-               name="kl_soft_swap"),
+        KLTerm(eta / n_t, teacher, ModelOutput("C", batch), name="kl_soft"),
+        KLTerm(-eta / n_t, teacher, ModelOutput("C", batch, swapped=True), name="kl_soft_swap"),
     ]
 
 
-def pan_terms(
-    batch_pos: np.ndarray,
-    batch_unl: np.ndarray,
-    lam: float,
-    classifier: str = "C",
-    discriminator: str = "D",
-) -> list[KLTerm]:
+def pan_terms(batch_pos: np.ndarray, batch_unl: np.ndarray, lam: float) -> list[KLTerm]:
     """Adversarial PU objective on a homogeneous feature space.
 
     ``batch_pos`` holds labeled-positive rows, ``batch_unl`` unlabeled rows;
     both must share the column count the models expect.
     """
-    bp = RawBatch(batch_pos)
-    bu = RawBatch(batch_unl)
-    n_u = bu.x.shape[0]
-    return [
-        KLTerm(-1.0 / bp.x.shape[0], _REAL, ModelOutput(discriminator, bp), name="kl_pos"),
-        KLTerm(-1.0 / n_u, _FAKE, ModelOutput(discriminator, bu), name="kl_unl"),
-        *_classifier_pair(bu, lam, n_u, classifier, discriminator),
-    ]
+    return _pu_terms(RawBatch(batch_pos), RawBatch(batch_unl), lam)
 
 
-def classifier_terms(
-    batch_unl: np.ndarray,
-    lam: float,
-    classifier: str = "C",
-    discriminator: str = "D",
-) -> list[KLTerm]:
+def classifier_terms(batch_unl: np.ndarray, lam: float) -> list[KLTerm]:
     """Only the classifier-dependent pair, on one unlabeled batch.
 
     This is the classifier's whole gradient surface, so a classifier update
     phase can evaluate just these two terms on its own fresh batch.
     """
-    bu = RawBatch(batch_unl)
-    return _classifier_pair(bu, lam, bu.x.shape[0], classifier, discriminator)
+    return _classifier_pair(RawBatch(batch_unl), lam)
 
 
 def aligned_classifier_terms(
     batch_target: np.ndarray,
     n_common: int,
     lam: float,
-    classifier: str = "C",
-    discriminator: str = "D",
     *,
     teacher_probs: np.ndarray | None = None,
     eta: float = 0.0,
@@ -129,19 +124,10 @@ def aligned_classifier_terms(
     the same batch, which is the soft-label classifier's whole surface.
     """
     tgt = TransformedBatch.aligned(batch_target, n_common, "F")
-    terms = _classifier_pair(tgt, lam, tgt.raw.shape[0], classifier, discriminator)
+    terms = _classifier_pair(tgt, lam)
     if teacher_probs is not None:
-        terms.extend(_teacher_pair(teacher_probs, tgt, eta, classifier))
+        terms.extend(_teacher_pair(teacher_probs, tgt, eta))
     return terms
-
-
-def _pada_terms(bs: RawBatch, tgt: TransformedBatch, lam: float) -> list[KLTerm]:
-    n_t = tgt.raw.shape[0]
-    return [
-        KLTerm(-1.0 / bs.x.shape[0], _REAL, ModelOutput("D", bs), name="kl_pos"),
-        KLTerm(-1.0 / n_t, _FAKE, ModelOutput("D", tgt), name="kl_unl"),
-        *_classifier_pair(tgt, lam, n_t, "C", "D"),
-    ]
 
 
 def pada_terms(
@@ -157,7 +143,7 @@ def pada_terms(
     source-specific slots, so D and C operate in the source feature space.
     """
     bs = RawBatch(batch_source)
-    return _pada_terms(bs, TransformedBatch.aligned(batch_target, n_common, "F"), lam)
+    return _pu_terms(bs, TransformedBatch.aligned(batch_target, n_common, "F"), lam)
 
 
 def pada_s_terms(
@@ -177,50 +163,35 @@ def pada_s_terms(
     """
     bs = RawBatch(batch_source)
     tgt = TransformedBatch.aligned(batch_target, n_common, "F")
-    return _pada_terms(bs, tgt, lam) + _teacher_pair(teacher_probs, tgt, eta, "C")
+    return _pu_terms(bs, tgt, lam) + _teacher_pair(teacher_probs, tgt, eta)
 
 
 def domain_adv_terms(
     batch_source: np.ndarray,
     batch_target: np.ndarray,
     n_common: int,
-    discriminator: str = "Df",
 ) -> list[KLTerm]:
     """Plain domain-adversarial pairing on the aligned space.
 
-    The feature discriminator maximizes this value (separating source rows
+    The feature discriminator Df maximizes this value (separating source rows
     from aligned target rows); the transform minimizes it, pulling the whole
     target distribution toward the source regardless of class.
     """
     bs = RawBatch(batch_source)
     tgt = TransformedBatch.aligned(batch_target, n_common, "F")
-    return [
-        KLTerm(-1.0 / bs.x.shape[0], _REAL, ModelOutput(discriminator, bs), name="kl_adv_src"),
-        KLTerm(-1.0 / tgt.raw.shape[0], _FAKE, ModelOutput(discriminator, tgt),
-               name="kl_adv_tgt"),
-    ]
+    return _real_fake("Df", bs, tgt, ("kl_adv_src", "kl_adv_tgt"))
 
 
-def distillation_terms(
-    teacher_probs: np.ndarray, batch_target: np.ndarray, classifier: str = "C"
-) -> list[KLTerm]:
+def distillation_terms(teacher_probs: np.ndarray, batch_target: np.ndarray) -> list[KLTerm]:
     """Match a frozen teacher's soft labels on full target rows."""
     bt = RawBatch(batch_target)
-    n = bt.x.shape[0]
-    return [KLTerm(1.0 / n, _teacher(teacher_probs, n), ModelOutput(classifier, bt),
-                   name="kl_distill")]
+    n = _rows(bt)
+    return [KLTerm(1.0 / n, _teacher(teacher_probs, n), ModelOutput("C", bt), name="kl_distill")]
 
 
-def supervised_terms(
-    batch_pos: np.ndarray, batch_neg: np.ndarray, discriminator: str = "D"
-) -> list[KLTerm]:
-    """Two-class cross entropy, written as the value the model maximizes."""
-    bp = RawBatch(batch_pos)
-    bn = RawBatch(batch_neg)
-    return [
-        KLTerm(-1.0 / bp.x.shape[0], _REAL, ModelOutput(discriminator, bp), name="ce_pos"),
-        KLTerm(-1.0 / bn.x.shape[0], _FAKE, ModelOutput(discriminator, bn), name="ce_neg"),
-    ]
+def supervised_terms(batch_pos: np.ndarray, batch_neg: np.ndarray) -> list[KLTerm]:
+    """Two-class cross entropy, written as the value the model D maximizes."""
+    return _real_fake("D", RawBatch(batch_pos), RawBatch(batch_neg), ("ce_pos", "ce_neg"))
 
 
 # --------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Training loops for every method.
 
-All loops are plain SGD with one gradient step per player per iteration and
-mini-batches drawn uniformly with replacement (so inputs smaller than the
-batch size still work). Randomness follows one documented sequence per run:
-models initialize in a fixed order from the config seed, then each step draws
-its phase batches in phase order. Nothing else consumes randomness, so a rerun
-with identical inputs and config reproduces every parameter bit-for-bit.
+Every SGD trainer declares its game as a list of phases. A phase names the
+player it updates, the sign of its step (+1 ascends the objective, -1
+descends it), the matrices it draws one mini-batch from, in order, and its
+term builder. One loop, ``_run_phases``, plays the phases of every step in
+order. Mini-batches are drawn uniformly with replacement (so inputs smaller
+than the batch size still work). Randomness follows one documented sequence
+per run: models initialize in a fixed order from the config seed, then each
+step draws its phase batches in phase order. Nothing else consumes
+randomness, so a rerun with identical inputs and config reproduces every
+parameter bit-for-bit. Each step records one telemetry row from the phases
+marked as traced, in columns named after their terms.
 
-The adversarial loops alternate per step:
+The phases per step:
 
 * PU-only: discriminator ascends the full objective on fresh positive and
   unlabeled batches, then the classifier descends its own term pair on a
@@ -15,15 +20,17 @@ The adversarial loops alternate per step:
 * Heterogeneous: discriminator ascends on fresh source+target batches, the
   transform descends the full objective on fresh batches, then the classifier
   descends its term pair on a fresh target batch.
-* Soft-label rounds: same loop with a frozen teacher's term pair added; the
-  round-1 random sequence is identical to the plain heterogeneous loop, so
-  a zero teacher weight reproduces it exactly.
+* Soft-label rounds: same phases with a frozen teacher's term pair added; the
+  round-1 random sequence is identical to the plain heterogeneous game, so a
+  zero teacher weight reproduces it exactly.
 * Two-discriminator ablation: the main discriminator ascends the full
   objective, a separate feature discriminator ascends the domain pairing
   terms, the transform descends only those, and the classifier is unchanged.
+* Distillation and the probe: one phase each, on one or two fresh batches.
 
 The feature-completion fit is deterministic full-batch descent with a
-backtracking step size, so its loss trace never increases.
+backtracking step size, so its loss trace never increases. Every trainer
+returns its models in one dict keyed by checkpoint slot name.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,6 +48,7 @@ from .metrics import accuracy
 from .models import (
     LinearSoftmaxModel,
     LinearTransform,
+    Model,
     loss_and_grads,
 )
 from .numerics import derive_seed, make_rng, require_finite
@@ -129,53 +137,113 @@ class TrainTrace:
 
 @dataclass
 class TrainedArtifacts:
-    """Frozen models plus telemetry from one training run."""
+    """The models one run trained, keyed by checkpoint slot name, plus its telemetry."""
 
     method: str
     config: TrainConfig
-    classifier: LinearSoftmaxModel | None = None
-    discriminator: LinearSoftmaxModel | None = None
-    transformer: LinearTransform | None = None
-    feature_discriminator: LinearSoftmaxModel | None = None
-    source_map: LinearTransform | None = None
-    target_map: LinearTransform | None = None
-    trace: TrainTrace | None = None
+    slots: dict[str, Model]
+    trace: TrainTrace
     rounds_run: int = 0
     round_val_accuracy: tuple[float, ...] = ()
 
-    def models(self) -> dict:
-        """Non-empty model slots under their canonical checkpoint names."""
-        named = {
-            "C": self.classifier,
-            "D": self.discriminator,
-            "F": self.transformer,
-            "Df": self.feature_discriminator,
-            "psi_s": self.source_map,
-            "psi_t": self.target_map,
-        }
-        return {k: v for k, v in named.items() if v is not None}
+    def models(self) -> dict[str, Model]:
+        """The trained models under their checkpoint slot names."""
+        return self.slots
+
+    @property
+    def classifier(self) -> LinearSoftmaxModel | None:
+        return self.slots.get("C")
 
 
 def _draw(rng: np.random.Generator, x: np.ndarray, batch_size: int) -> np.ndarray:
     return x[rng.integers(0, x.shape[0], size=batch_size)]
 
 
-def _check_matrix(name: str, x) -> np.ndarray:
-    x = require_finite(name, x)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise InvalidInputError(f"{name} must be a non-empty 2-D matrix, got shape {x.shape}")
-    return x
+def _check_pair(name_a: str, x_a, name_b: str, x_b) -> tuple[np.ndarray, np.ndarray]:
+    """Two non-empty finite 2-D matrices with the same column count."""
+    x_a, x_b = require_finite(name_a, x_a), require_finite(name_b, x_b)
+    for name, x in ((name_a, x_a), (name_b, x_b)):
+        if x.ndim != 2 or x.shape[0] == 0:
+            raise InvalidInputError(f"{name} must be a non-empty 2-D matrix, got shape {x.shape}")
+    if x_a.shape[1] != x_b.shape[1]:
+        raise InvalidInputError(
+            f"column mismatch: {name_a} have {x_a.shape[1]} columns, {name_b} {x_b.shape[1]}"
+        )
+    return x_a, x_b
 
 
-def _check_domains(source: DomainMatrix, target: DomainMatrix) -> None:
+def _check_roles(source: DomainMatrix, target: DomainMatrix) -> None:
     if source.role != "source" or target.role != "target":
         raise ConfigurationError(
             f"expected a source and a target matrix, got roles "
             f"{source.role!r} and {target.role!r}"
         )
+
+
+def _check_domains(source: DomainMatrix, target: DomainMatrix) -> None:
+    _check_roles(source, target)
     if source.schema != target.schema:
         raise ConfigurationError("source and target matrices disagree on the feature schema")
     source.schema.require_heterogeneous()
+
+
+# --------------------------------------------------------------------------
+# The phase loop
+
+
+class Phase(NamedTuple):
+    """One player's move in every step of a game.
+
+    ``player`` steps by ``sign * learning_rate`` (+1 ascends, -1 descends)
+    along the gradient of ``terms(*batches)``, with one batch drawn from each
+    matrix of ``draws`` in order. A phase with a ``trace`` prefix adds its
+    value and term values to the step's telemetry row, under the columns
+    ``prefix + "value"`` and its term names.
+    """
+
+    player: str
+    sign: int
+    draws: tuple[np.ndarray, ...]
+    terms: Callable[..., list]
+    trace: str | None = None
+
+
+def _run_phases(models: dict[str, Model], phases: list[Phase], config: TrainConfig,
+                rng: np.random.Generator) -> TrainTrace:
+    """Play ``phases`` in order for ``config.steps`` steps, updating ``models`` in place."""
+    trace = None
+    columns: list[str] = []
+    for step in range(config.steps):
+        row: list[float] = []
+        for phase in phases:
+            terms = phase.terms(*[_draw(rng, x, config.batch_size) for x in phase.draws])
+            res = loss_and_grads(models, terms, wrt=(phase.player,))
+            models[phase.player].apply_step(res.grads[phase.player],
+                                            phase.sign * config.learning_rate)
+            if phase.trace is not None:
+                row += (res.value, *res.term_values)
+                if trace is None:
+                    columns += (phase.trace + "value", *(term.name for term in terms))
+        if trace is None:
+            trace = TrainTrace(columns)
+        trace.record(step, row)
+    return trace
+
+
+def _frozen_teacher(models: dict[str, Model], n_common: int):
+    """Soft labels for target batches from frozen copies of ``models["C"]`` and,
+    when there is one, ``models["F"]``: the classifier scores a batch's common
+    columns, or its rows aligned by the transform."""
+    frozen_c = models["C"].copy()
+    frozen_f = models["F"].copy() if "F" in models else None
+
+    def teacher(batch_target: np.ndarray) -> np.ndarray:
+        if frozen_f is None:
+            return frozen_c.classify(batch_target[:, :n_common])
+        aligned = np.hstack([batch_target[:, :n_common], frozen_f.transform(batch_target)])
+        return frozen_c.classify(aligned)
+
+    return teacher
 
 
 # --------------------------------------------------------------------------
@@ -185,41 +253,26 @@ def _check_domains(source: DomainMatrix, target: DomainMatrix) -> None:
 def train_pan(x_pos, x_unl, config: TrainConfig) -> TrainedArtifacts:
     """Adversarial PU training on a single feature space.
 
-    Per step the discriminator ascends the full objective on fresh positive
-    and unlabeled batches, then the classifier descends its term pair on a
-    fresh unlabeled batch. With ``lam = 0`` the classifier's gradient is a
-    zero matrix every step, so its parameters never leave initialization.
+    Models initialize D then C. Per step the discriminator ascends the full
+    objective on fresh positive and unlabeled batches, then the classifier
+    descends its term pair on a fresh unlabeled batch. With ``lam = 0`` the
+    classifier's gradient is a zero matrix every step, so its parameters
+    never leave initialization.
     """
-    x_pos = _check_matrix("positive rows", x_pos)
-    x_unl = _check_matrix("unlabeled rows", x_unl)
-    if x_pos.shape[1] != x_unl.shape[1]:
-        raise InvalidInputError(
-            f"column mismatch: positives have {x_pos.shape[1]}, unlabeled {x_unl.shape[1]}"
-        )
+    x_pos, x_unl = _check_pair("positive rows", x_pos, "unlabeled rows", x_unl)
     rng = make_rng(config.seed)
-    dim = x_pos.shape[1]
-    d = LinearSoftmaxModel.initialize(dim, rng)
-    c = LinearSoftmaxModel.initialize(dim, rng)
-    models = {"D": d, "C": c}
-    trace = TrainTrace(("value", "kl_pos", "kl_unl", "kl_dc", "kl_dc_swap"))
-    for step in range(config.steps):
-        bp = _draw(rng, x_pos, config.batch_size)
-        bu = _draw(rng, x_unl, config.batch_size)
-        res_d = loss_and_grads(models, pan_terms(bp, bu, config.lam), wrt=("D",))
-        d.apply_step(res_d.grads["D"], config.learning_rate)
-        bu2 = _draw(rng, x_unl, config.batch_size)
-        res_c = loss_and_grads(models, classifier_terms(bu2, config.lam), wrt=("C",))
-        c.apply_step(res_c.grads["C"], -config.learning_rate)
-        trace.record(step, (res_d.value, *res_d.term_values))
-    return TrainedArtifacts(
-        method="PAN", config=config, classifier=c, discriminator=d, trace=trace
-    )
+    models = {name: LinearSoftmaxModel.initialize(x_pos.shape[1], rng) for name in ("D", "C")}
+    phases = [
+        Phase("D", +1, (x_pos, x_unl), lambda bp, bu: pan_terms(bp, bu, config.lam),
+              trace=""),
+        Phase("C", -1, (x_unl,), lambda bu: classifier_terms(bu, config.lam)),
+    ]
+    return TrainedArtifacts("PAN", config, models, _run_phases(models, phases, config, rng))
 
 
 def train_com_p(source: DomainMatrix, target: DomainMatrix, config: TrainConfig) -> TrainedArtifacts:
     """The common-features baseline: PU training on the shared columns only."""
-    if source.role != "source" or target.role != "target":
-        raise ConfigurationError("expected a source and a target matrix")
+    _check_roles(source, target)
     if source.schema.c < 1:
         raise ConfigurationError("the common-features baseline needs at least one common column")
     art = train_pan(source.common, target.common, config)
@@ -231,8 +284,8 @@ def train_com_p(source: DomainMatrix, target: DomainMatrix, config: TrainConfig)
 # Heterogeneous training
 
 
-def _pada_loop(x_s, x_t, n_common, s_dim, config, seed, teacher_fn, eta):
-    """One full adversarial run; ``teacher_fn`` adds the frozen-teacher pair.
+def _pada_loop(x_s, x_t, n_common, s_dim, config, seed, teacher=None):
+    """One full joint run; ``teacher`` adds the frozen-teacher pair (weight eta).
 
     Random sequence per run: initialize D, C, F in that order, then per step
     draw source+target batches for the D phase, source+target batches for the
@@ -240,40 +293,25 @@ def _pada_loop(x_s, x_t, n_common, s_dim, config, seed, teacher_fn, eta):
     exactly the same sequence, so eta = 0 reproduces the plain run bit-for-bit.
     """
     rng = make_rng(seed)
-    d = LinearSoftmaxModel.initialize(x_s.shape[1], rng)
-    c = LinearSoftmaxModel.initialize(x_s.shape[1], rng)
-    f = LinearTransform.initialize(x_t.shape[1], s_dim, rng)
-    models = {"D": d, "C": c, "F": f}
-    soft = teacher_fn is not None
-    columns = ("value", "kl_pos", "kl_unl", "kl_dc", "kl_dc_swap")
-    if soft:
-        columns += ("kl_soft", "kl_soft_swap")
-    trace = TrainTrace(columns)
+    models = {name: LinearSoftmaxModel.initialize(x_s.shape[1], rng) for name in ("D", "C")}
+    models["F"] = LinearTransform.initialize(x_t.shape[1], s_dim, rng)
+    lam, eta = config.lam, config.eta
 
     def full_terms(bs, bt):
-        if soft:
-            return pada_s_terms(bs, bt, n_common, config.lam, eta, teacher_fn(bt))
-        return pada_terms(bs, bt, n_common, config.lam)
+        if teacher is None:
+            return pada_terms(bs, bt, n_common, lam)
+        return pada_s_terms(bs, bt, n_common, lam, eta, teacher(bt))
 
-    for step in range(config.steps):
-        bs = _draw(rng, x_s, config.batch_size)
-        bt = _draw(rng, x_t, config.batch_size)
-        res_d = loss_and_grads(models, full_terms(bs, bt), wrt=("D",))
-        d.apply_step(res_d.grads["D"], config.learning_rate)
+    def c_terms(bt):
+        probs = None if teacher is None else teacher(bt)
+        return aligned_classifier_terms(bt, n_common, lam, teacher_probs=probs, eta=eta)
 
-        bs2 = _draw(rng, x_s, config.batch_size)
-        bt2 = _draw(rng, x_t, config.batch_size)
-        res_f = loss_and_grads(models, full_terms(bs2, bt2), wrt=("F",))
-        f.apply_step(res_f.grads["F"], -config.learning_rate)
-
-        bt3 = _draw(rng, x_t, config.batch_size)
-        teacher = teacher_fn(bt3) if soft else None
-        c_terms = aligned_classifier_terms(bt3, n_common, config.lam, teacher_probs=teacher, eta=eta)
-        res_c = loss_and_grads(models, c_terms, wrt=("C",))
-        c.apply_step(res_c.grads["C"], -config.learning_rate)
-
-        trace.record(step, (res_d.value, *res_d.term_values))
-    return c, d, f, trace
+    phases = [
+        Phase("D", +1, (x_s, x_t), full_terms, trace=""),
+        Phase("F", -1, (x_s, x_t), full_terms),
+        Phase("C", -1, (x_t,), c_terms),
+    ]
+    return models, _run_phases(models, phases, config, rng)
 
 
 def train_pada(source: DomainMatrix, target: DomainMatrix, config: TrainConfig) -> TrainedArtifacts:
@@ -285,34 +323,10 @@ def train_pada(source: DomainMatrix, target: DomainMatrix, config: TrainConfig) 
     """
     _check_domains(source, target)
     schema = source.schema
-    c, d, f, trace = _pada_loop(
-        source.features(), target.features(), schema.c, schema.s,
-        config, config.seed, teacher_fn=None, eta=0.0,
+    models, trace = _pada_loop(
+        source.features(), target.features(), schema.c, schema.s, config, config.seed
     )
-    return TrainedArtifacts(
-        method="PADA", config=config, classifier=c, discriminator=d,
-        transformer=f, trace=trace,
-    )
-
-
-def _common_teacher(base: LinearSoftmaxModel, n_common: int):
-    frozen = base.copy()
-
-    def teacher_fn(batch_target: np.ndarray) -> np.ndarray:
-        return frozen.classify(batch_target[:, :n_common])
-
-    return teacher_fn
-
-
-def _aligned_teacher(classifier: LinearSoftmaxModel, transform: LinearTransform, n_common: int):
-    frozen_c = classifier.copy()
-    frozen_f = transform.copy()
-
-    def teacher_fn(batch_target: np.ndarray) -> np.ndarray:
-        aligned = np.hstack([batch_target[:, :n_common], frozen_f.transform(batch_target)])
-        return frozen_c.classify(aligned)
-
-    return teacher_fn
+    return TrainedArtifacts("PADA", config, models, trace)
 
 
 def train_pada_s(
@@ -342,38 +356,23 @@ def train_pada_s(
 
     base_config = replace(config, seed=derive_seed(config.seed, "soft-base"))
     base = train_pan(source.common, target.common, base_config)
-    teacher_fn = _common_teacher(base.classifier, schema.c)
+    teacher = _frozen_teacher(base.models(), schema.c)
 
-    best = None
-    best_acc = -np.inf
     val_accs: list[float] = []
-    stale = 0
-    rounds_run = 0
     for round_idx in range(1, config.max_soft_rounds + 1):
         seed = config.seed if round_idx == 1 else derive_seed(config.seed, "soft-round", round_idx)
-        c, d, f, trace = _pada_loop(
-            x_s, x_t, schema.c, schema.s, config, seed, teacher_fn, config.eta
-        )
-        rounds_run = round_idx
-        probs = c.classify(align_features(f, val_target))
-        val_acc = accuracy(probs, val_target.labels)
-        val_accs.append(val_acc)
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best = (c, d, f, trace)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.val_patience:
-                break
-        teacher_fn = _aligned_teacher(c, f, schema.c)
+        models, trace = _pada_loop(x_s, x_t, schema.c, schema.s, config, seed, teacher)
+        probs = models["C"].classify(align_features(models["F"], val_target))
+        val_accs.append(accuracy(probs, val_target.labels))
+        best = int(np.argmax(val_accs))   # the first round with the top accuracy
+        if best == round_idx - 1:
+            best_run = (models, trace)
+        elif round_idx - 1 - best >= config.val_patience:
+            break
+        teacher = _frozen_teacher(models, schema.c)
 
-    c, d, f, trace = best
-    return TrainedArtifacts(
-        method="PADA_S", config=config, classifier=c, discriminator=d,
-        transformer=f, trace=trace, rounds_run=rounds_run,
-        round_val_accuracy=tuple(val_accs),
-    )
+    return TrainedArtifacts("PADA_S", config, *best_run, rounds_run=len(val_accs),
+                            round_val_accuracy=tuple(val_accs))
 
 
 def train_pada_f(source: DomainMatrix, target: DomainMatrix, config: TrainConfig) -> TrainedArtifacts:
@@ -382,49 +381,29 @@ def train_pada_f(source: DomainMatrix, target: DomainMatrix, config: TrainConfig
     The transform is trained only against a separate feature discriminator on
     the plain domain pairing, so it aligns target rows to source rows without
     any class pressure; the main discriminator and the classifier train as in
-    the joint method on whatever the transform produces.
+    the joint method on whatever the transform produces. Models initialize
+    D, C, F, Df; per step the phases run D, Df, F, C, each on fresh batches.
     """
     _check_domains(source, target)
     schema = source.schema
     x_s = source.features()
     x_t = target.features()
     rng = make_rng(config.seed)
-    d = LinearSoftmaxModel.initialize(x_s.shape[1], rng)
-    c = LinearSoftmaxModel.initialize(x_s.shape[1], rng)
-    f = LinearTransform.initialize(x_t.shape[1], schema.s, rng)
-    df = LinearSoftmaxModel.initialize(x_s.shape[1], rng)
-    models = {"D": d, "C": c, "F": f, "Df": df}
-    trace = TrainTrace(
-        ("value", "kl_pos", "kl_unl", "kl_dc", "kl_dc_swap",
-         "adv_value", "kl_adv_src", "kl_adv_tgt")
-    )
-    for step in range(config.steps):
-        bs = _draw(rng, x_s, config.batch_size)
-        bt = _draw(rng, x_t, config.batch_size)
-        res_d = loss_and_grads(models, pada_terms(bs, bt, schema.c, config.lam), wrt=("D",))
-        d.apply_step(res_d.grads["D"], config.learning_rate)
+    models = {name: LinearSoftmaxModel.initialize(x_s.shape[1], rng) for name in ("D", "C")}
+    models["F"] = LinearTransform.initialize(x_t.shape[1], schema.s, rng)
+    models["Df"] = LinearSoftmaxModel.initialize(x_s.shape[1], rng)
 
-        bs2 = _draw(rng, x_s, config.batch_size)
-        bt2 = _draw(rng, x_t, config.batch_size)
-        res_df = loss_and_grads(models, domain_adv_terms(bs2, bt2, schema.c), wrt=("Df",))
-        df.apply_step(res_df.grads["Df"], config.learning_rate)
+    def pairing(bs, bt):
+        return domain_adv_terms(bs, bt, schema.c)
 
-        bs3 = _draw(rng, x_s, config.batch_size)
-        bt3 = _draw(rng, x_t, config.batch_size)
-        res_f = loss_and_grads(models, domain_adv_terms(bs3, bt3, schema.c), wrt=("F",))
-        f.apply_step(res_f.grads["F"], -config.learning_rate)
-
-        bt4 = _draw(rng, x_t, config.batch_size)
-        res_c = loss_and_grads(
-            models, aligned_classifier_terms(bt4, schema.c, config.lam), wrt=("C",)
-        )
-        c.apply_step(res_c.grads["C"], -config.learning_rate)
-
-        trace.record(step, (res_d.value, *res_d.term_values, res_df.value, *res_df.term_values))
-    return TrainedArtifacts(
-        method="PADA_F", config=config, classifier=c, discriminator=d,
-        transformer=f, feature_discriminator=df, trace=trace,
-    )
+    phases = [
+        Phase("D", +1, (x_s, x_t), lambda bs, bt: pada_terms(bs, bt, schema.c, config.lam),
+              trace=""),
+        Phase("Df", +1, (x_s, x_t), pairing, trace="adv_"),
+        Phase("F", -1, (x_s, x_t), pairing),
+        Phase("C", -1, (x_t,), lambda bt: aligned_classifier_terms(bt, schema.c, config.lam)),
+    ]
+    return TrainedArtifacts("PADA_F", config, models, _run_phases(models, phases, config, rng))
 
 
 # --------------------------------------------------------------------------
@@ -473,9 +452,7 @@ def train_dsft(
             step_size *= 0.5
         trace.record(step, (res.value, res.rec_source, res.rec_target, res.mmd, taken))
 
-    art = TrainedArtifacts(
-        method="DSFT", config=config, source_map=psi_s, target_map=psi_t, trace=trace
-    )
+    art = TrainedArtifacts("DSFT", config, {"psi_s": psi_s, "psi_t": psi_t}, trace)
     xs_hat = complete_features(psi_s, psi_t, source)
     xt_hat = complete_features(psi_s, psi_t, target)
     return art, xs_hat, xt_hat
@@ -503,12 +480,7 @@ def train_dsft_p(
     fit_config = replace(config, seed=derive_seed(config.seed, "completion-fit"))
     maps, xs_hat, xt_hat = train_dsft(source, target, fit_config)
     pu = train_pan(xs_hat, xt_hat, config)
-    return TrainedArtifacts(
-        method="DSFT_P_linear", config=config,
-        classifier=pu.classifier, discriminator=pu.discriminator,
-        source_map=maps.source_map, target_map=maps.target_map,
-        trace=pu.trace,
-    )
+    return TrainedArtifacts("DSFT_P_linear", config, {**pu.models(), **maps.models()}, pu.trace)
 
 
 # --------------------------------------------------------------------------
@@ -522,7 +494,7 @@ def train_dist(
 
     Per step: draw a target batch, read the teacher's output on its common
     columns, descend the student on the matching divergence over the full
-    rows.
+    rows. The student is the run's only model, slot C.
     """
     if target.role != "target":
         raise ConfigurationError("distillation trains on the target matrix")
@@ -531,41 +503,23 @@ def train_dist(
         raise ConfigurationError(
             f"teacher expects {base_classifier.input_dim} columns, schema has {n_common} common"
         )
-    teacher = base_classifier.copy()
+    teacher = _frozen_teacher({"C": base_classifier}, n_common)
     x_t = target.features()
     rng = make_rng(config.seed)
-    student = LinearSoftmaxModel.initialize(x_t.shape[1], rng)
-    trace = TrainTrace(("value", "kl_distill"))
-    for step in range(config.steps):
-        bt = _draw(rng, x_t, config.batch_size)
-        probs = teacher.classify(bt[:, :n_common])
-        res = loss_and_grads(
-            {"C": student}, distillation_terms(probs, bt), wrt=("C",)
-        )
-        student.apply_step(res.grads["C"], -config.learning_rate)
-        trace.record(step, (res.value, *res.term_values))
-    return TrainedArtifacts(method="DIST", config=config, classifier=student, trace=trace)
+    models = {"C": LinearSoftmaxModel.initialize(x_t.shape[1], rng)}
+    phases = [Phase("C", -1, (x_t,), lambda bt: distillation_terms(teacher(bt), bt),
+                    trace="")]
+    return TrainedArtifacts("DIST", config, models, _run_phases(models, phases, config, rng))
 
 
 def train_discriminator(x_a, x_b, config: TrainConfig) -> TrainedArtifacts:
     """Plain supervised two-class probe: rows of ``x_a`` are the positive
     class. Used for the post-hoc domain-separability diagnostics."""
-    x_a = _check_matrix("class-a rows", x_a)
-    x_b = _check_matrix("class-b rows", x_b)
-    if x_a.shape[1] != x_b.shape[1]:
-        raise InvalidInputError(
-            f"column mismatch: {x_a.shape[1]} vs {x_b.shape[1]}"
-        )
+    x_a, x_b = _check_pair("class-a rows", x_a, "class-b rows", x_b)
     rng = make_rng(config.seed)
-    d = LinearSoftmaxModel.initialize(x_a.shape[1], rng)
-    trace = TrainTrace(("value", "ce_pos", "ce_neg"))
-    for step in range(config.steps):
-        ba = _draw(rng, x_a, config.batch_size)
-        bb = _draw(rng, x_b, config.batch_size)
-        res = loss_and_grads({"D": d}, supervised_terms(ba, bb), wrt=("D",))
-        d.apply_step(res.grads["D"], config.learning_rate)
-        trace.record(step, (res.value, *res.term_values))
-    return TrainedArtifacts(method="D_PRIME", config=config, discriminator=d, trace=trace)
+    models = {"D": LinearSoftmaxModel.initialize(x_a.shape[1], rng)}
+    phases = [Phase("D", +1, (x_a, x_b), supervised_terms, trace="")]
+    return TrainedArtifacts("D_PRIME", config, models, _run_phases(models, phases, config, rng))
 
 
 # --------------------------------------------------------------------------
@@ -579,7 +533,7 @@ def align_features(transform: LinearTransform, dm: DomainMatrix) -> np.ndarray:
 
 
 def _aligned_rows(artifacts: TrainedArtifacts, dm: DomainMatrix) -> np.ndarray:
-    return align_features(artifacts.transformer, dm)
+    return align_features(artifacts.models()["F"], dm)
 
 
 @dataclass(frozen=True)
@@ -600,7 +554,8 @@ METHOD_TABLE = {
     "DIST": Method(lambda s, t, v, c: train_dist(t, train_com_p(s, t, c).classifier, c),
                    lambda art, dm: dm.features()),
     "DSFT_P_linear": Method(lambda s, t, v, c: train_dsft_p(s, t, c),
-                            lambda art, dm: complete_features(art.source_map, art.target_map, dm)),
+                            lambda art, dm: complete_features(art.models()["psi_s"],
+                                                              art.models()["psi_t"], dm)),
     "PADA": Method(lambda s, t, v, c: train_pada(s, t, c), _aligned_rows),
     "PADA_S": Method(lambda s, t, v, c: train_pada_s(s, t, c, val_target=v), _aligned_rows,
                      searches_eta=True),

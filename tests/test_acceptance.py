@@ -296,7 +296,7 @@ def test_joint_training_beats_the_decoupled_ablation(bench):
     for method in ("PADA", "PADA_F"):
         per_seed = []
         for art in bench.get(method):
-            aligned = align_features(art.transformer, bench.train)
+            aligned = align_features(art.models()["F"], bench.train)
             acc_pp, acc_pn = discrimination_accuracy(
                 bench.source.features(), aligned[pos_mask], aligned[~pos_mask],
                 BENCH_SPLIT, PROBE_CONFIG)

@@ -1,5 +1,7 @@
 """Schema, matrix, loading, splitting, aggregation, and generator tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,32 @@ class TestMatrixSerialization:
         path = tmp_path / "m.csv"
         path.write_text("c0,c1,t0\n1,2,3\n")
         with pytest.raises(DataError, match="sidecar"):
+            load_domain_matrix(path)
+
+    @pytest.mark.parametrize("spoil", [
+        pytest.param(lambda doc: doc.pop("role"), id="missing-role"),
+        pytest.param(lambda doc: doc.pop("has_labels"), id="missing-has_labels"),
+        pytest.param(lambda doc: doc["schema"].update(extra=["x"]), id="extra-schema-key"),
+        pytest.param(lambda doc: doc.update(schema=["c0", "c1"]), id="schema-not-a-mapping"),
+        pytest.param(lambda doc: doc.update(role="middle"), id="unknown-role"),
+        pytest.param(lambda doc: doc["schema"].update(target_specific=["c0"]),
+                     id="overlapping-groups"),
+        pytest.param(None, id="not-json"),
+    ])
+    def test_bad_sidecar_is_a_data_error_naming_the_file(self, tmp_path, spoil):
+        rng = derive_rng(9, "serialize-test")
+        dm = DomainMatrix(small_schema(), "source", rng.normal(size=(5, 2)),
+                          rng.normal(size=(5, 3)))
+        path = tmp_path / "m.csv"
+        save_domain_matrix(dm, path)
+        sidecar = tmp_path / "m.csv.schema.json"
+        if spoil is None:
+            sidecar.write_text("{not json")
+        else:
+            doc = json.loads(sidecar.read_text())
+            spoil(doc)
+            sidecar.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="m.csv.schema.json: not a schema sidecar"):
             load_domain_matrix(path)
 
 

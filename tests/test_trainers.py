@@ -14,7 +14,14 @@ import pytest
 from puhda.data import DomainMatrix, FeatureSchema
 from puhda.errors import ConfigurationError, InvalidInputError, SchemaError
 from puhda.metrics import accuracy
-from puhda.models import LinearSoftmaxModel, LinearTransform, loss_and_grads
+from puhda.models import (
+    _SLOT_KINDS,
+    LinearSoftmaxModel,
+    LinearTransform,
+    load_checkpoint,
+    loss_and_grads,
+    save_checkpoint,
+)
 from puhda.numerics import derive_seed, make_rng
 from puhda.objectives import (
     aligned_classifier_terms,
@@ -25,6 +32,7 @@ from puhda.objectives import (
     pan_terms,
 )
 from puhda.trainers import (
+    METHOD_TABLE,
     TrainConfig,
     TrainTrace,
     align_features,
@@ -123,7 +131,7 @@ def test_pan_rerun_is_bit_identical(tiny_data):
     a = train_pan(x_pos, x_unl, cfg)
     b = train_pan(x_pos, x_unl, cfg)
     assert models_equal(a.classifier, b.classifier)
-    assert models_equal(a.discriminator, b.discriminator)
+    assert models_equal(a.models()["D"], b.models()["D"])
     assert a.trace.rows == b.trace.rows
 
 
@@ -144,7 +152,7 @@ def test_pan_lambda_zero_leaves_classifier_at_init(tiny_data):
     d0 = LinearSoftmaxModel.initialize(x_pos.shape[1], rng)
     c0 = LinearSoftmaxModel.initialize(x_pos.shape[1], rng)
     assert models_equal(art.classifier, c0)
-    assert not models_equal(art.discriminator, d0)
+    assert not models_equal(art.models()["D"], d0)
 
 
 def test_pan_single_step_matches_manual_replay(tiny_data):
@@ -172,7 +180,7 @@ def test_pan_single_step_matches_manual_replay(tiny_data):
     c.apply_step(res_c.grads["C"], -cfg.learning_rate)
     after_c = loss_and_grads(models, terms_c, wrt=()).value
 
-    assert models_equal(art.discriminator, d)
+    assert models_equal(art.models()["D"], d)
     assert models_equal(art.classifier, c)
     assert after_d >= before_d
     assert after_c <= before_c
@@ -198,14 +206,14 @@ def test_com_p_is_pu_training_on_common_columns(tiny_data):
     pan = train_pan(source.common, train.common, cfg)
     assert com.method == "COM_P"
     assert models_equal(com.classifier, pan.classifier)
-    assert models_equal(com.discriminator, pan.discriminator)
+    assert models_equal(com.models()["D"], pan.models()["D"])
     assert com.trace.rows == pan.trace.rows
 
 
 def test_com_p_requires_source_and_target_roles(tiny_data):
     source, train, _, _ = tiny_data
     cfg = TrainConfig(learning_rate=0.05, steps=1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="roles"):
         train_com_p(train, train, cfg)
 
 
@@ -220,10 +228,11 @@ def test_pada_artifact_shapes(tiny_data):
     art = train_pada(source, train, cfg)
     assert art.method == "PADA"
     assert art.classifier.input_dim == schema.c + schema.s
-    assert art.discriminator.input_dim == schema.c + schema.s
-    assert art.transformer.input_dim == schema.c + schema.t
-    assert art.transformer.output_dim == schema.s
+    assert art.models()["D"].input_dim == schema.c + schema.s
+    assert art.models()["F"].input_dim == schema.c + schema.t
+    assert art.models()["F"].output_dim == schema.s
     assert len(art.trace) == cfg.steps
+    assert art.trace.columns == ("step", "value", "kl_pos", "kl_unl", "kl_dc", "kl_dc_swap")
     assert set(art.models()) == {"C", "D", "F"}
 
 
@@ -233,8 +242,8 @@ def test_pada_rerun_is_bit_identical(tiny_data):
     a = train_pada(source, train, cfg)
     b = train_pada(source, train, cfg)
     assert models_equal(a.classifier, b.classifier)
-    assert models_equal(a.discriminator, b.discriminator)
-    assert models_equal(a.transformer, b.transformer)
+    assert models_equal(a.models()["D"], b.models()["D"])
+    assert models_equal(a.models()["F"], b.models()["F"])
     assert a.trace.rows == b.trace.rows
 
 
@@ -248,7 +257,7 @@ def test_pada_lambda_zero_leaves_classifier_at_init(tiny_data):
     c0 = LinearSoftmaxModel.initialize(schema.c + schema.s, rng)
     f0 = LinearTransform.initialize(schema.c + schema.t, schema.s, rng)
     assert models_equal(art.classifier, c0)
-    assert not np.array_equal(art.transformer.weights, f0.weights)
+    assert not np.array_equal(art.models()["F"].weights, f0.weights)
 
 
 def test_pada_single_step_matches_manual_replay(tiny_data):
@@ -282,10 +291,10 @@ def test_pada_single_step_matches_manual_replay(tiny_data):
     res_c = loss_and_grads(models, aligned_classifier_terms(bt3, schema.c, cfg.lam), wrt=("C",))
     c.apply_step(res_c.grads["C"], -cfg.learning_rate)
 
-    assert models_equal(art.discriminator, d)
+    assert models_equal(art.models()["D"], d)
     assert models_equal(art.classifier, c)
-    assert np.array_equal(art.transformer.weights, f.weights)
-    assert np.array_equal(art.transformer.bias, f.bias)
+    assert np.array_equal(art.models()["F"].weights, f.weights)
+    assert np.array_equal(art.models()["F"].bias, f.bias)
     assert after_f <= before_f
 
 
@@ -315,7 +324,7 @@ def test_pada_survives_constant_target_column(tiny_data):
     flat = DomainMatrix(train.schema, "target", train.common, specific, labels=train.labels)
     cfg = TrainConfig(learning_rate=0.02, lam=0.1, steps=40, batch_size=32, seed=0)
     art = train_pada(source, flat, cfg)
-    assert np.all(np.isfinite(art.transformer.weights))
+    assert np.all(np.isfinite(art.models()["F"].weights))
     assert np.all(np.isfinite(art.trace.value_column("value")))
 
 
@@ -331,7 +340,7 @@ def test_soft_round_one_with_zero_eta_reproduces_joint_run(tiny_data):
     soft = train_pada_s(source, train, cfg, val_target=val)
     assert soft.rounds_run == 1
     assert models_equal(soft.classifier, plain.classifier)
-    assert np.array_equal(soft.transformer.weights, plain.transformer.weights)
+    assert np.array_equal(soft.models()["F"].weights, plain.models()["F"].weights)
 
 
 def test_soft_rounds_return_best_round_and_stop_early(tiny_data):
@@ -391,9 +400,11 @@ def test_pada_s_single_step_matches_manual_replay(tiny_data):
     c.apply_step(res_c.grads["C"], -cfg.learning_rate)
 
     assert art.rounds_run == 1
-    assert models_equal(art.discriminator, d)
+    assert art.trace.columns == ("step", "value", "kl_pos", "kl_unl", "kl_dc", "kl_dc_swap",
+                                 "kl_soft", "kl_soft_swap")
+    assert models_equal(art.models()["D"], d)
     assert models_equal(art.classifier, c)
-    assert models_equal(art.transformer, f)
+    assert models_equal(art.models()["F"], f)
     assert art.trace.rows[0][1:] == (res_d.value, *res_d.term_values)
 
 
@@ -441,10 +452,10 @@ def test_pada_f_single_step_matches_manual_replay(tiny_data):
     res_c = loss_and_grads(models, aligned_classifier_terms(bt4, schema.c, cfg.lam), wrt=("C",))
     c.apply_step(res_c.grads["C"], -cfg.learning_rate)
 
-    assert models_equal(art.discriminator, d)
-    assert models_equal(art.feature_discriminator, df)
+    assert models_equal(art.models()["D"], d)
+    assert models_equal(art.models()["Df"], df)
     assert models_equal(art.classifier, c)
-    assert np.array_equal(art.transformer.weights, f.weights)
+    assert np.array_equal(art.models()["F"].weights, f.weights)
 
 
 def test_pada_f_trace_and_slots(tiny_data):
@@ -465,7 +476,7 @@ def test_pada_f_transform_ignores_classifier_pressure(tiny_data):
     cfg = TrainConfig(learning_rate=0.02, lam=0.5, steps=30, batch_size=32, seed=3)
     joint = train_pada(source, train, cfg)
     split_game = train_pada_f(source, train, cfg)
-    assert not np.array_equal(joint.transformer.weights, split_game.transformer.weights)
+    assert not np.array_equal(joint.models()["F"].weights, split_game.models()["F"].weights)
 
 
 # --------------------------------------------------------------------------
@@ -493,6 +504,7 @@ def test_completion_trace_never_increases(tiny_data):
     art, _, _ = train_dsft(source, train, cfg)
     values = art.trace.value_column("value")
     assert np.all(np.diff(values) <= 0)
+    assert art.trace.columns == ("step", "value", "rec_source", "rec_target", "mmd", "step_size")
 
 
 def test_completed_rows_have_the_documented_layout(tiny_data):
@@ -505,10 +517,10 @@ def test_completed_rows_have_the_documented_layout(tiny_data):
     np.testing.assert_array_equal(xs_hat[:, :schema.c], source.common)
     np.testing.assert_array_equal(xs_hat[:, schema.c:schema.c + schema.s], source.specific)
     np.testing.assert_allclose(
-        xs_hat[:, schema.c + schema.s:], art.target_map.transform(source.common))
+        xs_hat[:, schema.c + schema.s:], art.models()["psi_t"].transform(source.common))
     np.testing.assert_array_equal(xt_hat[:, :schema.c], train.common)
     np.testing.assert_allclose(
-        xt_hat[:, schema.c:schema.c + schema.s], art.source_map.transform(train.common))
+        xt_hat[:, schema.c:schema.c + schema.s], art.models()["psi_s"].transform(train.common))
     np.testing.assert_array_equal(xt_hat[:, schema.c + schema.s:], train.specific)
 
 
@@ -519,7 +531,7 @@ def test_completion_baseline_routes_predictions_through_completed_rows(tiny_data
     art = train_dsft_p(source, train, cfg)
     assert art.method == "DSFT_P_linear"
     expected = art.classifier.classify(
-        complete_features(art.source_map, art.target_map, test))
+        complete_features(art.models()["psi_s"], art.models()["psi_t"], test))
     np.testing.assert_array_equal(predict(art, test), expected)
 
 
@@ -534,6 +546,7 @@ def test_distilled_student_matches_its_teacher(tiny_data):
     cfg = TrainConfig(learning_rate=0.1, steps=3000, batch_size=64, seed=0)
     art = train_dist(train, teacher.classifier, cfg)
     assert art.method == "DIST"
+    assert art.trace.columns == ("step", "value", "kl_distill")
     student_p = predict(art, test)[:, 1]
     teacher_p = teacher.classifier.classify(test.common)[:, 1]
     assert np.mean(np.abs(student_p - teacher_p)) < 0.02
@@ -566,11 +579,12 @@ def test_probe_separates_shifted_blobs(rng):
     b = rng.normal(size=(300, 4)) - 3.0
     cfg = TrainConfig(learning_rate=0.1, steps=400, batch_size=64, seed=0)
     art = train_discriminator(a, b, cfg)
-    p_a = art.discriminator.classify(a)[:, 1]
-    p_b = art.discriminator.classify(b)[:, 1]
+    p_a = art.models()["D"].classify(a)[:, 1]
+    p_b = art.models()["D"].classify(b)[:, 1]
     acc = 0.5 * (np.mean(p_a > 0.5) + np.mean(p_b <= 0.5))
     assert acc > 0.95
     assert art.method == "D_PRIME"
+    assert art.trace.columns == ("step", "value", "ce_pos", "ce_neg")
 
 
 def test_probe_rejects_column_mismatch(rng):
@@ -595,7 +609,7 @@ def test_predict_routes_by_method(tiny_data):
     pada = train_pada(source, train, cfg)
     np.testing.assert_array_equal(
         predict(pada, test),
-        pada.classifier.classify(align_features(pada.transformer, test)))
+        pada.classifier.classify(align_features(pada.models()["F"], test)))
 
 
 def test_predict_rejects_unknown_method(tiny_data):
@@ -603,3 +617,33 @@ def test_predict_rejects_unknown_method(tiny_data):
     art = train_discriminator(test.common, test.common, TrainConfig(learning_rate=0.1, steps=1))
     with pytest.raises(ConfigurationError, match="no prediction rule"):
         predict(art, test)
+
+
+# --------------------------------------------------------------------------
+# Checkpoints
+
+# Every trainer, called as the method table calls them.
+ALL_TRAINERS = {
+    **{method: entry.train for method, entry in METHOD_TABLE.items()},
+    "D_PRIME": lambda s, t, v, c: train_discriminator(s.common, t.common, c),
+    "DSFT": lambda s, t, v, c: train_dsft(s, t, c)[0],
+}
+
+
+@pytest.mark.parametrize("method", sorted(ALL_TRAINERS))
+def test_trained_models_round_trip_through_a_checkpoint(tiny_data, tmp_path, method):
+    source, train, val, _ = tiny_data
+    cfg = TrainConfig(learning_rate=0.02, lam=0.1, eta=0.05, steps=5, batch_size=32, seed=0,
+                      max_soft_rounds=2)
+    art = ALL_TRAINERS[method](source, train, val, cfg)
+    models = art.models()
+    assert models and set(models) <= set(_SLOT_KINDS)
+    save_checkpoint(tmp_path / "ckpt.json", art.method, models)
+    saved_method, back = load_checkpoint(tmp_path / "ckpt.json")
+    assert saved_method == art.method
+    assert set(back) == set(models)
+    for slot, model in models.items():
+        assert type(model) is type(back[slot]) is _SLOT_KINDS[slot]
+        assert back[slot].weights.tobytes() == model.weights.tobytes()
+        assert back[slot].bias.tobytes() == model.bias.tobytes()
+        assert back[slot].weights.shape == model.weights.shape
