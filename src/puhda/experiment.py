@@ -2,12 +2,13 @@
 
 A single structured config document describes the dataset, the method list,
 the hyperparameter grids, the seeds, and the split. Running an experiment
-trains every method over its grid, selects one cell per method by mean
-validation accuracy, retrains the selected cell per seed for telemetry and
-checkpoints, and evaluates once on the held-out test split. Grid cells and
-seeds are independent work items, so they can run in parallel; results are
-merged in a fixed order, and every report is written with round-trip float
-formatting and no timestamps, making reruns byte-identical.
+trains every method over its grid once, selects one cell per method by mean
+validation accuracy, writes the selected cell's grid artifacts per seed as
+telemetry and checkpoints (nothing is retrained), and evaluates once on the
+held-out test split. Grid cells and seeds are independent work items, so they
+can run in parallel; results are folded in a fixed order, and every report is
+written with round-trip float formatting and no timestamps, making reruns
+byte-identical.
 
 The test split is kept inside a sealed handle that training and selection
 code never receives; it is opened exactly once, after selection.
@@ -19,9 +20,8 @@ import csv
 import json
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
 from typing import NewType, get_args, get_type_hints
 
@@ -462,35 +462,29 @@ def train_method(
     return METHOD_TABLE[method].train(source, train, val, config)
 
 
-def _grid_worker(payload) -> CellResult:
-    method, cell, seed, training, source, train, val = payload
+# (source, train, val) in a pool worker process, set once by the pool initializer.
+_worker_data: tuple | None = None
+
+
+def _set_worker_data(data: tuple) -> None:
+    global _worker_data
+    _worker_data = data
+
+
+def _grid_worker(item, data: tuple | None = None) -> tuple[CellResult, TrainedArtifacts | None]:
+    """Train one (method, cell, seed); an ok result comes back with its artifacts."""
+    method, cell, seed, training = item
+    source, train, val = data or _worker_data
     try:
         art = train_method(method, source, train, val, _cell_config(cell, seed, training))
         val_acc = accuracy(predict(art, val), val.labels)
-        return CellResult(method, cell, seed, "ok", val_acc, "")
+        return CellResult(method, cell, seed, "ok", val_acc, ""), art
     except Exception as exc:  # a failed cell, expected or not, must not lose the grid
         expected = isinstance(exc, PuhdaError)
         error = str(exc) if expected else f"{type(exc).__name__}: {exc}"
         logger.warning("%s %s seed %d failed: %s", method, cell, seed, error,
                        exc_info=not expected)
-        return CellResult(method, cell, seed, "failed", float("nan"), error)
-
-
-def run_grid(config: ExperimentConfig, data: PreparedData, jobs: int = 1) -> list[CellResult]:
-    """Train every method x cell x seed; failures are recorded, not raised."""
-    items = [
-        (method, cell, seed, config.training, data.source, data.train, data.val)
-        for method in config.methods
-        for cell in grid_cells(method, config.grid)
-        for seed in config.seeds
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_grid_worker, items))
-    else:
-        results = [_grid_worker(item) for item in items]
-    order = {m: i for i, m in enumerate(config.methods)}
-    return sorted(results, key=lambda r: (order[r.method], r.cell, r.seed))
+        return CellResult(method, cell, seed, "failed", float("nan"), error), None
 
 
 @dataclass(frozen=True)
@@ -501,55 +495,57 @@ class Selection:
     status: str  # "ok" | "failed"
 
 
-def select_cells(config: ExperimentConfig, results: list[CellResult]) -> dict[str, Selection]:
-    """Argmax of mean validation accuracy per method.
+def _select(config: ExperimentConfig, outcomes):
+    """The selection rule, as one fold over ``(CellResult, payload)`` pairs in
+    item order: method, then ascending cell, then seed.
 
-    A cell is eligible only when every seed finished. Ties go to the smallest
-    learning rate, then the smallest lam, then the smallest eta, which falls
-    out of scanning cells in ascending order with a strict improvement test.
+    A cell is complete when every seed is present and ok. A later complete
+    cell replaces a method's kept one only with a strictly higher mean
+    validation accuracy, so ties go to the smallest learning rate, then lam,
+    then eta. Only one cell is pending at a time. Returns every result, each
+    method's selection, and the selected cells' payloads by (method, seed).
     """
-    by_method: dict[str, dict[GridCell, list[CellResult]]] = {}
-    for res in results:
-        by_method.setdefault(res.method, {}).setdefault(res.cell, []).append(res)
-
-    selections = {}
-    for method in config.methods:
-        best_cell = None
-        best_mean = -np.inf
-        for cell in grid_cells(method, config.grid):
-            cell_results = by_method.get(method, {}).get(cell, [])
-            if len(cell_results) != len(config.seeds):
-                continue
-            if any(r.status != "ok" for r in cell_results):
-                continue
-            mean_val = float(np.mean([r.val_accuracy for r in cell_results]))
-            if mean_val > best_mean:
-                best_mean = mean_val
-                best_cell = cell
-        if best_cell is None:
-            selections[method] = Selection(method, None, float("nan"), "failed")
-        else:
-            selections[method] = Selection(method, best_cell, best_mean, "ok")
-    return selections
-
-
-def retrain_selected(
-    config: ExperimentConfig,
-    data: PreparedData,
-    selections: dict[str, Selection],
-) -> dict[tuple[str, int], TrainedArtifacts]:
-    """Rerun each method's selected cell per seed; training is deterministic,
-    so this reproduces the grid-phase models while keeping their artifacts."""
-    artifacts = {}
-    for method in config.methods:
-        sel = selections[method]
-        if sel.status != "ok":
+    results, best, kept = [], {}, {}
+    for (method, cell), group in groupby(outcomes, key=lambda o: (o[0].method, o[0].cell)):
+        group = list(group)
+        results += [r for r, _ in group]
+        if len(group) != len(config.seeds) or any(r.status != "ok" for r, _ in group):
             continue
-        for seed in config.seeds:
-            cfg = _cell_config(sel.cell, seed, config.training)
-            artifacts[(method, seed)] = train_method(
-                method, data.source, data.train, data.val, cfg)
-    return artifacts
+        mean = float(np.mean([r.val_accuracy for r, _ in group]))
+        if method not in best or mean > best[method].mean_val_accuracy:
+            best[method] = Selection(method, cell, mean, "ok")
+            kept.update(((method, r.seed), payload) for r, payload in group)
+    failed = {m: Selection(m, None, float("nan"), "failed") for m in config.methods}
+    return results, {m: best.get(m, failed[m]) for m in config.methods}, kept
+
+
+def run_grid(config: ExperimentConfig, data: PreparedData, jobs: int = 1):
+    """Train every method x cell x seed once; failures are recorded, not raised.
+
+    Returns every cell result in item order, each method's selection, and the
+    selected cells' artifacts by (method, seed). Results are folded as they
+    arrive, so only each method's best cell keeps its artifacts.
+    """
+    items = [(method, cell, seed, config.training)
+             for method in config.methods
+             for cell in grid_cells(method, config.grid)
+             for seed in sorted(config.seeds)]
+    shared = (data.source, data.train, data.val)
+    if jobs <= 1:
+        return _select(config, (_grid_worker(item, shared) for item in items))
+    from concurrent.futures import ProcessPoolExecutor   # slow to import; only --jobs pays
+
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_set_worker_data,
+                             initargs=(shared,)) as pool:
+        return _select(config, pool.map(_grid_worker, items))
+
+
+def select_cells(config: ExperimentConfig, results: list[CellResult]) -> dict[str, Selection]:
+    """Argmax of mean validation accuracy per method, by the grid's own fold."""
+    order = {m: i for i, m in enumerate(config.methods)}
+    ranked = sorted((r for r in results if r.method in order),
+                    key=lambda r: (order[r.method], r.cell, r.seed))
+    return _select(config, ((r, None) for r in ranked))[1]
 
 
 def evaluate_on_test(
@@ -708,15 +704,13 @@ def run_experiment(
     seeds=None,
     jobs: int = 1,
 ) -> Path:
-    """Full protocol: grid search, selection, retrain, test evaluation, reports."""
+    """Full protocol: grid search and selection, test evaluation, reports."""
     config = _apply_overrides(config, seeds)
     out = _resolve_out(config, out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     data = prepare_data(config)
-    results = run_grid(config, data, jobs=jobs)
-    selections = select_cells(config, results)
-    artifacts = retrain_selected(config, data, selections)
+    results, selections, artifacts = run_grid(config, data, jobs=jobs)
 
     for (method, seed), art in sorted(artifacts.items(), key=lambda kv: kv[0]):
         art.trace.write(out / "telemetry" / method / f"seed-{seed}.csv")
@@ -841,12 +835,10 @@ def ablate_experiment(
     train_dm = data.train
     if len(np.unique(train_dm.labels)) < 2:
         raise ConfigurationError("ablation needs both classes in the target training rows")
-    results = run_grid(config, data, jobs=jobs)
-    selections = select_cells(config, results)
+    results, selections, artifacts = run_grid(config, data, jobs=jobs)
     for m in ("PADA", "PADA_F"):
         if selections[m].status != "ok":
             raise ConfigurationError(f"every {m} grid cell failed; cannot ablate")
-    artifacts = retrain_selected(config, data, selections)
     reports = evaluate_on_test(config, data, artifacts)
 
     pos_mask = train_dm.labels == 1

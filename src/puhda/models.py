@@ -194,19 +194,32 @@ class TransformedBatch:
 Batch = Union[RawBatch, TransformedBatch]
 
 
+def _columns(probs: np.ndarray) -> tuple[tuple, tuple]:
+    """``(p0, p1)`` and ``(log p0, log p1)``: the two class columns of clamped
+    pairs, each contiguous, so the loss works in pair arithmetic."""
+    columns = probs.T.copy()
+    return tuple(columns), tuple(np.log(columns))
+
+
 @dataclass(frozen=True)
 class ConstTarget:
     """A constant probability batch; no gradient flows into it."""
 
     probs: np.ndarray  # (2,) or (n, 2), already clamped
-    log_probs: np.ndarray = field(init=False, repr=False, compare=False)
+    columns: tuple = field(init=False, repr=False, compare=False)   # see _columns
 
     def __post_init__(self):
-        probs = prob_pairs(self.probs)
-        log_probs = np.log(probs)
-        log_probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "log_probs", log_probs)
+        object.__setattr__(self, "probs", prob_pairs(self.probs))
+        object.__setattr__(self, "columns", _columns(self.probs))
+
+    @classmethod
+    def _of_logits(cls, logits) -> "ConstTarget":
+        """The softmax pairs of ``logits``, with one finite check on the logits;
+        the pairs are clamped by construction, so ``prob_pairs`` is skipped."""
+        probs = _softmax2(require_finite("teacher logits", logits))[0]
+        target = object.__new__(cls)   # skips __post_init__, which would check the pairs
+        target.__dict__.update(probs=probs, columns=_columns(probs))
+        return target
 
 
 @dataclass(frozen=True)
@@ -240,13 +253,13 @@ class LossResult:
 
 class _Forward:
     """One distinct (model, batch) forward of a call, shared by every side that
-    reads it, swapped or not; ``grad`` sums dL/dprobs over those sides."""
+    reads it, swapped or not; ``grad`` sums dL/dprobs over those sides, per class."""
 
-    __slots__ = ("model", "batch", "x_in", "probs", "log_probs", "clamped", "grad")
+    __slots__ = ("model", "batch", "x_in", "columns", "clamped", "grad")
 
     def __init__(self, model, batch, x_in, probs, clamped):
-        self.model, self.batch, self.x_in = model, batch, x_in
-        self.probs, self.log_probs, self.clamped = probs, np.log(probs), clamped
+        self.model, self.batch, self.x_in, self.clamped = model, batch, x_in, clamped
+        self.columns = _columns(probs)
         self.grad = None
 
 
@@ -290,14 +303,15 @@ def _forward(models: Mapping[str, Model], side: ModelOutput, forwards: dict, ali
     return fwd
 
 
-def _side_probs(models, side: Side, forwards: dict, aligned: dict):
-    """Effective (probs, log probs, forward or None for constants) of one side."""
+def _side_columns(models, side: Side, forwards: dict, aligned: dict):
+    """Effective ((p0, p1), (log p0, log p1), forward or None for constants) of one side."""
     if isinstance(side, ConstTarget):
-        return side.probs, side.log_probs, None
+        return (*side.columns, None)
     fwd = _forward(models, side, forwards, aligned)
+    probs, logs = fwd.columns
     if side.swapped:
-        return fwd.probs[:, ::-1], fwd.log_probs[:, ::-1], fwd
-    return fwd.probs, fwd.log_probs, fwd
+        return probs[::-1], logs[::-1], fwd
+    return probs, logs, fwd
 
 
 def _needs_grad(fwd: _Forward, wrt: frozenset[str]) -> bool:
@@ -305,10 +319,10 @@ def _needs_grad(fwd: _Forward, wrt: frozenset[str]) -> bool:
     return fwd.model in wrt or (isinstance(batch, TransformedBatch) and batch.transform in wrt)
 
 
-def _add_grad(fwd: _Forward, side: ModelOutput, g: np.ndarray) -> None:
+def _add_grad(fwd: _Forward, side: ModelOutput, g0: np.ndarray, g1: np.ndarray) -> None:
     if side.swapped:
-        g = g[:, ::-1]
-    fwd.grad = g if fwd.grad is None else fwd.grad + g
+        g0, g1 = g1, g0
+    fwd.grad = (g0, g1) if fwd.grad is None else (fwd.grad[0] + g0, fwd.grad[1] + g1)
 
 
 def loss_and_grads(
@@ -333,7 +347,9 @@ def loss_and_grads(
     one GradientBundle per requested name. Each distinct (model, batch)
     forward and transform output runs once per call, keyed by batch
     identity; each forward sums the probability gradients of the sides that
-    read it, then runs one softmax Jacobian and one backward product.
+    read it, then runs one softmax Jacobian and one backward product. Term
+    values and the Jacobian work on the two class columns in pair arithmetic;
+    ``dz`` goes back to ``(n, 2)`` rows only for the products and batch sums.
     """
     wrt_set = frozenset(wrt)
     for name in wrt_set:
@@ -346,25 +362,30 @@ def loss_and_grads(
     total = 0.0
     term_values = np.zeros(len(terms))
     for idx, term in enumerate(terms):
-        a, log_a, fwd_a = _side_probs(models, term.left, forwards, aligned)
-        b, log_b, fwd_b = _side_probs(models, term.right, forwards, aligned)
-        log_ratio = log_a - log_b
-        value = term.weight * float((a * log_ratio).sum(axis=-1).sum())
+        (a0, a1), (log_a0, log_a1), fwd_a = _side_columns(models, term.left, forwards, aligned)
+        (b0, b1), (log_b0, log_b1), fwd_b = _side_columns(models, term.right, forwards, aligned)
+        ratio0, ratio1 = log_a0 - log_b0, log_a1 - log_b1
+        w = term.weight
+        value = w * float((a0 * ratio0 + a1 * ratio1).sum())
         term_values[idx] = value
         total += value
         if fwd_a is not None and _needs_grad(fwd_a, wrt_set):
-            _add_grad(fwd_a, term.left, term.weight * (log_ratio + 1.0))
+            _add_grad(fwd_a, term.left, w * (ratio0 + 1.0), w * (ratio1 + 1.0))
         if fwd_b is not None and _needs_grad(fwd_b, wrt_set):
-            _add_grad(fwd_b, term.right, term.weight * (-(a / b)))
+            _add_grad(fwd_b, term.right, w * (-(a0 / b0)), w * (-(a1 / b1)))
 
     d_aligned: dict = {}   # id(batch) -> (batch, dL/d transform output)
     for fwd in forwards.values():
         if fwd.grad is None:
             continue
-        p, g = fwd.probs, fwd.grad
-        dz = p * (g - (g * p).sum(axis=-1, keepdims=True))
+        (p0, p1), _ = fwd.columns
+        g0, g1 = fwd.grad
+        s = g0 * p0 + g1 * p1
+        dz = np.empty((s.shape[0], 2))
+        dz[:, 0] = p0 * (g0 - s)
+        dz[:, 1] = p1 * (g1 - s)
         if fwd.clamped.any():
-            dz = np.where(fwd.clamped[:, None], 0.0, dz)
+            dz[fwd.clamped] = 0.0
         if fwd.model in wrt_set:
             bundle = grads[fwd.model]
             bundle.d_weights += fwd.x_in.T @ dz

@@ -43,7 +43,7 @@ def clamp_probs(probs) -> np.ndarray:
 
 def _clamp(p: np.ndarray) -> np.ndarray:
     q = np.minimum(np.maximum(p, EPS), 1.0 - EPS)   # np.clip, without its call overhead
-    return q / q.sum(axis=-1, keepdims=True)
+    return q / (q[..., :1] + q[..., 1:])   # the pair sum, without a reduction's overhead
 
 
 def prob_pairs(values) -> np.ndarray:
@@ -72,10 +72,10 @@ def softmax2(logits) -> np.ndarray:
 
 def _softmax2(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one softmax-and-clamp: clamped pairs for finite logits, plus the mask
-    of rows whose raw output left the clamp interval (locally constant rows)."""
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    p = e / e.sum(axis=-1, keepdims=True)
+    of rows whose raw output left the clamp interval (locally constant rows).
+    Max and sum over the two class columns are plain pair arithmetic."""
+    e = np.exp(z - np.maximum(z[..., :1], z[..., 1:]))
+    p = e / (e[..., :1] + e[..., 1:])
     return _clamp(p), (p[..., 1] <= EPS) | (p[..., 1] >= 1.0 - EPS)
 
 

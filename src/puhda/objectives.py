@@ -74,7 +74,9 @@ def _pu_terms(real, unl, lam: float) -> list[KLTerm]:
 
 
 def _teacher(teacher_probs, n: int) -> ConstTarget:
-    teacher = ConstTarget(teacher_probs)
+    """Teacher pairs as a constant side; a ``ConstTarget`` was checked when made."""
+    teacher = (teacher_probs if isinstance(teacher_probs, ConstTarget)
+               else ConstTarget(teacher_probs))
     if teacher.probs.ndim != 2 or teacher.probs.shape[0] != n:
         raise ConfigurationError(
             f"teacher probabilities must cover the batch: expected {n} rows, "
@@ -115,7 +117,7 @@ def aligned_classifier_terms(
     n_common: int,
     lam: float,
     *,
-    teacher_probs: np.ndarray | None = None,
+    teacher_probs: np.ndarray | ConstTarget | None = None,
     eta: float = 0.0,
 ) -> list[KLTerm]:
     """Only the classifier-dependent pair, on one aligned target batch.
@@ -152,14 +154,14 @@ def pada_s_terms(
     n_common: int,
     lam: float,
     eta: float,
-    teacher_probs: np.ndarray,
+    teacher_probs: np.ndarray | ConstTarget,
 ) -> list[KLTerm]:
     """Soft-label objective: the heterogeneous terms plus a frozen-teacher pair.
 
-    ``teacher_probs`` are the base classifier's outputs on the target batch.
-    They enter as constants, which is what keeps the teacher frozen; with
-    ``eta = 0`` the result is bit-identical in value and gradients to
-    :func:`pada_terms`.
+    ``teacher_probs`` are the base classifier's outputs on the target batch,
+    as pairs or as a ``ConstTarget``. They enter as constants, which is what
+    keeps the teacher frozen; with ``eta = 0`` the result is bit-identical in
+    value and gradients to :func:`pada_terms`.
     """
     bs = RawBatch(batch_source)
     tgt = TransformedBatch.aligned(batch_target, n_common, "F")
@@ -182,7 +184,8 @@ def domain_adv_terms(
     return _real_fake("Df", bs, tgt, ("kl_adv_src", "kl_adv_tgt"))
 
 
-def distillation_terms(teacher_probs: np.ndarray, batch_target: np.ndarray) -> list[KLTerm]:
+def distillation_terms(teacher_probs: np.ndarray | ConstTarget,
+                       batch_target: np.ndarray) -> list[KLTerm]:
     """Match a frozen teacher's soft labels on full target rows."""
     bt = RawBatch(batch_target)
     n = _rows(bt)
@@ -254,6 +257,13 @@ def dsft_loss(
     with the mean, so the augmented matrices are never built. Gradients for
     both maps are returned in closed form.
     """
+    blocks = (source_common, source_specific, target_common, target_specific)
+    return _dsft_fit(*blocks, gamma_mmd)(psi_s, psi_t)
+
+
+def _dsft_fit(source_common, source_specific, target_common, target_specific, gamma_mmd):
+    """:func:`dsft_loss` as a function of the two maps, for one fit: the four
+    blocks are checked, and their means taken, once."""
     s_c = require_finite("source common", source_common)
     s_s = require_finite("source specific", source_specific)
     t_c = require_finite("target common", target_common)
@@ -264,29 +274,32 @@ def dsft_loss(
         raise InvalidInputError("row counts differ between common and specific blocks")
     if s_c.shape[0] == 0 or t_c.shape[0] == 0:
         raise InvalidInputError("dsft_loss needs non-empty domains")
-    if not psi_s.input_dim == psi_t.input_dim == s_c.shape[1] == t_c.shape[1]:
-        raise InvalidInputError("common blocks and completion maps disagree on the common width")
-
-    resid_s = s_c @ psi_s.weights + psi_s.bias - s_s   # source-specific reconstruction
-    resid_t = t_c @ psi_t.weights + psi_t.bias - t_t   # target-specific reconstruction
-    rec_source = float(np.sum(resid_s * resid_s)) / s_c.shape[0]
-    rec_target = float(np.sum(resid_t * resid_t)) / t_c.shape[0]
-
-    mean_s_c = s_c.mean(axis=0)
-    mean_t_c = t_c.mean(axis=0)
+    mean_s_c, mean_t_c = s_c.mean(axis=0), t_c.mean(axis=0)
+    mean_s_s, mean_t_t = s_s.mean(axis=0), t_t.mean(axis=0)
     delta_c = mean_s_c - mean_t_c
-    # source-specific slots, filled by psi_s on target rows; target-specific, by psi_t on source
-    delta_s = s_s.mean(axis=0) - (mean_t_c @ psi_s.weights + psi_s.bias)
-    delta_t = (mean_s_c @ psi_t.weights + psi_t.bias) - t_t.mean(axis=0)
-    mmd_val = float(delta_c @ delta_c + delta_s @ delta_s + delta_t @ delta_t)
+    mmd_c = delta_c @ delta_c
 
-    return DsftLoss(
-        value=rec_source + rec_target + gamma_mmd * mmd_val,
-        rec_source=rec_source,
-        rec_target=rec_target,
-        mmd=mmd_val,
-        _parts=(s_c, t_c, resid_s, resid_t, mean_s_c, mean_t_c, delta_s, delta_t, gamma_mmd),
-    )
+    def loss(psi_s: LinearTransform, psi_t: LinearTransform) -> DsftLoss:
+        if not psi_s.input_dim == psi_t.input_dim == s_c.shape[1] == t_c.shape[1]:
+            raise InvalidInputError(
+                "common blocks and completion maps disagree on the common width")
+        resid_s = s_c @ psi_s.weights + psi_s.bias - s_s   # source-specific reconstruction
+        resid_t = t_c @ psi_t.weights + psi_t.bias - t_t   # target-specific reconstruction
+        rec_source = float(np.sum(resid_s * resid_s)) / s_c.shape[0]
+        rec_target = float(np.sum(resid_t * resid_t)) / t_c.shape[0]
+        # source-specific slots, filled by psi_s on target rows; target-specific, by psi_t
+        delta_s = mean_s_s - (mean_t_c @ psi_s.weights + psi_s.bias)
+        delta_t = (mean_s_c @ psi_t.weights + psi_t.bias) - mean_t_t
+        mmd_val = float(mmd_c + delta_s @ delta_s + delta_t @ delta_t)
+        return DsftLoss(
+            value=rec_source + rec_target + gamma_mmd * mmd_val,
+            rec_source=rec_source,
+            rec_target=rec_target,
+            mmd=mmd_val,
+            _parts=(s_c, t_c, resid_s, resid_t, mean_s_c, mean_t_c, delta_s, delta_t, gamma_mmd),
+        )
+
+    return loss
 
 
 def _dsft_grads(s_c, t_c, resid_s, resid_t, mean_s_c, mean_t_c, delta_s, delta_t, gamma_mmd):

@@ -46,6 +46,7 @@ from .data import DomainMatrix
 from .errors import ConfigurationError, InvalidInputError
 from .metrics import accuracy
 from .models import (
+    ConstTarget,
     LinearSoftmaxModel,
     LinearTransform,
     Model,
@@ -53,11 +54,11 @@ from .models import (
 )
 from .numerics import derive_seed, make_rng, require_finite
 from .objectives import (
+    _dsft_fit,
     aligned_classifier_terms,
     classifier_terms,
     distillation_terms,
     domain_adv_terms,
-    dsft_loss,
     pada_s_terms,
     pada_terms,
     pan_terms,
@@ -233,15 +234,16 @@ def _run_phases(models: dict[str, Model], phases: list[Phase], config: TrainConf
 def _frozen_teacher(models: dict[str, Model], n_common: int):
     """Soft labels for target batches from frozen copies of ``models["C"]`` and,
     when there is one, ``models["F"]``: the classifier scores a batch's common
-    columns, or its rows aligned by the transform."""
+    columns, or its rows aligned by the transform. The affine steps are the
+    loss's own, and one finite check on the logits covers the batch too."""
     frozen_c = models["C"].copy()
     frozen_f = models["F"].copy() if "F" in models else None
 
-    def teacher(batch_target: np.ndarray) -> np.ndarray:
-        if frozen_f is None:
-            return frozen_c.classify(batch_target[:, :n_common])
-        aligned = np.hstack([batch_target[:, :n_common], frozen_f.transform(batch_target)])
-        return frozen_c.classify(aligned)
+    def teacher(batch_target: np.ndarray) -> ConstTarget:
+        x = batch_target[:, :n_common]
+        if frozen_f is not None:
+            x = np.concatenate([x, batch_target @ frozen_f.weights + frozen_f.bias], axis=1)
+        return ConstTarget._of_logits(x @ frozen_c.weights + frozen_c.bias)
 
     return teacher
 
@@ -432,9 +434,10 @@ def train_dsft(
     s_c, s_s = source.common, source.specific
     t_c, t_t = target.common, target.specific
 
+    loss = _dsft_fit(s_c, s_s, t_c, t_t, config.gamma_mmd)   # blocks checked once per fit
     trace = TrainTrace(("value", "rec_source", "rec_target", "mmd", "step_size"))
     step_size = config.learning_rate
-    res = dsft_loss(s_c, s_s, t_c, t_t, psi_s, psi_t, config.gamma_mmd)
+    res = loss(psi_s, psi_t)
     for step in range(config.steps):
         taken = 0.0
         for _ in range(40):
@@ -442,7 +445,7 @@ def train_dsft(
             cand_t = psi_t.copy()
             cand_s.apply_step(res.grads["psi_s"], -step_size)
             cand_t.apply_step(res.grads["psi_t"], -step_size)
-            cand = dsft_loss(s_c, s_s, t_c, t_t, cand_s, cand_t, config.gamma_mmd)
+            cand = loss(cand_s, cand_t)
             if cand.value <= res.value:
                 psi_s, psi_t = cand_s, cand_t
                 taken = step_size

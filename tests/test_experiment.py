@@ -651,6 +651,69 @@ def test_unexpected_exception_fails_only_its_cells(tmp_path, monkeypatch):
     assert (out / "checkpoints" / "COM_P" / "seed-0.json").is_file()
 
 
+def _count_train_method(monkeypatch) -> list[tuple]:
+    """Record every (method, learning_rate, lam, eta, seed) that gets trained."""
+    calls = []
+    real = experiment_module.train_method
+
+    def counted(method, source, train, val, cfg):
+        calls.append((method, cfg.learning_rate, cfg.lam, cfg.eta, cfg.seed))
+        return real(method, source, train, val, cfg)
+
+    monkeypatch.setattr(experiment_module, "train_method", counted)
+    return calls
+
+
+def test_run_trains_each_cell_once(run_config, tmp_path, monkeypatch):
+    calls = _count_train_method(monkeypatch)
+    run_experiment(run_config, out_dir=tmp_path / "once")
+    assert len(calls) == len(set(calls)) == 16
+
+
+def _assert_written_artifacts_are(out, method, seed, art, tmp_path):
+    saved_method, models = load_checkpoint(out / "checkpoints" / method / f"seed-{seed}.json")
+    assert saved_method == art.method
+    assert set(models) == set(art.models())
+    for slot, model in art.models().items():
+        assert models[slot].weights.tobytes() == model.weights.tobytes(), (method, seed, slot)
+        assert models[slot].bias.tobytes() == model.bias.tobytes(), (method, seed, slot)
+    art.trace.write(tmp_path / "trace.csv")
+    written = out / "telemetry" / method / f"seed-{seed}.csv"
+    assert written.read_bytes() == (tmp_path / "trace.csv").read_bytes(), (method, seed)
+
+
+def _fresh(config, data, method, cell, seed):
+    cfg = experiment_module._cell_config(cell, seed, config.training)
+    return experiment_module.train_method(method, data.source, data.train, data.val, cfg)
+
+
+def test_written_artifacts_are_a_fresh_training_of_the_selected_cell(
+        run_config, run_dir, tmp_path):
+    data = prepare_data(run_config)
+    for row in read_table(run_dir / "selection.csv"):
+        cell = GridCell(float(row["learning_rate"]), float(row["lam"]), float(row["eta"]))
+        for seed in run_config.seeds:
+            art = _fresh(run_config, data, row["method"], cell, seed)
+            _assert_written_artifacts_are(run_dir, row["method"], seed, art, tmp_path)
+
+
+def test_tied_cells_keep_and_write_the_smallest_learning_rate(tmp_path, monkeypatch):
+    doc = base_doc()
+    doc["methods"] = ["COM_P", "PADA"]
+    config = build_config(doc)
+    monkeypatch.setattr(experiment_module, "accuracy", lambda probs, labels: 0.5)
+    out = run_experiment(config, out_dir=tmp_path / "tied")
+    data = prepare_data(config)
+    for row in read_table(out / "selection.csv"):
+        low, high = grid_cells(row["method"], config.grid)
+        assert float(row["learning_rate"]) == low.learning_rate
+        for seed in config.seeds:
+            art = _fresh(config, data, row["method"], low, seed)
+            _assert_written_artifacts_are(out, row["method"], seed, art, tmp_path)
+            other = _fresh(config, data, row["method"], high, seed)
+            assert other.classifier.weights.tobytes() != art.classifier.weights.tobytes()
+
+
 # --------------------------------------------------------------------------
 # Analysis
 
@@ -754,6 +817,14 @@ def test_ablate_requires_both_alignment_methods():
     doc["methods"] = ["COM_P", "PADA_F"]
     with pytest.raises(ConfigurationError, match="PADA"):
         ablate_experiment(build_config(doc), out_dir="unused")
+
+
+def test_ablate_trains_each_cell_once(tmp_path, monkeypatch):
+    doc = base_doc()
+    doc["methods"] = ["COM_P", "PADA", "PADA_F"]
+    calls = _count_train_method(monkeypatch)
+    ablate_experiment(build_config(doc), out_dir=tmp_path / "once")
+    assert len(calls) == len(set(calls)) == 3 * 2 * 2
 
 
 def test_ablation_report_shape(ablation_config, ablation_dir):

@@ -54,6 +54,47 @@ class TestSoftmax2:
             numerics.softmax2((0.0, 1.0, 2.0))
 
 
+def _reduction_softmax2(z):
+    """The softmax-and-clamp written with reductions over the class axis."""
+    eps = numerics.EPS
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    q = np.minimum(np.maximum(p, eps), 1.0 - eps)
+    return q / q.sum(axis=-1, keepdims=True), (p[..., 1] <= eps) | (p[..., 1] >= 1.0 - eps)
+
+
+class TestPairArithmetic:
+    """The pair arithmetic over the two class columns gives the reduction's bits."""
+
+    @staticmethod
+    def logits():
+        z = np.random.default_rng(23).normal(scale=20.0, size=(300, 2))
+        z[:4] = [[1e4, -1e4], [-1e4, 1e4], [1e4, 1e4], [-1e4, -9990.0]]
+        return z
+
+    def test_batch_matches_the_reduction_formula(self):
+        z = self.logits()
+        probs, clamped = numerics._softmax2(z)
+        want_probs, want_clamped = _reduction_softmax2(z)
+        assert clamped.any() and not clamped.all()
+        assert np.array_equal(probs, want_probs)
+        assert np.array_equal(clamped, want_clamped)
+
+    def test_single_pairs_match_the_reduction_formula(self):
+        for row in self.logits():
+            probs, clamped = numerics._softmax2(row)
+            want_probs, want_clamped = _reduction_softmax2(row)
+            assert probs.shape == (2,)
+            assert np.array_equal(probs, want_probs)
+            assert clamped == want_clamped
+
+    def test_clamp_matches_the_reduction_formula(self):
+        p = np.random.default_rng(29).uniform(0.0, 1.0, size=(300, 2))
+        p[:2] = [[0.0, 1.0], [1.0, 1e-9]]
+        q = np.minimum(np.maximum(p, numerics.EPS), 1.0 - numerics.EPS)
+        assert np.array_equal(numerics.clamp_probs(p), q / q.sum(axis=-1, keepdims=True))
+
+
 class TestKl2:
     def test_frozen_example(self):
         # oracle: 0.2*ln(0.2/0.6) + 0.8*ln(0.8/0.4)

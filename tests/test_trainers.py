@@ -16,13 +16,15 @@ from puhda.errors import ConfigurationError, InvalidInputError, SchemaError
 from puhda.metrics import accuracy
 from puhda.models import (
     _SLOT_KINDS,
+    ConstTarget,
     LinearSoftmaxModel,
     LinearTransform,
+    TransformedBatch,
     load_checkpoint,
     loss_and_grads,
     save_checkpoint,
 )
-from puhda.numerics import derive_seed, make_rng
+from puhda.numerics import derive_seed, make_rng, softmax2
 from puhda.objectives import (
     aligned_classifier_terms,
     classifier_terms,
@@ -33,6 +35,7 @@ from puhda.objectives import (
 )
 from puhda.trainers import (
     METHOD_TABLE,
+    _frozen_teacher,
     TrainConfig,
     TrainTrace,
     align_features,
@@ -647,3 +650,61 @@ def test_trained_models_round_trip_through_a_checkpoint(tiny_data, tmp_path, met
         assert back[slot].weights.tobytes() == model.weights.tobytes()
         assert back[slot].bias.tobytes() == model.bias.tobytes()
         assert back[slot].weights.shape == model.weights.shape
+
+
+# --------------------------------------------------------------------------
+# Pair arithmetic and the frozen teacher
+
+
+def _side_pairs(models, side):
+    """(probs, log probs) of a term side, with the swap applied after the log."""
+    if isinstance(side, ConstTarget):
+        return side.probs, np.log(side.probs)
+    batch = side.batch
+    if isinstance(batch, TransformedBatch):
+        f = models[batch.transform]
+        x = np.concatenate([batch.common, batch.raw @ f.weights + f.bias], axis=1)
+    else:
+        x = batch.x
+    probs = models[side.model].classify(x)
+    log_probs = np.log(probs)
+    if side.swapped:
+        return probs[:, ::-1], log_probs[:, ::-1]
+    return probs, log_probs
+
+
+def test_term_values_match_the_reduction_formula(tiny_data):
+    """Each term value equals the class-axis reduction on the same pairs, bit for bit."""
+    source, train, _, _ = tiny_data
+    x_s, x_t = source.features(), train.features()
+    rng = make_rng(3)
+    models = {name: LinearSoftmaxModel.initialize(x_s.shape[1], rng) for name in ("D", "C")}
+    models["F"] = LinearTransform.initialize(x_t.shape[1], source.schema.s, rng)
+    teacher_probs = softmax2(rng.normal(scale=3.0, size=(64, 2)))
+    terms = pada_s_terms(x_s[:64], x_t[:64], source.schema.c, 0.3, 0.2, teacher_probs)
+    res = loss_and_grads(models, terms, wrt=("D", "C", "F"))
+    for term, got in zip(terms, res.term_values):
+        (a, log_a), (_, log_b) = _side_pairs(models, term.left), _side_pairs(models, term.right)
+        assert got == term.weight * float((a * (log_a - log_b)).sum(axis=-1).sum()), term.name
+
+
+@pytest.mark.parametrize("with_transform", [False, True])
+def test_frozen_teacher_pairs_equal_classify(tiny_data, with_transform):
+    source, train, _, _ = tiny_data
+    c, x_t = train.schema.c, train.features()
+    rng = make_rng(5)
+    if with_transform:
+        models = {"C": LinearSoftmaxModel.initialize(c + source.schema.s, rng),
+                  "F": LinearTransform.initialize(x_t.shape[1], source.schema.s, rng)}
+        rows = align_features(models["F"], train)
+    else:
+        models = {"C": LinearSoftmaxModel.initialize(c, rng)}
+        rows = train.common
+    teacher = _frozen_teacher(models, c)
+    pairs = teacher(x_t)
+    assert isinstance(pairs, ConstTarget)
+    assert np.array_equal(pairs.probs, models["C"].classify(rows))
+    bad = x_t[:5].copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(InvalidInputError, match="teacher logits"):
+        teacher(bad)
