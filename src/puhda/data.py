@@ -175,7 +175,77 @@ class DomainMatrix:
 
 
 # --------------------------------------------------------------------------
-# CSV loading
+# Delimited text: the one table writer and the one table reader
+
+
+def format_cell(value) -> str:
+    """One table cell: a float in shortest round-trip form, None as empty."""
+    if type(value) is float:
+        return repr(value)
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def write_table(path, header, rows) -> None:
+    """Comma-separated rows under ``header``, every cell through
+    :func:`format_cell`; a cell holding a comma, quote or newline is quoted."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format_cell(v) for v in row] for row in rows)
+
+
+def read_table(path):
+    """A headered comma-separated file as ``(header, rows)``.
+
+    The header's names come trimmed. ``rows`` yields ``(row number, cells)``
+    per data row, numbered from 1 after the header, and closes the file when
+    exhausted or dropped. A row with fewer cells than the header is skipped
+    if blank (nothing but whitespace), keeping its number, and otherwise is
+    a DataError naming the file, as is an empty file.
+    """
+    rows = _table_rows(Path(path))
+    return next(rows), rows
+
+
+def _table_rows(path: Path):
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: file is empty")
+        yield [h.strip() for h in header]
+        width = len(header)
+        for i, row in enumerate(reader, start=1):
+            if len(row) < width:
+                if not "".join(row).strip():
+                    continue
+                raise DataError(f"{path}: row {i} has {len(row)} cells, header has {width}")
+            yield i, row
+
+
+def parse_float(path, row: int, column: str, cell: str) -> float:
+    """``cell`` as a float; otherwise a DataError naming file, row and column."""
+    try:
+        return float(cell)
+    except ValueError:
+        raise DataError(
+            f"{path}: row {row}, column {column!r}: cannot parse {cell.strip()!r}") from None
+
+
+def column_positions(path, header, names) -> list[int]:
+    """Where each of ``names`` sits in ``header``; a missing one is a SchemaError."""
+    for name in names:
+        if name not in header:
+            raise SchemaError(f"{path}: missing column {name!r}")
+    return [header.index(name) for name in names]
 
 
 def load_csv(path, schema: FeatureSchema, role: str, positive_value: str = "1") -> DomainMatrix:
@@ -188,73 +258,36 @@ def load_csv(path, schema: FeatureSchema, role: str, positive_value: str = "1") 
     columns they are loaded into the auxiliary analytics block.
     """
     _check_role(role)
-    feature_cols = list(schema.common) + list(schema.specific_for(role))
-    other_cols = list(schema.specific_for("target" if role == "source" else "source"))
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    header, rows = read_table(path)
+    columns = list(schema.common) + list(schema.specific_for(role))
+    own = len(columns)
+    positions = column_positions(path, header, columns)
+    other_cols = schema.specific_for("target" if role == "source" else "source")
+    if other_cols and all(col in header for col in other_cols):
+        columns += other_cols
+        positions += column_positions(path, header, other_cols)
+    label_pos = header.index(schema.label_column) if schema.label_column in header else None
+
+    values = []
+    labels = []
+    for i, row in rows:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        positions = {}
-        for col in feature_cols:
-            if col not in header:
-                raise SchemaError(f"{path}: missing schema column {col!r}")
-            positions[col] = header.index(col)
-        label_pos = None
-        if schema.label_column is not None and schema.label_column in header:
-            label_pos = header.index(schema.label_column)
-        aux_positions = None
-        if other_cols and all(col in header for col in other_cols):
-            aux_positions = [header.index(col) for col in other_cols]
+            values.append([float(row[p]) for p in positions])
+        except ValueError:
+            values.append([parse_float(path, i, c, row[p]) for c, p in zip(columns, positions)])
+        if label_pos is not None:
+            labels.append(1 if row[label_pos].strip() == positive_value else 0)
 
-        rows: list[list[float]] = []
-        aux_rows: list[list[float]] = []
-        labels: list[int] = []
-        for row_idx, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) < len(header):
-                raise DataError(
-                    f"{path}: row {row_idx} has {len(row)} cells, header has {len(header)}"
-                )
-            parsed = []
-            for col in feature_cols:
-                cell = row[positions[col]].strip()
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {row_idx}, column {col!r}: cannot parse {cell!r}"
-                    ) from None
-            rows.append(parsed)
-            if aux_positions is not None:
-                aux = []
-                for col, pos in zip(other_cols, aux_positions):
-                    cell = row[pos].strip()
-                    try:
-                        aux.append(float(cell))
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {row_idx}, column {col!r}: cannot parse {cell!r}"
-                        ) from None
-                aux_rows.append(aux)
-            if label_pos is not None:
-                labels.append(1 if row[label_pos].strip() == positive_value else 0)
-
-    if not rows:
+    if not values:
         raise DataError(f"{path}: no data rows")
-    values = np.array(rows, dtype=np.float64)
-    c = schema.c
+    values = np.array(values, dtype=np.float64)  # frees the row lists before the copies
     return DomainMatrix(
         schema,
         role,
-        values[:, :c],
-        values[:, c:],
+        values[:, :schema.c],
+        values[:, schema.c:own],
         labels=np.array(labels, dtype=np.int8) if label_pos is not None else None,
-        aux_specific=np.array(aux_rows, dtype=np.float64) if aux_positions is not None else None,
+        aux_specific=values[:, own:] if len(columns) > own else None,
     )
 
 
@@ -269,24 +302,16 @@ def save_domain_matrix(dm: DomainMatrix, path) -> None:
     gives bit-identical values.
     """
     path = Path(path)
-    own_cols = list(dm.schema.common) + list(dm.schema.specific_for(dm.role))
-    other_cols = list(dm.schema.specific_for("target" if dm.role == "source" else "source"))
-    header = list(own_cols)
+    header = list(dm.schema.common) + list(dm.schema.specific_for(dm.role))
+    blocks = [dm.common, dm.specific]
     if dm.aux_specific is not None:
-        header += other_cols
+        header += dm.schema.specific_for("target" if dm.role == "source" else "source")
+        blocks.append(dm.aux_specific)
+    rows = (row.tolist() for row in np.hstack(blocks))
     if dm.labels is not None:
         header.append(dm.schema.label_column or "label")
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        feats = dm.features()
-        for i in range(dm.n):
-            row = [repr(float(v)) for v in feats[i]]
-            if dm.aux_specific is not None:
-                row += [repr(float(v)) for v in dm.aux_specific[i]]
-            if dm.labels is not None:
-                row.append(str(int(dm.labels[i])))
-            writer.writerow(row)
+        rows = (cells + [label] for cells, label in zip(rows, dm.labels.tolist()))
+    write_table(path, header, rows)
     sidecar = {
         "format": 1,
         "role": dm.role,
@@ -427,46 +452,20 @@ def standardize_splits(
 
 def load_ratings_file(path) -> list[tuple[str, str, float]]:
     """Read (user, item, rating) triples from a headered delimited file."""
-    path = Path(path)
-    triples = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip().lower() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        try:
-            u_pos, i_pos, r_pos = header.index("user"), header.index("item"), header.index("rating")
-        except ValueError:
-            raise SchemaError(f"{path}: header must contain user, item, rating") from None
-        for row_idx, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            try:
-                rating = float(row[r_pos].strip())
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {row_idx}: cannot parse rating {row[r_pos]!r}"
-                ) from None
-            triples.append((row[u_pos].strip(), row[i_pos].strip(), rating))
-    return triples
+    header, rows = read_table(path)
+    header = [h.lower() for h in header]
+    u_pos, i_pos, r_pos = column_positions(path, header, ("user", "item", "rating"))
+    return [(row[u_pos].strip(), row[i_pos].strip(), parse_float(path, i, "rating", row[r_pos]))
+            for i, row in rows]
 
 
 def load_genre_file(path) -> dict[str, tuple[str, ...]]:
     """Read an item-to-genres map; genres are pipe-separated in column two."""
-    path = Path(path)
-    genres: dict[str, tuple[str, ...]] = {}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: file is empty")
-        for row in reader:
-            if not row:
-                continue
-            names = tuple(g.strip() for g in row[1].split("|") if g.strip())
-            genres[row[0].strip()] = names
-    return genres
+    header, rows = read_table(path)
+    if len(header) < 2:
+        raise SchemaError(f"{path}: header must name an item and a genres column")
+    return {row[0].strip(): tuple(g.strip() for g in row[1].split("|") if g.strip())
+            for _, row in rows}
 
 
 def aggregate_ratings(

@@ -16,12 +16,11 @@ code never receives; it is opened exactly once, after selection.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import os
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
-from itertools import groupby, product
+from itertools import chain, groupby, product
 from pathlib import Path
 from typing import NewType, get_args, get_type_hints
 
@@ -35,13 +34,18 @@ from .data import (
     SplitSpec,
     SyntheticSpec,
     aggregate_ratings,
+    column_positions,
+    format_cell,
     generate_synthetic,
     load_csv,
     load_genre_file,
     load_ratings_file,
+    parse_float,
+    read_table,
     save_domain_matrix,
     split,
     standardize_splits,
+    write_table,
 )
 from .errors import ConfigurationError, DataError, PuhdaError
 from .metrics import (
@@ -210,6 +214,8 @@ class GridSpec:
                 raise ConfigurationError(f"grid.{name}: values must be positive")
             if any(v < 0 for v in axis):
                 raise ConfigurationError(f"grid.{name}: values must be >= 0")
+            if len(set(axis)) != len(axis):
+                raise ConfigurationError(f"grid.{name}: duplicate entries")
 
 
 @dataclass(frozen=True)
@@ -576,29 +582,12 @@ def evaluate_on_test(
 # Report files
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    return "nan" if np.isnan(v) else repr(v)
-
-
-def _write_rows(path: Path, header: tuple[str, ...], rows) -> None:
-    """Comma-separated rows; a cell holding a comma, quote or newline is quoted."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
-
-
 def _write_aligned(path: Path, header: tuple[str, ...], rows) -> None:
-    """Space-aligned text table for humans; same cells as the delimited file."""
-    cells = [list(header)] + [[_fmt(v) for v in row] for row in rows]
+    """Space-aligned text table for humans: the delimited file's cells, except
+    that a float shows four decimals."""
+    cells = [list(header)] + [
+        [format_cell(v) if v is None or isinstance(v, (str, int)) else f"{float(v):.4f}"
+         for v in row] for row in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
     lines.insert(1, "  ".join("-" * w for w in widths))
@@ -626,7 +615,7 @@ def _write_standard_reports(
     selections: dict[str, Selection],
     reports: dict[str, EvalReport],
 ) -> None:
-    _write_rows(
+    write_table(
         out / "grid.csv",
         ("method", "learning_rate", "lam", "eta", "seed", "status",
          "val_accuracy", "error"),
@@ -634,7 +623,7 @@ def _write_standard_reports(
           r.status, None if r.status != "ok" else r.val_accuracy, r.error)
          for r in results],
     )
-    _write_rows(
+    write_table(
         out / "selection.csv",
         ("method", "learning_rate", "lam", "eta", "mean_val_accuracy", "status"),
         [(m, *(("", "", "") if s.cell is None else
@@ -642,7 +631,7 @@ def _write_standard_reports(
           None if s.status != "ok" else s.mean_val_accuracy, s.status)
          for m, s in ((m, selections[m]) for m in config.methods)],
     )
-    _write_rows(
+    write_table(
         out / "eval.csv",
         ("method", "seed", "accuracy", "auc"),
         [(m, seed, acc, auc_val)
@@ -650,7 +639,7 @@ def _write_standard_reports(
          for seed, acc, auc_val in zip(
              config.seeds, reports[m].seed_accuracies, reports[m].seed_aucs)],
     )
-    _write_rows(out / "analytics.csv", ANALYTICS_HEADER, [_analytics_row(data)])
+    write_table(out / "analytics.csv", ANALYTICS_HEADER, [_analytics_row(data)])
 
     comparison_rows = []
     for m in config.methods:
@@ -658,12 +647,11 @@ def _write_standard_reports(
         rep = reports.get(m)
         comparison_rows.append((
             m,
-            "" if sel.cell is None else _fmt(sel.cell.learning_rate),
-            "" if sel.cell is None else _fmt(sel.cell.lam),
-            "" if sel.cell is None else _fmt(sel.cell.eta),
-            "" if sel.status != "ok" else f"{sel.mean_val_accuracy:.4f}",
-            "" if rep is None else f"{rep.accuracy:.4f}",
-            "" if rep is None or rep.auc is None else f"{rep.auc:.4f}",
+            *(("", "", "") if sel.cell is None else
+              map(format_cell, (sel.cell.learning_rate, sel.cell.lam, sel.cell.eta))),
+            None if sel.status != "ok" else sel.mean_val_accuracy,
+            None if rep is None else rep.accuracy,
+            None if rep is None else rep.auc,
         ))
     _write_aligned(
         out / "comparison.txt",
@@ -721,38 +709,39 @@ def run_experiment(
     return out
 
 
-def _read_rows(path: Path) -> list[dict]:
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}: file is empty")
-    return [dict(zip(rows[0], row)) for row in rows[1:] if row]
+def _read_rows(path: Path, columns) -> list[tuple[int, dict]]:
+    """Numbered data rows keyed by header name; the header must hold ``columns``."""
+    header, rows = read_table(path)
+    column_positions(path, header, columns)
+    return [(i, dict(zip(header, row))) for i, row in rows]
 
 
 def _read_overrides(path: Path) -> dict[str, float]:
-    """Method-accuracy pairs; values above 1 are read as percentages."""
+    """Method-accuracy pairs under an optional ``method,accuracy`` header; values
+    above 1 are read as percentages. An empty file holds no overrides."""
+    try:
+        header, rows = read_table(path)
+    except DataError:  # the file is empty
+        return {}
+    if header[:2] != ["method", "accuracy"]:
+        rows = chain([(0, header)], rows)
     overrides = {}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            parts = [p.strip() for p in row]
-            if not any(parts):
-                continue
-            idx = reader.line_num
-            if idx == 1 and parts[:2] == ["method", "accuracy"]:
-                continue
-            if len(parts) != 2:
-                raise DataError(f"{path}: line {idx}: expected method,accuracy")
-            try:
-                value = float(parts[1])
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {idx}: cannot parse accuracy {parts[1]!r}") from None
-            if value > 1.0:
-                value /= 100.0
-            if not 0.0 <= value <= 1.0:
-                raise DataError(f"{path}: line {idx}: accuracy {parts[1]} out of range")
-            overrides[parts[0]] = value
+    for i, row in rows:
+        parts = [p.strip() for p in row]
+        if not any(parts):
+            continue
+        if len(parts) != 2:
+            raise DataError(f"{path}: line {i + 1}: expected method,accuracy")
+        try:
+            value = float(parts[1])
+        except ValueError:
+            raise DataError(
+                f"{path}: line {i + 1}: cannot parse accuracy {parts[1]!r}") from None
+        if value > 1.0:
+            value /= 100.0
+        if not 0.0 <= value <= 1.0:
+            raise DataError(f"{path}: line {i + 1}: accuracy {parts[1]} out of range")
+        overrides[parts[0]] = value
     return overrides
 
 
@@ -774,8 +763,9 @@ def analyze_experiment(exp_dir, overrides_path=None, out_dir=None) -> Path:
 
     means: dict[str, float] = {}
     by_method: dict[str, list[float]] = {}
-    for row in _read_rows(eval_path):
-        by_method.setdefault(row["method"], []).append(float(row["accuracy"]))
+    for i, row in _read_rows(eval_path, ("method", "accuracy")):
+        by_method.setdefault(row["method"], []).append(
+            parse_float(eval_path, i, "accuracy", row["accuracy"]))
     for method, accs in by_method.items():
         means[method] = float(np.mean(accs))
     means.update(overrides)
@@ -791,20 +781,19 @@ def analyze_experiment(exp_dir, overrides_path=None, out_dir=None) -> Path:
     analytics_path = exp_dir / "analytics.csv"
     analytics = {name: None for name in ANALYTICS_HEADER}
     if analytics_path.exists():
-        rows = _read_rows(analytics_path)
+        rows = _read_rows(analytics_path, ANALYTICS_HEADER)
         if rows:
-            analytics = {k: (float(v) if v else None) for k, v in rows[0].items()}
+            i, row = rows[0]
+            analytics = {k: parse_float(analytics_path, i, k, row[k]) if row[k] else None
+                         for k in ANALYTICS_HEADER}
 
     out = Path(out_dir) if out_dir is not None else exp_dir
     out.mkdir(parents=True, exist_ok=True)
     header = ANALYTICS_HEADER + ("acc_com", "acc_dist", "acc_pada_s", "p_dist", "p_pada_s")
     row = tuple(analytics[name] for name in ANALYTICS_HEADER) + (
         means["COM_P"], means["DIST"], means["PADA_S"], p_dist, p_pada_s)
-    _write_rows(out / "analysis.csv", header, [row])
-    _write_aligned(
-        out / "analysis.txt", header,
-        [tuple("" if v is None else f"{float(v):.4f}" for v in row)],
-    )
+    write_table(out / "analysis.csv", header, [row])
+    _write_aligned(out / "analysis.txt", header, [row])
     return out / "analysis.csv"
 
 
@@ -885,12 +874,8 @@ def ablate_experiment(
         averages.append((space, "average", *mean))
 
     header = ("space", "seed", "acc_pp", "acc_pn", "gap", "method_accuracy")
-    _write_rows(out / "ablation.csv", header, rows + averages)
-    _write_aligned(
-        out / "ablation.txt", header,
-        [tuple(r[:2]) + tuple("" if v is None else f"{float(v):.4f}" for v in r[2:])
-         for r in rows + averages],
-    )
+    write_table(out / "ablation.csv", header, rows + averages)
+    _write_aligned(out / "ablation.txt", header, rows + averages)
     _write_standard_reports(out, config, data, results, selections, reports)
     return out
 
@@ -900,18 +885,9 @@ def generate_files(config: ExperimentConfig, out_dir=None) -> Path:
     if config.dataset_kind != "synthetic":
         raise ConfigurationError("generate needs dataset.kind = synthetic")
     out = _resolve_out(config, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     source, target, oracle = generate_synthetic(config.synthetic)
-    save_domain_matrix(source, out / "source.csv")
-    save_domain_matrix(target, out / "target.csv")
-    meta = {
-        "version": __version__,
-        "oracle_accuracy": oracle,
-        "spec": asdict(config.synthetic),
-        "rows": {"source": source.n, "target": target.n},
-    }
-    (out / "generation_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    return out
+    return _save_domains(out, source, target, "generation_meta.json",
+                         {"oracle_accuracy": oracle, "spec": asdict(config.synthetic)})
 
 
 def aggregate_files(config: ExperimentConfig, out_dir=None) -> Path:
@@ -919,14 +895,15 @@ def aggregate_files(config: ExperimentConfig, out_dir=None) -> Path:
     if config.dataset_kind != "ratings":
         raise ConfigurationError("aggregate needs dataset.kind = ratings")
     out = _resolve_out(config, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     source, target = load_domains(config)
+    return _save_domains(out, source, target, "aggregation_meta.json",
+                         {"label_genre": config.ratings.label_genre})
+
+
+def _save_domains(out: Path, source, target, meta_name: str, meta: dict) -> Path:
+    """Both matrices as domain-matrix files, plus a metadata document."""
     save_domain_matrix(source, out / "source.csv")
     save_domain_matrix(target, out / "target.csv")
-    meta = {
-        "version": __version__,
-        "rows": {"source": source.n, "target": target.n},
-        "label_genre": config.ratings.label_genre,
-    }
-    (out / "aggregation_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    meta = {"version": __version__, "rows": {"source": source.n, "target": target.n}, **meta}
+    (out / meta_name).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     return out

@@ -44,11 +44,6 @@ def accuracy(probs, labels) -> float:
     return float(np.mean(pred == y))
 
 
-def error_rate(probs, labels) -> float:
-    """Complement of accuracy; the two sum to 1 exactly."""
-    return 1.0 - accuracy(probs, labels)
-
-
 def auc(scores, labels) -> float:
     """Probability that a random positive outscores a random negative.
 

@@ -35,14 +35,12 @@ returns its models in one dict keyed by checkpoint slot name.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import DomainMatrix
+from .data import DomainMatrix, write_table
 from .errors import ConfigurationError, InvalidInputError
 from .metrics import accuracy
 from .models import (
@@ -127,13 +125,7 @@ class TrainTrace:
 
     def write(self, path) -> None:
         """Delimited text with shortest round-trip float formatting."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([str(row[0])] + [repr(float(v)) for v in row[1:]])
+        write_table(path, self.columns, self.rows)
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Schema, matrix, loading, splitting, aggregation, and generator tests."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +22,12 @@ from puhda.data import (
     load_genre_file,
     load_ratings_file,
     oracle_accuracy,
+    parse_float,
+    read_table,
     save_domain_matrix,
     split,
     standardize_splits,
+    write_table,
 )
 from puhda.errors import ConfigurationError, DataError, InvalidInputError, SchemaError
 from puhda.numerics import derive_rng
@@ -537,6 +542,17 @@ class TestRatingsFiles:
         p.write_text("item,genres\nA,g1|g2\nB,g3\n")
         assert load_genre_file(p) == {"A": ("g1", "g2"), "B": ("g3",)}
 
+    @pytest.mark.parametrize("load, text", [
+        pytest.param(load_ratings_file, "user,item,rating\nu1,A,5\n\nu2,B\n", id="ratings"),
+        pytest.param(load_genre_file, "item,genres\nA,g1\n\nB\n", id="genres"),
+    ])
+    def test_short_row_is_a_data_error_naming_the_file(self, tmp_path, load, text):
+        p = tmp_path / "short.csv"
+        p.write_text(text)
+        message = re.escape(f"{p}: row 3 has ") + r"\d cells, header has \d"
+        with pytest.raises(DataError, match=message):
+            load(p)
+
 
 # --------------------------------------------------------------------------
 # Synthetic generator
@@ -651,3 +667,41 @@ class TestOracleAccuracy:
         w = np.linalg.solve(xb.T @ xb / x.shape[0] + reg, xb.T @ (2 * y - 1) / x.shape[0])
         probe_acc = float(np.mean(((xb @ w) > 0).astype(np.int8) == tgt.labels))
         assert oracle >= probe_acc - 0.03
+
+
+# --------------------------------------------------------------------------
+# Delimited text
+
+
+class TestTables:
+    def test_reader_numbers_rows_and_skips_blank_ones(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(" a , b\n1,2\n\n  \n3,4,5\n")
+        header, rows = read_table(p)
+        assert header == ["a", "b"]
+        assert list(rows) == [(1, ["1", "2"]), (4, ["3", "4", "5"])]
+
+    def test_reader_rejects_an_empty_file(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("")
+        with pytest.raises(DataError, match=re.escape(f"{p}: file is empty")):
+            read_table(p)
+
+    def test_float_parser_names_file_row_and_column(self):
+        assert parse_float("f.csv", 3, "x", " 2.5 ") == 2.5
+        with pytest.raises(DataError, match=re.escape("f.csv: row 3, column 'x': cannot parse 'n/a'")):
+            parse_float("f.csv", 3, "x", " n/a")
+
+    def test_writer_round_trips_floats_and_quotes_delimiters(self, tmp_path):
+        p = tmp_path / "out" / "t.csv"
+        write_table(p, ("a", "b", "c"), [(0.1, None, "x,y"), (np.float64(1 / 3), 7, float("nan"))])
+        assert p.read_text() == 'a,b,c\n0.1,,"x,y"\n0.3333333333333333,7,nan\n'
+        header, rows = read_table(p)
+        assert [parse_float(p, i, "a", row[0]) for i, row in rows] == [0.1, 1 / 3]
+
+
+def test_only_the_data_module_reads_or_writes_delimited_text():
+    src = Path(__file__).resolve().parents[1] / "src" / "puhda"
+    users = sorted(f.name for f in src.glob("*.py")
+                   if re.search(r"\bcsv\.(reader|writer)\b|^import csv\b", f.read_text(), re.M))
+    assert users == ["data.py"]

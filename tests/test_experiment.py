@@ -174,6 +174,9 @@ def _set(doc, path, value):
         (("training", "max_soft_rounds"), 0, "training.max_soft_rounds: must be >= 1"),
         (("training", "val_patience"), 0, "training.val_patience: must be >= 1"),
         (("training", "gamma_mmd"), -1, "training.gamma_mmd: must be >= 0"),
+        (("grid", "learning_rate"), [0.05, 0.05], "grid.learning_rate: duplicate entries"),
+        (("grid", "lam"), [0.1, 0.2, 0.1], "grid.lam: duplicate entries"),
+        (("grid", "eta"), [0.01, 0.01], "grid.eta: duplicate entries"),
     ],
 )
 def test_build_config_rejects_bad_documents(path, value, message):
@@ -781,6 +784,44 @@ def test_override_file_reads_quoted_fields(tmp_path):
     path = tmp_path / "ov.csv"
     path.write_text('method,accuracy\n"PADA_S", 0.7\n\n"COM_P","61"\n')
     assert _read_overrides(path) == {"PADA_S": 0.7, "COM_P": 0.61}
+
+
+def test_empty_override_file_means_no_overrides(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\n  \n")
+    assert _read_overrides(empty) == {}
+    assert _read_overrides(blank) == {}
+
+
+GOOD_EVAL = "method,seed,accuracy,auc\nCOM_P,0,0.6,0.6\nDIST,0,0.65,0.6\nPADA_S,0,0.7,0.7\n"
+
+
+@pytest.mark.parametrize(
+    "eval_text, analytics_text, bad_file, message",
+    [
+        pytest.param("method,seed,accuracy,auc\nCOM_P,0,0.6\n", None, "eval.csv",
+                     "row 1 has 3 cells, header has 4", id="short-eval-row"),
+        pytest.param(GOOD_EVAL + "DIST,1,high,0.5\n", None, "eval.csv",
+                     "row 4, column 'accuracy': cannot parse 'high'", id="non-numeric-accuracy"),
+        pytest.param("method,seed,auc\nCOM_P,0,0.6\n", None, "eval.csv",
+                     "missing column 'accuracy'", id="missing-accuracy-column"),
+        pytest.param(GOOD_EVAL, "corr_tar_lab,corr_com_lab,r_tar_com,corr_tar_sou\n0.5,0.2\n",
+                     "analytics.csv", "row 1 has 2 cells, header has 4", id="short-analytics-row"),
+    ],
+)
+def test_analyze_rejects_malformed_inputs_naming_the_file(
+        tmp_path, capsys, eval_text, analytics_text, bad_file, message):
+    exp = tmp_path / "exp"
+    exp.mkdir()
+    (exp / "eval.csv").write_text(eval_text)
+    if analytics_text is not None:
+        (exp / "analytics.csv").write_text(analytics_text)
+    with pytest.raises(PuhdaError, match=re.escape(f"{exp / bad_file}: {message}")):
+        analyze_experiment(exp, out_dir=tmp_path / "out")
+    assert main(["analyze", str(exp), "--out", str(tmp_path / "out")]) == 2
+    assert f"{exp / bad_file}: {message}" in capsys.readouterr().err
 
 
 def test_override_file_header_is_optional(tmp_path):

@@ -12,7 +12,6 @@ from puhda.metrics import (
     auc,
     correlation_analytics,
     discrimination_accuracy,
-    error_rate,
     improvement_metrics,
 )
 from puhda.objectives import mmd2
@@ -20,7 +19,7 @@ from puhda.trainers import TrainConfig
 
 
 # --------------------------------------------------------------------------
-# Accuracy and error rate
+# Accuracy
 
 
 def test_accuracy_counts_threshold_matches():
@@ -33,13 +32,6 @@ def test_accuracy_breaks_ties_toward_negative():
     half = np.array([[0.5, 0.5]])
     assert accuracy(half, np.array([0])) == 1.0
     assert accuracy(half, np.array([1])) == 0.0
-
-
-def test_error_rate_complements_accuracy_exactly(rng):
-    p1 = rng.uniform(size=37)
-    probs = np.column_stack([1 - p1, p1])
-    labels = rng.integers(0, 2, size=37)
-    assert accuracy(probs, labels) + error_rate(probs, labels) == 1.0
 
 
 @pytest.mark.parametrize(
