@@ -73,13 +73,6 @@ class FeatureSchema:
                 f"got s={self.s}, t={self.t}"
             )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureSchema":
-        return cls(**d)
-
 
 def _check_role(role: str) -> None:
     if role not in ROLES:
@@ -168,11 +161,6 @@ class DomainMatrix:
             aux_specific=None if self.aux_specific is None else self.aux_specific[idx],
         )
 
-    def without_labels(self) -> "DomainMatrix":
-        return DomainMatrix(
-            self.schema, self.role, self.common, self.specific, aux_specific=self.aux_specific
-        )
-
 
 # --------------------------------------------------------------------------
 # Delimited text: the one table writer and the one table reader
@@ -209,14 +197,19 @@ def read_table(path):
     per data row, numbered from 1 after the header, and closes the file when
     exhausted or dropped. A row with fewer cells than the header is skipped
     if blank (nothing but whitespace), keeping its number, and otherwise is
-    a DataError naming the file, as is an empty file.
+    a DataError naming the file, as are an empty file and one that cannot be
+    opened.
     """
     rows = _table_rows(Path(path))
     return next(rows), rows
 
 
 def _table_rows(path: Path):
-    with path.open(newline="") as fh:
+    try:
+        fh = path.open(newline="")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -315,7 +308,7 @@ def save_domain_matrix(dm: DomainMatrix, path) -> None:
     sidecar = {
         "format": 1,
         "role": dm.role,
-        "schema": dm.schema.to_dict(),
+        "schema": asdict(dm.schema),
         "has_labels": dm.labels is not None,
         "has_aux": dm.aux_specific is not None,
         "label_header": (dm.schema.label_column or "label") if dm.labels is not None else None,
@@ -331,12 +324,12 @@ def load_domain_matrix(path) -> DomainMatrix:
         raise DataError(f"{path}: missing schema sidecar {sidecar_path.name}")
     try:
         sidecar = json.loads(sidecar_path.read_text())
-        schema = FeatureSchema.from_dict(sidecar["schema"])
+        schema = FeatureSchema(**sidecar["schema"])
         if sidecar["has_labels"] and not schema.label_column:
             schema = replace(schema, label_column=sidecar["label_header"])
         role = sidecar["role"]
         _check_role(role)
-    except (ValueError, KeyError, TypeError, InvalidInputError, SchemaError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, InvalidInputError, SchemaError) as exc:
         raise DataError(f"{sidecar_path}: not a schema sidecar: {exc!r}") from None
     return load_csv(path, schema, role)
 
@@ -506,10 +499,8 @@ def aggregate_ratings(
         by_user.setdefault(user, []).append((item, float(rating)))
 
     needed = common_genres + source_genres + target_genres + (label_genre,)
-    users = sorted(by_user)
     feature_rows = []
-    labels = []
-    for user in users:
+    for user in sorted(by_user):
         entries = by_user[user]
         overall = sum(r for _, r in entries) / len(entries)
         sums: dict[str, float] = {}
@@ -518,41 +509,24 @@ def aggregate_ratings(
             for g in genres[item]:
                 sums[g] = sums.get(g, 0.0) + rating
                 counts[g] = counts.get(g, 0) + 1
-        row = {}
-        for g in needed:
-            row[g] = (sums[g] / counts[g] - overall) if counts.get(g) else 0.0
-        feature_rows.append(row)
-        labels.append(1 if row[label_genre] > 0.0 else 0)
+        feature_rows.append(
+            {g: (sums[g] / counts[g] - overall) if counts.get(g) else 0.0 for g in needed})
     if not feature_rows:
         raise DataError("no users with ratings to aggregate")
+    if role == "source":
+        feature_rows = [row for row in feature_rows if row[label_genre] > 0.0]
+        if not feature_rows:
+            raise DataError("no positive users for the source domain")
 
     def block(names):
         return np.array([[r[g] for g in names] for r in feature_rows], dtype=np.float64)
 
-    common = block(common_genres)
-    own = block(source_genres if role == "source" else target_genres)
-    other = block(target_genres if role == "source" else source_genres)
-    label_arr = np.array(labels, dtype=np.int8)
-    dm = DomainMatrix(
-        schema,
-        role,
-        common,
-        own,
-        labels=None,  # attached below, after source filtering
-        aux_specific=other if other.shape[1] else None,
-    )
-    if role == "source":
-        keep = np.flatnonzero(label_arr == 1)
-        if keep.size == 0:
-            raise DataError("no positive users for the source domain")
-        dm = dm.select(keep)
-        return DomainMatrix(
-            schema, role, dm.common, dm.specific,
-            labels=np.ones(keep.size, dtype=np.int8),
-            aux_specific=dm.aux_specific,
-        )
+    own, other = ((source_genres, target_genres) if role == "source"
+                  else (target_genres, source_genres))
     return DomainMatrix(
-        schema, role, dm.common, dm.specific, labels=label_arr, aux_specific=dm.aux_specific
+        schema, role, block(common_genres), block(own),
+        labels=np.array([1 if r[label_genre] > 0.0 else 0 for r in feature_rows], dtype=np.int8),
+        aux_specific=block(other) if other else None,
     )
 
 

@@ -89,12 +89,6 @@ def _reject_unknown(mapping: dict, allowed, where: str) -> None:
         raise ConfigurationError(f"{where}: unknown field {unknown[0]!r}")
 
 
-def _get(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigurationError(f"{where}: missing field {key!r}")
-    return mapping[key]
-
-
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{where}: expected a number, got {value!r}")
@@ -107,9 +101,9 @@ def _integer(value, where: str) -> int:
     return value
 
 
-def _string(value, where: str) -> str:
+def _string(value, where: str, what: str = "a string") -> str:
     if not isinstance(value, str):
-        raise ConfigurationError(f"{where}: expected a string, got {value!r}")
+        raise ConfigurationError(f"{where}: expected {what}, got {value!r}")
     return value
 
 
@@ -121,14 +115,17 @@ def _label_value(value, where: str) -> str:
 
 # A csv label cell; an unquoted integer such as ``1`` stands for its digits.
 LabelValue = NewType("LabelValue", str)
+# The output directory.
+Directory = NewType("Directory", Path)
 
 # Value rule per annotated field type, and what a list of each is called.
 _SCALARS = {int: _integer, float: _number, str: _string, LabelValue: _label_value,
-            Path: lambda value, where: Path(_string(value, where))}
+            Path: lambda value, where: Path(_string(value, where)),
+            Directory: lambda value, where: Path(_string(value, where, "a directory path"))}
 _LISTS = {int: "list of integers", float: "non-empty list of numbers", str: "list of names"}
 # Config-grammar names that differ from the dataclass field names.
 _GRAMMAR_NAMES = {"c": "common", "s": "source_specific", "t": "target_specific",
-                  "label_column": "label"}
+                  "label_column": "label", "split_spec": "split"}
 
 
 def _value(hint, value, where: str):
@@ -138,8 +135,8 @@ def _value(hint, value, where: str):
     if is_dataclass(hint):
         return _section(hint, value, where)
     item, *rest = get_args(hint)
-    if rest == [type(None)]:   # ``item | None``: null stands for None
-        return None if value is None else _value(item, value, where)
+    if rest == [type(None)]:   # ``item | None``; a null value never gets here
+        return _value(item, value, where)
     # ``tuple[item, ...]``, from a list; a number axis may not be empty
     if not isinstance(value, list) or (item is float and not value):
         raise ConfigurationError(f"{where}: expected a {_LISTS[item]}")
@@ -148,26 +145,31 @@ def _value(hint, value, where: str):
 
 def _section(cls, doc, where: str):
     """Build a section dataclass from its document, driven by the class's own
-    fields: the annotated types check the values, and a field without a
-    default is required."""
+    fields: the annotated types check the values, a field without a default
+    is required, and a field given as null reads as absent. The document's
+    own keys, under ``where == "config"``, are named without a prefix."""
     doc = _require_mapping(doc, where)
     by_key = {_GRAMMAR_NAMES.get(f.name, f.name): f for f in fields(cls)}
     _reject_unknown(doc, by_key, where)
     hints = get_type_hints(cls)
     kwargs = {}
     for key, f in by_key.items():
-        if key in doc:
-            kwargs[f.name] = _value(hints[f.name], doc[key], f"{where}.{key}")
+        if doc.get(key) is not None:
+            path = key if where == "config" else f"{where}.{key}"
+            kwargs[f.name] = _value(hints[f.name], doc[key], path)
         elif f.default is MISSING:
             raise ConfigurationError(f"{where}: missing field {key!r}")
     return cls(**kwargs)
 
 
 def _echo(value):
-    """JSON-ready form of a section, in config-grammar names, that parses back."""
+    """JSON-ready form of a section, in config-grammar names, that parses back.
+    A dataset section is written under its kind, and an unset output is left out."""
     if is_dataclass(value):
-        return {_GRAMMAR_NAMES.get(f.name, f.name): _echo(getattr(value, f.name))
-                for f in fields(value)}
+        doc = {_GRAMMAR_NAMES.get(f.name, f.name): _echo(getattr(value, f.name))
+               for f in fields(value) if (f.name, getattr(value, f.name)) != ("output", None)}
+        kind = _KINDS.get(type(value))
+        return doc if kind is None else {"kind": kind, kind: doc}
     if isinstance(value, tuple):
         return [_echo(v) for v in value]
     if isinstance(value, Path):
@@ -195,6 +197,26 @@ class RatingsDataset:
 
 # One section per dataset kind, under the kind's name.
 _DATASET_SECTIONS = {"synthetic": SyntheticSpec, "csv": CsvDataset, "ratings": RatingsDataset}
+_KINDS = {cls: kind for kind, cls in _DATASET_SECTIONS.items()}
+Dataset = SyntheticSpec | CsvDataset | RatingsDataset
+
+
+def _dataset(doc, where: str) -> Dataset:
+    """The section of the kind that the dataset document's ``kind`` names."""
+    doc = _require_mapping(doc, where)
+    _reject_unknown(doc, ("kind", *_DATASET_SECTIONS), where)
+    if "kind" not in doc:
+        raise ConfigurationError(f"{where}: missing field 'kind'")
+    kind = doc["kind"]
+    if not isinstance(kind, str) or kind not in _DATASET_SECTIONS:
+        raise ConfigurationError(
+            f"{where}.kind: expected synthetic, csv, or ratings, got {kind!r}")
+    if kind not in doc:
+        raise ConfigurationError(f"{where}: missing section {kind!r} for kind {kind!r}")
+    return _section(_DATASET_SECTIONS[kind], doc[kind], f"{where}.{kind}")
+
+
+_SCALARS[Dataset] = _dataset
 
 
 @dataclass(frozen=True)
@@ -242,21 +264,17 @@ class TrainingSpec:
             raise ConfigurationError("training.probe_learning_rate: must be positive")
 
 
-_DEFAULT_SPLIT = SplitSpec(train=0.6, val=0.2, test=0.2, seed=0)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset_kind: str
-    synthetic: SyntheticSpec | None
-    csv: CsvDataset | None
-    ratings: RatingsDataset | None
+    """The whole config document; ``split_spec`` is its ``split`` section."""
+
+    dataset: Dataset
     methods: tuple[str, ...]
-    seeds: tuple[int, ...]
-    split_spec: SplitSpec
-    grid: GridSpec
-    training: TrainingSpec
-    output: Path | None
+    seeds: tuple[int, ...] = (0, 1, 2)
+    split_spec: SplitSpec = SplitSpec(train=0.6, val=0.2, test=0.2, seed=0)
+    grid: GridSpec = GridSpec()
+    training: TrainingSpec = TrainingSpec()
+    output: Directory | None = None
 
     def __post_init__(self):
         if not self.methods:
@@ -276,40 +294,9 @@ class ExperimentConfig:
             raise ConfigurationError("seeds: duplicate entries")
 
 
-def _optional_section(cls, doc: dict, key: str, default):
-    """A top-level section that may be left out, or given as null."""
-    return default if doc.get(key) is None else _section(cls, doc[key], key)
-
-
 def build_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed config document; errors name the offending field."""
-    doc = _require_mapping(doc, "config")
-    _reject_unknown(
-        doc, ("dataset", "methods", "seeds", "split", "grid", "training", "output"),
-        "config")
-    dataset = _require_mapping(_get(doc, "dataset", "config"), "dataset")
-    _reject_unknown(dataset, ("kind", *_DATASET_SECTIONS), "dataset")
-    kind = _get(dataset, "kind", "dataset")
-    if not isinstance(kind, str) or kind not in _DATASET_SECTIONS:
-        raise ConfigurationError(
-            f"dataset.kind: expected synthetic, csv, or ratings, got {kind!r}")
-    if kind not in dataset:
-        raise ConfigurationError(f"dataset: missing section {kind!r} for kind {kind!r}")
-    sections = dict.fromkeys(_DATASET_SECTIONS)
-    sections[kind] = _section(_DATASET_SECTIONS[kind], dataset[kind], f"dataset.{kind}")
-    output = doc.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigurationError("output: expected a directory path")
-    return ExperimentConfig(
-        dataset_kind=kind,
-        **sections,
-        methods=_value(tuple[str, ...], _get(doc, "methods", "config"), "methods"),
-        seeds=_value(tuple[int, ...], doc.get("seeds", [0, 1, 2]), "seeds"),
-        split_spec=_optional_section(SplitSpec, doc, "split", _DEFAULT_SPLIT),
-        grid=_optional_section(GridSpec, doc, "grid", GridSpec()),
-        training=_optional_section(TrainingSpec, doc, "training", TrainingSpec()),
-        output=None if output is None else Path(output),
-    )
+    return _section(ExperimentConfig, doc, "config")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -330,18 +317,7 @@ def load_config(path) -> ExperimentConfig:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """JSON-ready echo of a config, written into run metadata."""
-    kind = config.dataset_kind
-    doc = {
-        "dataset": {"kind": kind, kind: _echo(getattr(config, kind))},
-        "methods": list(config.methods),
-        "seeds": list(config.seeds),
-        "split": _echo(config.split_spec),
-        "grid": _echo(config.grid),
-        "training": _echo(config.training),
-    }
-    if config.output is not None:
-        doc["output"] = str(config.output)
-    return doc
+    return _echo(config)
 
 
 # --------------------------------------------------------------------------
@@ -376,15 +352,14 @@ class PreparedData:
 
 def load_domains(config: ExperimentConfig) -> tuple[DomainMatrix, DomainMatrix]:
     """Materialize the source and target matrices the config describes."""
-    if config.dataset_kind == "synthetic":
-        source, target, _ = generate_synthetic(config.synthetic)
+    ds = config.dataset
+    if isinstance(ds, SyntheticSpec):
+        source, target, _ = generate_synthetic(ds)
         return source, target
-    if config.dataset_kind == "csv":
-        ds = config.csv
+    if isinstance(ds, CsvDataset):
         source = load_csv(ds.source, ds.schema, "source", ds.positive_value)
         target = load_csv(ds.target, ds.schema, "target", ds.positive_value)
         return source, target
-    ds = config.ratings
     triples = load_ratings_file(ds.ratings)
     genres = load_genre_file(ds.genres)
     args = (triples, genres, ds.common_genres, ds.target_genres,
@@ -719,10 +694,9 @@ def _read_rows(path: Path, columns) -> list[tuple[int, dict]]:
 def _read_overrides(path: Path) -> dict[str, float]:
     """Method-accuracy pairs under an optional ``method,accuracy`` header; values
     above 1 are read as percentages. An empty file holds no overrides."""
-    try:
-        header, rows = read_table(path)
-    except DataError:  # the file is empty
+    if path.is_file() and path.stat().st_size == 0:
         return {}
+    header, rows = read_table(path)
     if header[:2] != ["method", "accuracy"]:
         rows = chain([(0, header)], rows)
     overrides = {}
@@ -882,22 +856,22 @@ def ablate_experiment(
 
 def generate_files(config: ExperimentConfig, out_dir=None) -> Path:
     """Write a synthetic dataset to domain-matrix files."""
-    if config.dataset_kind != "synthetic":
+    if not isinstance(config.dataset, SyntheticSpec):
         raise ConfigurationError("generate needs dataset.kind = synthetic")
     out = _resolve_out(config, out_dir)
-    source, target, oracle = generate_synthetic(config.synthetic)
+    source, target, oracle = generate_synthetic(config.dataset)
     return _save_domains(out, source, target, "generation_meta.json",
-                         {"oracle_accuracy": oracle, "spec": asdict(config.synthetic)})
+                         {"oracle_accuracy": oracle, "spec": asdict(config.dataset)})
 
 
 def aggregate_files(config: ExperimentConfig, out_dir=None) -> Path:
     """Aggregate rating triples into saved source and target matrices."""
-    if config.dataset_kind != "ratings":
+    if not isinstance(config.dataset, RatingsDataset):
         raise ConfigurationError("aggregate needs dataset.kind = ratings")
     out = _resolve_out(config, out_dir)
     source, target = load_domains(config)
     return _save_domains(out, source, target, "aggregation_meta.json",
-                         {"label_genre": config.ratings.label_genre})
+                         {"label_genre": config.dataset.label_genre})
 
 
 def _save_domains(out: Path, source, target, meta_name: str, meta: dict) -> Path:

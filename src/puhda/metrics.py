@@ -62,16 +62,10 @@ def auc(scores, labels) -> float:
     n_neg = y.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise InvalidInputError("auc needs both classes present")
-    order = np.argsort(s, kind="mergesort")
-    sorted_scores = s[order]
-    ranks = np.empty(s.shape[0], dtype=np.float64)
-    i = 0
-    while i < s.shape[0]:
-        j = i
-        while j + 1 < s.shape[0] and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank over the tie run
-        i = j + 1
+    _, run_of, run_sizes = np.unique(s, return_inverse=True, return_counts=True)
+    ends = np.cumsum(run_sizes)   # one past each tie run, in sorted order
+    # the average 1-based rank over each tie run [start, end - 1]
+    ranks = (0.5 * (ends - run_sizes + ends - 1) + 1.0)[run_of]
     rank_sum_pos = float(ranks[y == 1].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -129,20 +123,18 @@ def _abs_corr_mean(a: np.ndarray, b: np.ndarray, what: str) -> float:
     return float(np.mean(np.abs(corr)))
 
 
-def correlation_analytics(target, source=None) -> FeatureAnalytics:
+def correlation_analytics(target) -> FeatureAnalytics:
     """Label-correlation and cross-block-correlation summary of a dataset.
 
     ``target`` must carry hidden labels. The cross-domain correlation uses
     the target matrix's auxiliary source-specific block when present (the
     two blocks are never jointly observed otherwise) and is omitted without
-    it. ``source``, when given, is only checked for schema consistency.
+    it.
     """
     if target.labels is None:
         raise InvalidInputError("correlation analytics needs hidden labels on the target matrix")
     if len(np.unique(target.labels)) < 2:
         raise InvalidInputError("correlation analytics needs both classes present")
-    if source is not None and source.schema != target.schema:
-        raise InvalidInputError("source and target matrices disagree on the feature schema")
     y = target.labels.astype(np.float64).reshape(-1, 1)
     corr_tar_lab = _abs_corr_mean(target.specific, y, "target-specific vs label")
     corr_com_lab = _abs_corr_mean(target.common, y, "common vs label")
@@ -225,14 +217,14 @@ class EvalReport:
 
     method: str
     seed_accuracies: tuple[float, ...]
-    seed_aucs: tuple[float | None, ...] = ()
+    seed_aucs: tuple[float, ...]
 
     def __post_init__(self):
         if not self.seed_accuracies:
             raise InvalidInputError("a report needs at least one seed result")
         if any(not 0.0 <= a <= 1.0 for a in self.seed_accuracies):
             raise InvalidInputError("accuracies must be in [0, 1]")
-        if self.seed_aucs and len(self.seed_aucs) != len(self.seed_accuracies):
+        if len(self.seed_aucs) != len(self.seed_accuracies):
             raise InvalidInputError("per-seed auc list must match the accuracy list")
 
     @property
@@ -240,8 +232,5 @@ class EvalReport:
         return float(np.mean(self.seed_accuracies))
 
     @property
-    def auc(self) -> float | None:
-        vals = [a for a in self.seed_aucs if a is not None]
-        if not vals:
-            return None
-        return float(np.mean(vals))
+    def auc(self) -> float:
+        return float(np.mean(self.seed_aucs))

@@ -10,11 +10,13 @@ Two parametric pieces cover every method in the package:
 Objectives are lists of :class:`KLTerm`. Each term is
 ``weight * sum_i kl2(left_i, right_i)`` where a side is either a constant
 probability batch or a model applied to a batch. A batch is either raw
-features or the concatenation ``[common ; T(raw)]`` of untouched common
-columns with a transform's output. :func:`loss_and_grads` evaluates the sum
-of terms and returns hand-derived gradients for the requested models, with
-the chain rule flowing through softmax, clamping, swapping, concatenation,
-and the transform. No autodiff is involved anywhere.
+features (``RawBatch``) or target rows ``[common | specific]`` that a model
+reads as ``[common ; F(rows)]`` (``TransformedBatch(rows, n_common)``): the
+first ``n_common`` columns untouched, next to the transform's output on the
+whole rows. :func:`loss_and_grads` evaluates the sum of terms and returns
+hand-derived gradients for the requested models, with the chain rule flowing
+through softmax, clamping, swapping, concatenation, and the transform. No
+autodiff is involved anywhere.
 
 Gradient notes. For ``p = softmax(z)`` strictly inside the clamp interval the
 Jacobian gives ``dL/dz_j = p_j * (g_j - sum_k g_k p_k)`` where ``g = dL/dp``;
@@ -130,10 +132,6 @@ class LinearTransform(_Linear):
             raise InvalidInputError(f"transform dims must be >= 1, got {in_dim} -> {out_dim}")
         return cls(weights=_init_weights(rng, in_dim, out_dim), bias=np.zeros(out_dim))
 
-    @property
-    def output_dim(self) -> int:
-        return self.weights.shape[1]
-
     def transform(self, x) -> np.ndarray:
         return self._affine(x, "transform")
 
@@ -160,35 +158,19 @@ class RawBatch:
 
 @dataclass(frozen=True)
 class TransformedBatch:
-    """Rows ``[common ; T(raw)]``: common columns pass through, a transform fills the rest."""
+    """Target rows ``[common | specific]`` read as ``[common ; F(rows)]``: the
+    first ``n_common`` columns pass through and the transform maps whole rows."""
 
-    common: np.ndarray  # (n, c)
-    raw: np.ndarray     # (n, in_dim of the transform)
-    transform: str = "F"
+    rows: np.ndarray  # (n, in_dim of the transform), n_common < in_dim
+    n_common: int
+    transform = "F"   # the slot of the transform, not a field
 
     def __post_init__(self):
-        common = require_finite("common block", self.common)
-        raw = require_finite("raw block", self.raw)
-        if common.ndim != 2 or raw.ndim != 2 or common.shape[0] != raw.shape[0]:
-            raise InvalidInputError(
-                f"transformed batch blocks must be 2-D with equal rows, "
-                f"got {common.shape} and {raw.shape}"
-            )
-        if common.shape[0] < 1:
-            raise InvalidInputError("transformed batch must be non-empty")
-        object.__setattr__(self, "common", common)
-        object.__setattr__(self, "raw", raw)
-
-    @classmethod
-    def aligned(cls, rows, n_common: int, transform: str = "F") -> "TransformedBatch":
-        """Rows ``[common | specific]`` as ``[common ; T(rows)]``; one check covers both blocks."""
-        rows = require_finite("target batch", rows)
-        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] <= n_common:
+        rows = require_finite("target batch", self.rows)
+        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] <= self.n_common:
             raise InvalidInputError(f"target batch must be non-empty and 2-D with more than "
-                                    f"{n_common} columns, got shape {rows.shape}")
-        batch = object.__new__(cls)   # skips __post_init__, which would check the rows again
-        batch.__dict__.update(common=rows[:, :n_common], raw=rows, transform=transform)
-        return batch
+                                    f"{self.n_common} columns, got shape {rows.shape}")
+        object.__setattr__(self, "rows", rows)
 
 
 Batch = Union[RawBatch, TransformedBatch]
@@ -279,10 +261,11 @@ def _model_inputs(models: Mapping[str, Model], batch: Batch, aligned: dict) -> n
     x_in = aligned.get(id(batch))
     if x_in is None:
         t = _bound(models, batch.transform, LinearTransform, "transform")
-        if batch.raw.shape[1] != t.input_dim:
-            raise InvalidInputError(f"raw block has {batch.raw.shape[1]} columns, "
+        rows = batch.rows
+        if rows.shape[1] != t.input_dim:
+            raise InvalidInputError(f"target batch has {rows.shape[1]} columns, "
                                     f"transform {batch.transform!r} expects {t.input_dim}")
-        x_in = np.concatenate([batch.common, batch.raw @ t.weights + t.bias], axis=1)
+        x_in = np.concatenate([rows[:, :batch.n_common], rows @ t.weights + t.bias], axis=1)
         aligned[id(batch)] = x_in
     return x_in
 
@@ -392,12 +375,12 @@ def loss_and_grads(
             bundle.d_bias += dz.sum(axis=0)
         batch = fwd.batch
         if isinstance(batch, TransformedBatch) and batch.transform in wrt_set:
-            d_out = dz @ models[fwd.model].weights[batch.common.shape[1]:].T
+            d_out = dz @ models[fwd.model].weights[batch.n_common:].T
             prev = d_aligned.get(id(batch))
             d_aligned[id(batch)] = (batch, d_out if prev is None else prev[1] + d_out)
     for batch, d_out in d_aligned.values():
         bundle = grads[batch.transform]
-        bundle.d_weights += batch.raw.T @ d_out
+        bundle.d_weights += batch.rows.T @ d_out
         bundle.d_bias += d_out.sum(axis=0)
     return LossResult(value=total, term_values=term_values, grads=grads)
 
@@ -428,7 +411,11 @@ def save_checkpoint(path, method: str, models: Mapping[str, Model]) -> None:
 def load_checkpoint(path) -> tuple[str, dict[str, Model]]:
     """The method name and the models, by slot name, of a :func:`save_checkpoint` file."""
     try:
-        doc = json.loads(Path(path).read_bytes())
+        text = Path(path).read_bytes()
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    try:
+        doc = json.loads(text)
         method, slots = doc["method"], doc["models"]
         params = {name: (np.array(p["weights"], dtype=np.float64),
                          np.array(p["bias"], dtype=np.float64)) for name, p in slots.items()}

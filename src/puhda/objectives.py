@@ -49,7 +49,7 @@ _FAKE = ConstTarget(P0)
 
 
 def _rows(batch) -> int:
-    return (batch.x if isinstance(batch, RawBatch) else batch.raw).shape[0]
+    return (batch.x if isinstance(batch, RawBatch) else batch.rows).shape[0]
 
 
 def _real_fake(model: str, real, fake, names: tuple[str, str]) -> list[KLTerm]:
@@ -125,7 +125,7 @@ def aligned_classifier_terms(
     With ``teacher_probs`` the frozen-teacher pair (weight ``eta``) follows on
     the same batch, which is the soft-label classifier's whole surface.
     """
-    tgt = TransformedBatch.aligned(batch_target, n_common, "F")
+    tgt = TransformedBatch(batch_target, n_common)
     terms = _classifier_pair(tgt, lam)
     if teacher_probs is not None:
         terms.extend(_teacher_pair(teacher_probs, tgt, eta))
@@ -145,7 +145,7 @@ def pada_terms(
     source-specific slots, so D and C operate in the source feature space.
     """
     bs = RawBatch(batch_source)
-    return _pu_terms(bs, TransformedBatch.aligned(batch_target, n_common, "F"), lam)
+    return _pu_terms(bs, TransformedBatch(batch_target, n_common), lam)
 
 
 def pada_s_terms(
@@ -164,7 +164,7 @@ def pada_s_terms(
     value and gradients to :func:`pada_terms`.
     """
     bs = RawBatch(batch_source)
-    tgt = TransformedBatch.aligned(batch_target, n_common, "F")
+    tgt = TransformedBatch(batch_target, n_common)
     return _pu_terms(bs, tgt, lam) + _teacher_pair(teacher_probs, tgt, eta)
 
 
@@ -180,7 +180,7 @@ def domain_adv_terms(
     target distribution toward the source regardless of class.
     """
     bs = RawBatch(batch_source)
-    tgt = TransformedBatch.aligned(batch_target, n_common, "F")
+    tgt = TransformedBatch(batch_target, n_common)
     return _real_fake("Df", bs, tgt, ("kl_adv_src", "kl_adv_tgt"))
 
 

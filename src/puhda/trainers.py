@@ -558,13 +558,9 @@ METHOD_TABLE = {
 }
 
 
-# A bare PU run scores the common columns, as the common-features baseline does.
-_SCORED_AS = {"PAN": "COM_P"}
-
-
 def predict(artifacts: TrainedArtifacts, dm: DomainMatrix) -> np.ndarray:
     """Probability pairs for a matrix, routed by the method table."""
-    entry = METHOD_TABLE.get(_SCORED_AS.get(artifacts.method, artifacts.method))
+    entry = METHOD_TABLE.get(artifacts.method)
     if entry is None:
         raise ConfigurationError(f"method {artifacts.method!r} has no prediction rule")
     return artifacts.classifier.classify(entry.rows(artifacts, dm))

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +76,7 @@ class TestFeatureSchema:
 
     def test_dict_round_trip(self):
         sch = small_schema()
-        assert FeatureSchema.from_dict(sch.to_dict()) == sch
+        assert FeatureSchema(**asdict(sch)) == sch
 
 
 # --------------------------------------------------------------------------
@@ -149,11 +150,6 @@ class TestDomainMatrix:
         assert np.array_equal(sub.common, [[4.0, 5.0], [0.0, 1.0]])
         assert sub.labels.tolist() == [0, 0]
         assert np.array_equal(sub.aux_specific, [[6.0, 7.0, 8.0], [0.0, 1.0, 2.0]])
-
-    def test_without_labels(self):
-        sch = small_schema()
-        dm = DomainMatrix(sch, "target", np.zeros((2, 2)), np.zeros((2, 1)), labels=[0, 1])
-        assert dm.without_labels().labels is None
 
     def test_blocks_read_only(self):
         sch = small_schema()
@@ -306,6 +302,21 @@ class TestMatrixSerialization:
             doc = json.loads(sidecar.read_text())
             spoil(doc)
             sidecar.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="m.csv.schema.json: not a schema sidecar"):
+            load_domain_matrix(path)
+
+    def test_unreadable_files_are_data_errors_naming_them(self, tmp_path):
+        rng = derive_rng(9, "serialize-test")
+        dm = DomainMatrix(small_schema(), "source", rng.normal(size=(5, 2)),
+                          rng.normal(size=(5, 3)))
+        path = tmp_path / "m.csv"
+        save_domain_matrix(dm, path)
+        path.unlink()
+        with pytest.raises(DataError, match=re.escape(f"{path}: cannot read")):
+            load_domain_matrix(path)
+        sidecar = tmp_path / "m.csv.schema.json"
+        sidecar.unlink()
+        sidecar.mkdir()
         with pytest.raises(DataError, match="m.csv.schema.json: not a schema sidecar"):
             load_domain_matrix(path)
 

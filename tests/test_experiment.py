@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 from puhda.cli import main
-from puhda.data import generate_synthetic, load_domain_matrix
+from puhda.data import SyntheticSpec, generate_synthetic, load_domain_matrix
 from puhda.errors import ConfigurationError, DataError, PuhdaError
 from puhda.experiment import (
     ABLATION_SPACES,
@@ -101,11 +101,11 @@ def read_table(path) -> list[dict]:
 
 def test_build_config_happy_path():
     cfg = build_config(base_doc())
-    assert cfg.dataset_kind == "synthetic"
-    assert cfg.synthetic.c == 2
-    assert cfg.synthetic.s == 2
-    assert cfg.synthetic.t == 2
-    assert cfg.synthetic.n_source == 150
+    assert isinstance(cfg.dataset, SyntheticSpec)
+    assert cfg.dataset.c == 2
+    assert cfg.dataset.s == 2
+    assert cfg.dataset.t == 2
+    assert cfg.dataset.n_source == 150
     assert cfg.methods == ("COM_P", "DIST", "PADA", "PADA_S")
     assert cfg.seeds == (0, 1)
     assert cfg.grid.learning_rate == (0.02, 0.05)
@@ -202,7 +202,7 @@ def test_sections_given_as_null_read_as_absent():
 def test_unquoted_positive_value_reads_as_its_digits():
     doc = base_doc()
     doc["dataset"] = csv_dataset(positive_value=1)
-    assert build_config(doc).csv.positive_value == "1"
+    assert build_config(doc).dataset.positive_value == "1"
 
 
 def _echo_text(doc: dict) -> str:
@@ -268,7 +268,7 @@ def test_config_echo_round_trips_ratings():
         "output": "out",
     }
     cfg = build_config(doc)
-    assert cfg.ratings.label_genre == "horror"
+    assert cfg.dataset.label_genre == "horror"
     assert build_config(config_to_dict(cfg)) == cfg
 
 
@@ -291,8 +291,8 @@ def test_config_echo_round_trips_csv():
         "methods": ["COM_P"],
     }
     cfg = build_config(doc)
-    assert cfg.csv.schema.common == ("a", "b")
-    assert cfg.csv.positive_value == "yes"
+    assert cfg.dataset.schema.common == ("a", "b")
+    assert cfg.dataset.positive_value == "yes"
     assert build_config(config_to_dict(cfg)) == cfg
 
 
@@ -824,6 +824,24 @@ def test_analyze_rejects_malformed_inputs_naming_the_file(
     assert f"{exp / bad_file}: {message}" in capsys.readouterr().err
 
 
+def test_missing_override_file_is_an_error_not_a_traceback(tmp_path, capsys):
+    (tmp_path / "eval.csv").write_text(GOOD_EVAL)
+    missing = tmp_path / "nope.csv"
+    assert main(["analyze", str(tmp_path), "--overrides", str(missing)]) == 2
+    assert f"error: {missing}: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dataset, missing", [(csv_dataset(), "s.csv"),
+                                              (ratings_dataset(), "r.csv")])
+def test_run_with_a_missing_data_file_is_an_error_not_a_traceback(
+        tmp_path, capsys, monkeypatch, dataset, missing):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({"dataset": dataset, "methods": ["COM_P"]}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {missing}: cannot read" in capsys.readouterr().err
+
+
 def test_override_file_header_is_optional(tmp_path):
     bare = tmp_path / "bare.csv"
     bare.write_text("COM_P,0.61\n")
@@ -925,7 +943,7 @@ def test_generate_round_trips_the_synthetic_matrices(tmp_path):
     doc = base_doc()
     config = build_config(doc)
     out = generate_files(config, out_dir=tmp_path / "gen")
-    source, target, oracle = generate_synthetic(config.synthetic)
+    source, target, oracle = generate_synthetic(config.dataset)
     loaded_source = load_domain_matrix(out / "source.csv")
     loaded_target = load_domain_matrix(out / "target.csv")
     assert np.array_equal(loaded_source.common, source.common)

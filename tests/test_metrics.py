@@ -78,14 +78,15 @@ def test_auc_gives_half_credit_per_tied_pair():
 
 
 def test_auc_matches_pair_counting_oracle(rng):
-    scores = rng.integers(0, 5, size=40).astype(np.float64)  # many ties
-    labels = rng.integers(0, 2, size=40)
-    labels[:2] = (0, 1)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
-    expected = wins / (pos.size * neg.size)
-    assert auc(scores, labels) == pytest.approx(expected, abs=1e-12)
+    for scores in (rng.integers(0, 5, size=40).astype(np.float64),   # many ties
+                   rng.normal(size=40).round(1)):                    # rounded, some ties
+        labels = rng.integers(0, 2, size=40)
+        labels[:2] = (0, 1)
+        pos = scores[labels == 1]
+        neg = scores[labels == 0]
+        wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
+        expected = wins / (pos.size * neg.size)
+        assert auc(scores, labels) == pytest.approx(expected, abs=1e-12)
 
 
 def test_auc_needs_both_classes():
@@ -253,7 +254,7 @@ def test_correlation_analytics_undefined_without_common_signal():
 def test_correlation_analytics_requires_labeled_two_class_target(rng):
     dm = make_target(rng)
     with pytest.raises(InvalidInputError, match="labels"):
-        correlation_analytics(dm.without_labels())
+        correlation_analytics(DomainMatrix(dm.schema, dm.role, dm.common, dm.specific))
     ones = make_target(rng, labels=np.ones(100, dtype=np.int8))
     with pytest.raises(InvalidInputError, match="both classes"):
         correlation_analytics(ones)
@@ -303,16 +304,15 @@ def test_probe_rejects_column_mismatch(rng):
 
 
 def test_eval_report_means():
-    report = EvalReport("PADA", (0.7, 0.8), (0.9, None))
+    report = EvalReport("PADA", (0.7, 0.8), (0.9, 0.6))
     assert report.accuracy == pytest.approx(0.75)
-    assert report.auc == pytest.approx(0.9)
-    assert EvalReport("PAN", (0.5,)).auc is None
+    assert report.auc == pytest.approx(0.75)
 
 
 def test_eval_report_validation():
     with pytest.raises(InvalidInputError):
-        EvalReport("PADA", ())
+        EvalReport("PADA", (), ())
     with pytest.raises(InvalidInputError):
-        EvalReport("PADA", (1.5,))
+        EvalReport("PADA", (1.5,), (0.5,))
     with pytest.raises(InvalidInputError):
         EvalReport("PADA", (0.5, 0.6), (0.7,))

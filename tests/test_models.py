@@ -113,7 +113,7 @@ def _random_setup(rng):
     }
     src = RawBatch(rng.normal(size=(m, c + s)))
     traw = rng.normal(size=(n, c + t))
-    tgt = TransformedBatch(common=traw[:, :c], raw=traw, transform="F")
+    tgt = TransformedBatch(traw, c)
     teacher = ConstTarget(numerics.softmax2(rng.normal(size=(n, 2))))
     lam = float(rng.uniform(0.05, 1.0))
     eta = float(rng.uniform(0.05, 1.0))
@@ -239,9 +239,9 @@ def _oracle_side(models, side):
     if isinstance(batch, TransformedBatch):
         t = models[batch.transform]
         rows = []
-        for common, raw in zip(batch.common, batch.raw):
+        for raw in batch.rows:
             mapped = transform_row(t.weights, t.bias, raw)
-            rows.append(list(common) + mapped)
+            rows.append(list(raw[:batch.n_common]) + mapped)
     else:
         rows = [list(r) for r in batch.x]
     out = []
@@ -288,6 +288,11 @@ class TestCheckpoints:
         path = tmp_path / "other.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidInputError, match="not a model checkpoint"):
+            load_checkpoint(path)
+
+    def test_missing_file_is_an_input_error_naming_it(self, tmp_path):
+        path = tmp_path / "nope.json"
+        with pytest.raises(InvalidInputError, match=re.escape(f"{path}: cannot read")):
             load_checkpoint(path)
 
     def test_rejects_an_unknown_slot_name(self, tmp_path):

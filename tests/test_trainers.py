@@ -233,7 +233,7 @@ def test_pada_artifact_shapes(tiny_data):
     assert art.classifier.input_dim == schema.c + schema.s
     assert art.models()["D"].input_dim == schema.c + schema.s
     assert art.models()["F"].input_dim == schema.c + schema.t
-    assert art.models()["F"].output_dim == schema.s
+    assert art.models()["F"].weights.shape == (schema.c + schema.t, schema.s)
     assert len(art.trace) == cfg.steps
     assert art.trace.columns == ("step", "value", "kl_pos", "kl_unl", "kl_dc", "kl_dc_swap")
     assert set(art.models()) == {"C", "D", "F"}
@@ -415,7 +415,8 @@ def test_soft_rounds_need_labeled_validation(tiny_data):
     source, train, val, _ = tiny_data
     cfg = TrainConfig(learning_rate=0.02, lam=0.1, eta=0.05, steps=5, batch_size=32)
     with pytest.raises(ConfigurationError, match="validation"):
-        train_pada_s(source, train, cfg, val_target=val.without_labels())
+        unlabeled = DomainMatrix(val.schema, val.role, val.common, val.specific)
+        train_pada_s(source, train, cfg, val_target=unlabeled)
 
 
 # --------------------------------------------------------------------------
@@ -606,9 +607,6 @@ def test_predict_routes_by_method(tiny_data):
     com = train_com_p(source, train, cfg)
     np.testing.assert_array_equal(
         predict(com, test), com.classifier.classify(test.common))
-    pan = train_pan(source.common, train.common, cfg)
-    np.testing.assert_array_equal(
-        predict(pan, test), pan.classifier.classify(test.common))
     pada = train_pada(source, train, cfg)
     np.testing.assert_array_equal(
         predict(pada, test),
@@ -663,7 +661,8 @@ def _side_pairs(models, side):
     batch = side.batch
     if isinstance(batch, TransformedBatch):
         f = models[batch.transform]
-        x = np.concatenate([batch.common, batch.raw @ f.weights + f.bias], axis=1)
+        rows = batch.rows
+        x = np.concatenate([rows[:, :batch.n_common], rows @ f.weights + f.bias], axis=1)
     else:
         x = batch.x
     probs = models[side.model].classify(x)
