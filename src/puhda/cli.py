@@ -5,7 +5,8 @@ improvement ratios from a finished experiment), ``ablate`` (alignment-quality
 study), ``generate`` (synthetic dataset to files), and ``aggregate`` (rating
 triples to domain-matrix files). The output directory resolves in order:
 ``--out`` flag, then the PUHDA_OUT environment variable, then the config's
-``output`` field.
+``output`` field. ``--seeds`` replaces the config's seed list before the
+config reaches a library entry point, which takes its seeds from the config.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .errors import ConfigurationError, PuhdaError
+from .errors import PuhdaError
 from .experiment import (
     ablate_experiment,
     aggregate_files,
@@ -91,19 +93,21 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            out = run_experiment(load_config(args.config), out_dir=args.out,
-                                 seeds=args.seeds, jobs=args.jobs)
-        elif args.command == "analyze":
+        if args.command == "analyze":
             out = analyze_experiment(args.experiment, overrides_path=args.overrides,
                                      out_dir=args.out)
-        elif args.command == "ablate":
-            out = ablate_experiment(load_config(args.config), out_dir=args.out,
-                                    seeds=args.seeds, jobs=args.jobs)
-        elif args.command == "generate":
-            out = generate_files(load_config(args.config), out_dir=args.out)
         else:
-            out = aggregate_files(load_config(args.config), out_dir=args.out)
+            config = load_config(args.config)
+            if getattr(args, "seeds", None) is not None:
+                config = replace(config, seeds=args.seeds)   # runs the config's own checks
+            if args.command == "run":
+                out = run_experiment(config, out_dir=args.out, jobs=args.jobs)
+            elif args.command == "ablate":
+                out = ablate_experiment(config, out_dir=args.out, jobs=args.jobs)
+            elif args.command == "generate":
+                out = generate_files(config, out_dir=args.out)
+            else:
+                out = aggregate_files(config, out_dir=args.out)
     except PuhdaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

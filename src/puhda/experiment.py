@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from itertools import chain, groupby, product
 from pathlib import Path
 from typing import NewType, get_args, get_type_hints
@@ -204,13 +204,13 @@ Dataset = SyntheticSpec | CsvDataset | RatingsDataset
 def _dataset(doc, where: str) -> Dataset:
     """The section of the kind that the dataset document's ``kind`` names."""
     doc = _require_mapping(doc, where)
-    _reject_unknown(doc, ("kind", *_DATASET_SECTIONS), where)
     if "kind" not in doc:
         raise ConfigurationError(f"{where}: missing field 'kind'")
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in _DATASET_SECTIONS:
         raise ConfigurationError(
             f"{where}.kind: expected synthetic, csv, or ratings, got {kind!r}")
+    _reject_unknown(doc, ("kind", kind), where)
     if kind not in doc:
         raise ConfigurationError(f"{where}: missing section {kind!r} for kind {kind!r}")
     return _section(_DATASET_SECTIONS[kind], doc[kind], f"{where}.{kind}")
@@ -521,14 +521,6 @@ def run_grid(config: ExperimentConfig, data: PreparedData, jobs: int = 1):
         return _select(config, pool.map(_grid_worker, items))
 
 
-def select_cells(config: ExperimentConfig, results: list[CellResult]) -> dict[str, Selection]:
-    """Argmax of mean validation accuracy per method, by the grid's own fold."""
-    order = {m: i for i, m in enumerate(config.methods)}
-    ranked = sorted((r for r in results if r.method in order),
-                    key=lambda r: (order[r.method], r.cell, r.seed))
-    return _select(config, ((r, None) for r in ranked))[1]
-
-
 def evaluate_on_test(
     config: ExperimentConfig,
     data: PreparedData,
@@ -566,7 +558,6 @@ def _write_aligned(path: Path, header: tuple[str, ...], rows) -> None:
     widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
     lines.insert(1, "  ".join("-" * w for w in widths))
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -638,39 +629,35 @@ def _write_standard_reports(
     (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
+def _make_dir(path: Path) -> Path:
+    """Create an output directory, parents included; a path that cannot be one
+    is a configuration error naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{path}: cannot create the output directory: {exc.strerror or exc}") from None
+    return path
+
+
 def _resolve_out(config: ExperimentConfig, out_dir) -> Path:
-    if out_dir is not None:
-        return Path(out_dir)
-    env = os.environ.get(OUTPUT_ENV_VAR)
-    if env:
-        return Path(env)
-    if config.output is not None:
-        return config.output
-    raise ConfigurationError(
-        "no output directory: set output in the config, pass --out, "
-        f"or set {OUTPUT_ENV_VAR}")
-
-
-def _apply_overrides(config: ExperimentConfig, seeds) -> ExperimentConfig:
-    if seeds is None:
-        return config
-    return replace(config, seeds=tuple(seeds))
+    """The output directory, created: ``out_dir``, then the environment
+    variable, then the config's ``output`` field."""
+    out = out_dir if out_dir is not None else os.environ.get(OUTPUT_ENV_VAR) or config.output
+    if out is None:
+        raise ConfigurationError(
+            "no output directory: set output in the config, pass --out, "
+            f"or set {OUTPUT_ENV_VAR}")
+    return _make_dir(Path(out))
 
 
 # --------------------------------------------------------------------------
 # Entry points
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    out_dir=None,
-    seeds=None,
-    jobs: int = 1,
-) -> Path:
+def run_experiment(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> Path:
     """Full protocol: grid search and selection, test evaluation, reports."""
-    config = _apply_overrides(config, seeds)
     out = _resolve_out(config, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     data = prepare_data(config)
     results, selections, artifacts = run_grid(config, data, jobs=jobs)
@@ -761,8 +748,7 @@ def analyze_experiment(exp_dir, overrides_path=None, out_dir=None) -> Path:
             analytics = {k: parse_float(analytics_path, i, k, row[k]) if row[k] else None
                          for k in ANALYTICS_HEADER}
 
-    out = Path(out_dir) if out_dir is not None else exp_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = exp_dir if out_dir is None else _make_dir(Path(out_dir))
     header = ANALYTICS_HEADER + ("acc_com", "acc_dist", "acc_pada_s", "p_dist", "p_pada_s")
     row = tuple(analytics[name] for name in ANALYTICS_HEADER) + (
         means["COM_P"], means["DIST"], means["PADA_S"], p_dist, p_pada_s)
@@ -774,12 +760,7 @@ def analyze_experiment(exp_dir, overrides_path=None, out_dir=None) -> Path:
 ABLATION_SPACES = ("common", "PADA", "PADA_F")
 
 
-def ablate_experiment(
-    config: ExperimentConfig,
-    out_dir=None,
-    seeds=None,
-    jobs: int = 1,
-) -> Path:
+def ablate_experiment(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> Path:
     """Alignment-quality study: how separable do the domains stay per space.
 
     For the raw common space and for each trained transform's aligned space,
@@ -787,12 +768,10 @@ def ablate_experiment(
     positive and true negative target training rows; its held-out accuracies
     (and their gap) land in a per-seed table with an average row per space.
     """
-    config = _apply_overrides(config, seeds)
     missing = [m for m in ("PADA", "PADA_F") if m not in config.methods]
     if missing:
         raise ConfigurationError(f"the ablation study needs {missing[0]} in methods")
     out = _resolve_out(config, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     data = prepare_data(config)
     train_dm = data.train

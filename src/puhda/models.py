@@ -5,7 +5,8 @@ Two parametric pieces cover every method in the package:
 * ``LinearSoftmaxModel`` - a two-class linear head, ``probs = softmax2(x W + b)``,
   used for classifiers and discriminators.
 * ``LinearTransform`` - an affine map ``y = x W + b`` that projects one
-  feature block into another block's space.
+  feature block into another block's space; ``align(rows, n_common)`` is the
+  one builder of target rows in the source layout ``[common ; F(rows)]``.
 
 Objectives are lists of :class:`KLTerm`. Each term is
 ``weight * sum_i kl2(left_i, right_i)`` where a side is either a constant
@@ -13,7 +14,8 @@ probability batch or a model applied to a batch. A batch is either raw
 features (``RawBatch``) or target rows ``[common | specific]`` that a model
 reads as ``[common ; F(rows)]`` (``TransformedBatch(rows, n_common)``): the
 first ``n_common`` columns untouched, next to the transform's output on the
-whole rows. :func:`loss_and_grads` evaluates the sum of terms and returns
+whole rows. :func:`frozen_teacher` reads target batches the same way for
+soft labels. :func:`loss_and_grads` evaluates the sum of terms and returns
 hand-derived gradients for the requested models, with the chain rule flowing
 through softmax, clamping, swapping, concatenation, and the transform. No
 autodiff is involved anywhere.
@@ -55,7 +57,19 @@ class GradientBundle:
 
 
 class _Linear:
-    """What the two affine pieces share: ``x @ weights + bias`` and its updates."""
+    """What the two affine pieces share: the parameter check, ``x @ weights + bias``
+    and its updates. ``outputs`` fixes the output width of a kind that has one,
+    and ``shapes`` says what the check wants."""
+
+    outputs = None
+    shapes = "linear transform: need weights (in, out) and bias (out,)"
+
+    def __post_init__(self):
+        self.weights = require_finite("weights", self.weights)
+        self.bias = require_finite("bias", self.bias)
+        w, b = self.weights, self.bias
+        if w.ndim != 2 or b.shape != (w.shape[1],) or self.outputs not in (None, w.shape[1]):
+            raise InvalidInputError(f"{self.shapes}, got {w.shape} and {b.shape}")
 
     @property
     def input_dim(self) -> int:
@@ -86,15 +100,8 @@ class LinearSoftmaxModel(_Linear):
 
     weights: np.ndarray  # (input_dim, 2)
     bias: np.ndarray     # (2,)
-
-    def __post_init__(self):
-        self.weights = require_finite("weights", self.weights)
-        self.bias = require_finite("bias", self.bias)
-        if self.weights.ndim != 2 or self.weights.shape[1] != 2 or self.bias.shape != (2,):
-            raise InvalidInputError(
-                f"linear softmax model: need weights (d, 2) and bias (2,), "
-                f"got {self.weights.shape} and {self.bias.shape}"
-            )
+    outputs = 2
+    shapes = "linear softmax model: need weights (d, 2) and bias (2,)"
 
     @classmethod
     def initialize(cls, input_dim: int, rng: np.random.Generator) -> "LinearSoftmaxModel":
@@ -117,15 +124,6 @@ class LinearTransform(_Linear):
     weights: np.ndarray  # (in_dim, out_dim)
     bias: np.ndarray     # (out_dim,)
 
-    def __post_init__(self):
-        self.weights = require_finite("weights", self.weights)
-        self.bias = require_finite("bias", self.bias)
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[1],):
-            raise InvalidInputError(
-                f"linear transform: need weights (in, out) and bias (out,), "
-                f"got {self.weights.shape} and {self.bias.shape}"
-            )
-
     @classmethod
     def initialize(cls, in_dim: int, out_dim: int, rng: np.random.Generator) -> "LinearTransform":
         if in_dim < 1 or out_dim < 1:
@@ -134,6 +132,15 @@ class LinearTransform(_Linear):
 
     def transform(self, x) -> np.ndarray:
         return self._affine(x, "transform")
+
+    def align(self, rows: np.ndarray, n_common: int) -> np.ndarray:
+        """Target rows in the source layout ``[common ; F(rows)]``: the first
+        ``n_common`` columns pass through, next to the map of the whole rows.
+        ``rows`` are finite already, so only their width is checked."""
+        if rows.shape[1] != self.input_dim:
+            raise InvalidInputError(f"target batch has {rows.shape[1]} columns, "
+                                    f"transform expects {self.input_dim}")
+        return np.concatenate([rows[:, :n_common], rows @ self.weights + self.bias], axis=1)
 
 
 Model = Union[LinearSoftmaxModel, LinearTransform]
@@ -204,6 +211,24 @@ class ConstTarget:
         return target
 
 
+def frozen_teacher(models: Mapping[str, Model], n_common: int):
+    """Soft labels for target batches from frozen copies of ``models["C"]`` and,
+    when there is one, ``models["F"]``: the classifier scores a batch's common
+    columns, or its rows aligned by the transform. The affine steps are the
+    loss's own, and one finite check on the logits covers the batch too."""
+    frozen_c = models["C"].copy()
+    frozen_f = models["F"].copy() if "F" in models else None
+
+    def teacher(batch_target: np.ndarray) -> ConstTarget:
+        if frozen_f is None:
+            x = batch_target[:, :n_common]
+        else:
+            x = frozen_f.align(batch_target, n_common)
+        return ConstTarget._of_logits(x @ frozen_c.weights + frozen_c.bias)
+
+    return teacher
+
+
 @dataclass(frozen=True)
 class ModelOutput:
     """A named softmax model applied to a batch, optionally with swapped outputs."""
@@ -261,12 +286,7 @@ def _model_inputs(models: Mapping[str, Model], batch: Batch, aligned: dict) -> n
     x_in = aligned.get(id(batch))
     if x_in is None:
         t = _bound(models, batch.transform, LinearTransform, "transform")
-        rows = batch.rows
-        if rows.shape[1] != t.input_dim:
-            raise InvalidInputError(f"target batch has {rows.shape[1]} columns, "
-                                    f"transform {batch.transform!r} expects {t.input_dim}")
-        x_in = np.concatenate([rows[:, :batch.n_common], rows @ t.weights + t.bias], axis=1)
-        aligned[id(batch)] = x_in
+        x_in = aligned[id(batch)] = t.align(batch.rows, batch.n_common)
     return x_in
 
 

@@ -44,10 +44,10 @@ from .data import DomainMatrix, write_table
 from .errors import ConfigurationError, InvalidInputError
 from .metrics import accuracy
 from .models import (
-    ConstTarget,
     LinearSoftmaxModel,
     LinearTransform,
     Model,
+    frozen_teacher,
     loss_and_grads,
 )
 from .numerics import derive_seed, make_rng, require_finite
@@ -223,23 +223,6 @@ def _run_phases(models: dict[str, Model], phases: list[Phase], config: TrainConf
     return trace
 
 
-def _frozen_teacher(models: dict[str, Model], n_common: int):
-    """Soft labels for target batches from frozen copies of ``models["C"]`` and,
-    when there is one, ``models["F"]``: the classifier scores a batch's common
-    columns, or its rows aligned by the transform. The affine steps are the
-    loss's own, and one finite check on the logits covers the batch too."""
-    frozen_c = models["C"].copy()
-    frozen_f = models["F"].copy() if "F" in models else None
-
-    def teacher(batch_target: np.ndarray) -> ConstTarget:
-        x = batch_target[:, :n_common]
-        if frozen_f is not None:
-            x = np.concatenate([x, batch_target @ frozen_f.weights + frozen_f.bias], axis=1)
-        return ConstTarget._of_logits(x @ frozen_c.weights + frozen_c.bias)
-
-    return teacher
-
-
 # --------------------------------------------------------------------------
 # PU-only training
 
@@ -350,7 +333,7 @@ def train_pada_s(
 
     base_config = replace(config, seed=derive_seed(config.seed, "soft-base"))
     base = train_pan(source.common, target.common, base_config)
-    teacher = _frozen_teacher(base.models(), schema.c)
+    teacher = frozen_teacher(base.models(), schema.c)
 
     val_accs: list[float] = []
     for round_idx in range(1, config.max_soft_rounds + 1):
@@ -363,7 +346,7 @@ def train_pada_s(
             best_run = (models, trace)
         elif round_idx - 1 - best >= config.val_patience:
             break
-        teacher = _frozen_teacher(models, schema.c)
+        teacher = frozen_teacher(models, schema.c)
 
     return TrainedArtifacts("PADA_S", config, *best_run, rounds_run=len(val_accs),
                             round_val_accuracy=tuple(val_accs))
@@ -498,7 +481,7 @@ def train_dist(
         raise ConfigurationError(
             f"teacher expects {base_classifier.input_dim} columns, schema has {n_common} common"
         )
-    teacher = _frozen_teacher({"C": base_classifier}, n_common)
+    teacher = frozen_teacher({"C": base_classifier}, n_common)
     x_t = target.features()
     rng = make_rng(config.seed)
     models = {"C": LinearSoftmaxModel.initialize(x_t.shape[1], rng)}
@@ -523,8 +506,7 @@ def train_discriminator(x_a, x_b, config: TrainConfig) -> TrainedArtifacts:
 
 def align_features(transform: LinearTransform, dm: DomainMatrix) -> np.ndarray:
     """Target rows mapped into the source layout: ``[common | F(full row)]``."""
-    x = dm.features()
-    return np.hstack([dm.common, transform.transform(x)])
+    return transform.align(dm.features(), dm.schema.c)
 
 
 def _aligned_rows(artifacts: TrainedArtifacts, dm: DomainMatrix) -> np.ndarray:

@@ -30,7 +30,6 @@ from puhda.experiment import (
     load_config,
     prepare_data,
     run_experiment,
-    select_cells,
 )
 from puhda.metrics import improvement_metrics
 from puhda.models import LinearSoftmaxModel, LinearTransform, load_checkpoint
@@ -177,6 +176,7 @@ def _set(doc, path, value):
         (("grid", "learning_rate"), [0.05, 0.05], "grid.learning_rate: duplicate entries"),
         (("grid", "lam"), [0.1, 0.2, 0.1], "grid.lam: duplicate entries"),
         (("grid", "eta"), [0.01, 0.01], "grid.eta: duplicate entries"),
+        (("dataset", "csv"), {"bogus": 1}, "dataset: unknown field 'csv'"),
     ],
 )
 def test_build_config_rejects_bad_documents(path, value, message):
@@ -360,6 +360,11 @@ def _result(cell, seed, val, status="ok"):
     return CellResult("PADA", cell, seed, status, val, "" if status == "ok" else "boom")
 
 
+def _selections(config, results):
+    # the grid's selection fold over results already in item order
+    return experiment_module._select(config, ((r, None) for r in results))[1]
+
+
 def test_select_cells_picks_highest_mean_validation_accuracy():
     grid = GridSpec(learning_rate=(0.01, 0.02, 0.05), lam=(0.1,), eta=(0.1,))
     config = _config_for_selection(grid)
@@ -369,7 +374,7 @@ def test_select_cells_picks_highest_mean_validation_accuracy():
         _result(cells[1], 0, 0.70), _result(cells[1], 1, 0.74),
         _result(cells[2], 0, 0.68), _result(cells[2], 1, 0.69),
     ]
-    sel = select_cells(config, results)["PADA"]
+    sel = _selections(config, results)["PADA"]
     assert sel.status == "ok"
     assert sel.cell == cells[1]
     assert sel.mean_val_accuracy == pytest.approx(0.72)
@@ -383,7 +388,7 @@ def test_select_cells_breaks_ties_toward_smaller_hyperparameters():
         _result(low, 0, 0.70), _result(low, 1, 0.70),
         _result(high, 0, 0.72), _result(high, 1, 0.68),
     ]
-    sel = select_cells(config, results)["PADA"]
+    sel = _selections(config, results)["PADA"]
     assert sel.cell == low
 
 
@@ -395,7 +400,7 @@ def test_select_cells_skips_cells_with_a_failed_seed():
         _result(low, 0, 0.60), _result(low, 1, 0.60),
         _result(high, 0, 0.99), _result(high, 1, float("nan"), status="failed"),
     ]
-    sel = select_cells(config, results)["PADA"]
+    sel = _selections(config, results)["PADA"]
     assert sel.cell == low
 
 
@@ -407,7 +412,7 @@ def test_select_cells_skips_cells_missing_a_seed():
         _result(low, 0, 0.60), _result(low, 1, 0.60),
         _result(high, 0, 0.99),
     ]
-    sel = select_cells(config, results)["PADA"]
+    sel = _selections(config, results)["PADA"]
     assert sel.cell == low
 
 
@@ -419,7 +424,7 @@ def test_select_cells_reports_failure_when_nothing_is_eligible():
         _result(cell, 0, float("nan"), status="failed"),
         _result(cell, 1, float("nan"), status="failed"),
     ]
-    sel = select_cells(config, results)["PADA"]
+    sel = _selections(config, results)["PADA"]
     assert sel.status == "failed"
     assert sel.cell is None
     assert np.isnan(sel.mean_val_accuracy)
@@ -513,12 +518,6 @@ def test_parallel_run_matches_serial_byte_for_byte(run_config, run_dir, tmp_path
     par = run_experiment(run_config, out_dir=tmp_path / "par", jobs=2)
     for rel in sorted(p.relative_to(run_dir) for p in run_dir.rglob("*") if p.is_file()):
         assert (run_dir / rel).read_bytes() == (par / rel).read_bytes(), rel
-
-
-def test_seed_override_restricts_the_run(run_config, tmp_path):
-    out = run_experiment(run_config, out_dir=tmp_path / "one-seed", seeds=[1])
-    rows = read_table(out / "eval.csv")
-    assert {row["seed"] for row in rows} == {"1"}
 
 
 def test_single_class_target_is_rejected_before_training(tmp_path, monkeypatch):
@@ -1041,6 +1040,35 @@ def test_missing_output_directory_is_an_error(monkeypatch):
     config = build_config(base_doc())
     with pytest.raises(ConfigurationError, match="no output directory"):
         generate_files(config)
+
+
+def _tree(root):
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("blocked", ["file", "under-file"])
+@pytest.mark.parametrize("command", ["run", "ablate", "generate", "aggregate", "analyze"])
+def test_output_path_that_cannot_be_a_directory_is_an_error(tmp_path, capsys, command,
+                                                            blocked):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken if blocked == "file" else taken / "sub"
+    doc = base_doc()
+    if command == "ablate":
+        doc["methods"] = ["PADA", "PADA_F"]
+    if command == "aggregate":
+        doc["dataset"] = write_ratings_fixture(tmp_path)
+    if command == "analyze":
+        (tmp_path / "exp").mkdir()
+        (tmp_path / "exp" / "eval.csv").write_text(GOOD_EVAL)
+        argv = ["analyze", str(tmp_path / "exp")]
+    else:
+        (tmp_path / "config.yaml").write_text(yaml.safe_dump(doc))
+        argv = [command, "--config", str(tmp_path / "config.yaml")]
+    before = _tree(tmp_path)
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"error: {out}: cannot create the output directory" in capsys.readouterr().err
+    assert _tree(tmp_path) == before
 
 
 # --------------------------------------------------------------------------

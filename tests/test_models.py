@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,3 +307,11 @@ class TestCheckpoints:
         save_checkpoint(path, "PADA", {"C": LinearTransform(np.ones((3, 4)), np.zeros(4))})
         with pytest.raises(InvalidInputError, match=re.escape(str(path))):
             load_checkpoint(path)
+
+
+def test_only_the_models_module_reads_model_parameters():
+    src = Path(__file__).resolve().parents[1] / "src" / "puhda"
+    readers = sorted(name for name in ("trainers.py", "experiment.py", "metrics.py",
+                                       "cli.py", "data.py")
+                     if re.search(r"\.(weights|bias)\b", (src / name).read_text()))
+    assert readers == []

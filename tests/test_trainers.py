@@ -20,6 +20,7 @@ from puhda.models import (
     LinearSoftmaxModel,
     LinearTransform,
     TransformedBatch,
+    frozen_teacher,
     load_checkpoint,
     loss_and_grads,
     save_checkpoint,
@@ -35,7 +36,6 @@ from puhda.objectives import (
 )
 from puhda.trainers import (
     METHOD_TABLE,
-    _frozen_teacher,
     TrainConfig,
     TrainTrace,
     align_features,
@@ -699,7 +699,7 @@ def test_frozen_teacher_pairs_equal_classify(tiny_data, with_transform):
     else:
         models = {"C": LinearSoftmaxModel.initialize(c, rng)}
         rows = train.common
-    teacher = _frozen_teacher(models, c)
+    teacher = frozen_teacher(models, c)
     pairs = teacher(x_t)
     assert isinstance(pairs, ConstTarget)
     assert np.array_equal(pairs.probs, models["C"].classify(rows))
