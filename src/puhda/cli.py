@@ -108,7 +108,7 @@ def main(argv=None) -> int:
                 out = generate_files(config, out_dir=args.out)
             else:
                 out = aggregate_files(config, out_dir=args.out)
-    except PuhdaError as exc:
+    except (PuhdaError, OSError) as exc:   # a failed read or write is an error, too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(out)

@@ -353,6 +353,8 @@ class SplitSpec:
             raise ConfigurationError(f"split fractions must be positive, got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ConfigurationError(f"split fractions must sum to 1, got {sum(fracs)}")
+        if self.seed < 0:
+            raise ConfigurationError("split.seed: must be >= 0")
 
 
 def split(dm: DomainMatrix, spec: SplitSpec) -> tuple[DomainMatrix, DomainMatrix, DomainMatrix]:
@@ -573,6 +575,9 @@ class SyntheticSpec:
             raise ConfigurationError("coupling must be in [0, 1]")
         if self.noise_scale < 0:
             raise ConfigurationError("noise_scale must be >= 0")
+        for name in ("seed", "latent_noise_dim"):   # latent_noise_dim 0: no latent noise
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"dataset.synthetic.{name}: must be >= 0")
         n_pos = round(self.positive_ratio * self.n_target)
         if n_pos < 10 or self.n_target - n_pos < 10:
             raise ConfigurationError(

@@ -656,18 +656,18 @@ def _resolve_out(config: ExperimentConfig, out_dir) -> Path:
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> Path:
-    """Full protocol: grid search and selection, test evaluation, reports."""
+    """Full protocol: grid search and selection, test evaluation, reports; the
+    reports are written before the per-seed telemetry and checkpoints."""
     out = _resolve_out(config, out_dir)
 
     data = prepare_data(config)
     results, selections, artifacts = run_grid(config, data, jobs=jobs)
+    reports = evaluate_on_test(config, data, artifacts)
+    _write_standard_reports(out, config, data, results, selections, reports)
 
     for (method, seed), art in sorted(artifacts.items(), key=lambda kv: kv[0]):
         art.trace.write(out / "telemetry" / method / f"seed-{seed}.csv")
         _write_checkpoint(out / "checkpoints" / method / f"seed-{seed}.json", art)
-
-    reports = evaluate_on_test(config, data, artifacts)
-    _write_standard_reports(out, config, data, results, selections, reports)
     return out
 
 

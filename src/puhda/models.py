@@ -1,6 +1,6 @@
 """Linear models and analytic gradients for weighted KL-term objectives.
 
-Two parametric pieces cover every method in the package:
+Two affine pieces, each called as ``model(x)`` (``_Linear.__call__``), cover every method:
 
 * ``LinearSoftmaxModel`` - a two-class linear head, ``probs = softmax2(x W + b)``,
   used for classifiers and discriminators.
@@ -17,8 +17,8 @@ first ``n_common`` columns untouched, next to the transform's output on the
 whole rows. :func:`frozen_teacher` reads target batches the same way for
 soft labels. :func:`loss_and_grads` evaluates the sum of terms and returns
 hand-derived gradients for the requested models, with the chain rule flowing
-through softmax, clamping, swapping, concatenation, and the transform. No
-autodiff is involved anywhere.
+through softmax, clamping, swapping, concatenation, and the transform, and
+``GradientBundle.add`` as the one gradient product. No autodiff is involved.
 
 Gradient notes. For ``p = softmax(z)`` strictly inside the clamp interval the
 Jacobian gives ``dL/dz_j = p_j * (g_j - sum_k g_k p_k)`` where ``g = dL/dp``;
@@ -55,14 +55,21 @@ class GradientBundle:
     d_weights: np.ndarray
     d_bias: np.ndarray
 
+    def add(self, x: np.ndarray, d_out: np.ndarray) -> None:
+        """Accumulate an affine map's gradients from its inputs and dL/d outputs."""
+        self.d_weights += x.T @ d_out
+        self.d_bias += d_out.sum(axis=0)
+
 
 class _Linear:
-    """What the two affine pieces share: the parameter check, ``x @ weights + bias``
+    """What the two affine pieces share: the parameter check, the one affine map
+    ``self(x) = x @ weights + bias`` with its width check (callers check finiteness),
     and its updates. ``outputs`` fixes the output width of a kind that has one,
-    and ``shapes`` says what the check wants."""
+    ``shapes`` says what the check wants and ``kind`` names the piece."""
 
     outputs = None
     shapes = "linear transform: need weights (in, out) and bias (out,)"
+    kind = "transform"
 
     def __post_init__(self):
         self.weights = require_finite("weights", self.weights)
@@ -75,11 +82,10 @@ class _Linear:
     def input_dim(self) -> int:
         return self.weights.shape[0]
 
-    def _affine(self, x, what: str) -> np.ndarray:
-        x = require_finite("inputs", x)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.input_dim:
             raise InvalidInputError(
-                f"inputs have {x.shape[-1]} columns, {what} expects {self.input_dim}"
+                f"inputs have {x.shape[-1]} columns, {self.kind} expects {self.input_dim}"
             )
         return x @ self.weights + self.bias
 
@@ -102,6 +108,7 @@ class LinearSoftmaxModel(_Linear):
     bias: np.ndarray     # (2,)
     outputs = 2
     shapes = "linear softmax model: need weights (d, 2) and bias (2,)"
+    kind = "model"
 
     @classmethod
     def initialize(cls, input_dim: int, rng: np.random.Generator) -> "LinearSoftmaxModel":
@@ -110,7 +117,7 @@ class LinearSoftmaxModel(_Linear):
         return cls(weights=_init_weights(rng, input_dim, 2), bias=np.zeros(2))
 
     def logits(self, x) -> np.ndarray:
-        return self._affine(x, "model")
+        return self(require_finite("inputs", x))
 
     def classify(self, x) -> np.ndarray:
         """Probability pairs for a batch (n, d) -> (n, 2), or one row (d,) -> (2,)."""
@@ -131,16 +138,13 @@ class LinearTransform(_Linear):
         return cls(weights=_init_weights(rng, in_dim, out_dim), bias=np.zeros(out_dim))
 
     def transform(self, x) -> np.ndarray:
-        return self._affine(x, "transform")
+        return self(require_finite("inputs", x))
 
     def align(self, rows: np.ndarray, n_common: int) -> np.ndarray:
         """Target rows in the source layout ``[common ; F(rows)]``: the first
         ``n_common`` columns pass through, next to the map of the whole rows.
         ``rows`` are finite already, so only their width is checked."""
-        if rows.shape[1] != self.input_dim:
-            raise InvalidInputError(f"target batch has {rows.shape[1]} columns, "
-                                    f"transform expects {self.input_dim}")
-        return np.concatenate([rows[:, :n_common], rows @ self.weights + self.bias], axis=1)
+        return np.concatenate([rows[:, :n_common], self(rows)], axis=1)
 
 
 Model = Union[LinearSoftmaxModel, LinearTransform]
@@ -224,7 +228,7 @@ def frozen_teacher(models: Mapping[str, Model], n_common: int):
             x = batch_target[:, :n_common]
         else:
             x = frozen_f.align(batch_target, n_common)
-        return ConstTarget._of_logits(x @ frozen_c.weights + frozen_c.bias)
+        return ConstTarget._of_logits(frozen_c(x))
 
     return teacher
 
@@ -296,11 +300,8 @@ def _forward(models: Mapping[str, Model], side: ModelOutput, forwards: dict, ali
     if fwd is None:
         model = _bound(models, side.model, LinearSoftmaxModel, "two-class head")
         x_in = _model_inputs(models, side.batch, aligned)
-        if x_in.shape[1] != model.input_dim:
-            raise InvalidInputError(f"inputs have {x_in.shape[1]} columns, "
-                                    f"model {side.model!r} expects {model.input_dim}")
         # a non-finite input or transform output leaves every logit of its row non-finite
-        z = require_finite(f"logits of {side.model!r}", x_in @ model.weights + model.bias)
+        z = require_finite(f"logits of {side.model!r}", model(x_in))
         fwd = _Forward(side.model, side.batch, x_in, *_softmax2(z))
         forwards[key] = fwd
     return fwd
@@ -390,18 +391,14 @@ def loss_and_grads(
         if fwd.clamped.any():
             dz[fwd.clamped] = 0.0
         if fwd.model in wrt_set:
-            bundle = grads[fwd.model]
-            bundle.d_weights += fwd.x_in.T @ dz
-            bundle.d_bias += dz.sum(axis=0)
+            grads[fwd.model].add(fwd.x_in, dz)
         batch = fwd.batch
         if isinstance(batch, TransformedBatch) and batch.transform in wrt_set:
             d_out = dz @ models[fwd.model].weights[batch.n_common:].T
             prev = d_aligned.get(id(batch))
             d_aligned[id(batch)] = (batch, d_out if prev is None else prev[1] + d_out)
     for batch, d_out in d_aligned.values():
-        bundle = grads[batch.transform]
-        bundle.d_weights += batch.rows.T @ d_out
-        bundle.d_bias += d_out.sum(axis=0)
+        grads[batch.transform].add(batch.rows, d_out)
     return LossResult(value=total, term_values=term_values, grads=grads)
 
 

@@ -280,16 +280,13 @@ def _dsft_fit(source_common, source_specific, target_common, target_specific, ga
     mmd_c = delta_c @ delta_c
 
     def loss(psi_s: LinearTransform, psi_t: LinearTransform) -> DsftLoss:
-        if not psi_s.input_dim == psi_t.input_dim == s_c.shape[1] == t_c.shape[1]:
-            raise InvalidInputError(
-                "common blocks and completion maps disagree on the common width")
-        resid_s = s_c @ psi_s.weights + psi_s.bias - s_s   # source-specific reconstruction
-        resid_t = t_c @ psi_t.weights + psi_t.bias - t_t   # target-specific reconstruction
+        resid_s = psi_s(s_c) - s_s   # source-specific reconstruction
+        resid_t = psi_t(t_c) - t_t   # target-specific reconstruction
         rec_source = float(np.sum(resid_s * resid_s)) / s_c.shape[0]
         rec_target = float(np.sum(resid_t * resid_t)) / t_c.shape[0]
         # source-specific slots, filled by psi_s on target rows; target-specific, by psi_t
-        delta_s = mean_s_s - (mean_t_c @ psi_s.weights + psi_s.bias)
-        delta_t = (mean_s_c @ psi_t.weights + psi_t.bias) - mean_t_t
+        delta_s = mean_s_s - psi_s(mean_t_c)
+        delta_t = psi_t(mean_s_c) - mean_t_t
         mmd_val = float(mmd_c + delta_s @ delta_s + delta_t @ delta_t)
         return DsftLoss(
             value=rec_source + rec_target + gamma_mmd * mmd_val,

@@ -177,6 +177,10 @@ def _set(doc, path, value):
         (("grid", "lam"), [0.1, 0.2, 0.1], "grid.lam: duplicate entries"),
         (("grid", "eta"), [0.01, 0.01], "grid.eta: duplicate entries"),
         (("dataset", "csv"), {"bogus": 1}, "dataset: unknown field 'csv'"),
+        (("dataset", "synthetic", "latent_noise_dim"), -1,
+         "dataset.synthetic.latent_noise_dim: must be >= 0"),
+        (("dataset", "synthetic", "seed"), -1, "dataset.synthetic.seed: must be >= 0"),
+        (("split", "seed"), -1, "split.seed: must be >= 0"),
     ],
 )
 def test_build_config_rejects_bad_documents(path, value, message):
@@ -1090,6 +1094,18 @@ def test_cli_run_prints_the_output_directory(config_file, tmp_path, capsys):
     assert main(["run", "--config", str(config_file), "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     assert (out / "eval.csv").is_file()
+
+
+def test_failed_telemetry_write_is_an_error_after_the_reports(config_file, tmp_path, capsys):
+    out = tmp_path / "exp"
+    out.mkdir()
+    (out / "telemetry").write_text("not a directory\n")
+    assert main(["run", "--config", str(config_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "telemetry" in err
+    for name in ("grid.csv", "selection.csv", "eval.csv", "analytics.csv",
+                 "comparison.txt", "run_meta.json"):
+        assert (out / name).is_file()
 
 
 def test_cli_seeds_flag_narrows_the_run(config_file, tmp_path, capsys):

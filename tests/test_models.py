@@ -16,10 +16,12 @@ from puhda.models import (
     ModelOutput,
     RawBatch,
     TransformedBatch,
+    frozen_teacher,
     load_checkpoint,
     loss_and_grads,
     save_checkpoint,
 )
+from puhda.objectives import dsft_loss
 
 from _oracles import (
     classify_row,
@@ -312,6 +314,34 @@ class TestCheckpoints:
 def test_only_the_models_module_reads_model_parameters():
     src = Path(__file__).resolve().parents[1] / "src" / "puhda"
     readers = sorted(name for name in ("trainers.py", "experiment.py", "metrics.py",
-                                       "cli.py", "data.py")
+                                       "cli.py", "data.py", "objectives.py")
                      if re.search(r"\.(weights|bias)\b", (src / name).read_text()))
     assert readers == []
+
+
+def _head(d):
+    return LinearSoftmaxModel(np.ones((d, 2)), np.zeros(2))
+
+
+def _map(d_in, d_out):
+    return LinearTransform(np.ones((d_in, d_out)), np.zeros(d_out))
+
+
+# Each feeds an affine map rows of a width it does not expect.
+_WIDTH_MISMATCHES = {
+    "logits": lambda: _head(3).logits(np.ones((2, 4))),
+    "transform": lambda: _map(3, 2).transform(np.ones((2, 4))),
+    "align": lambda: _map(4, 2).align(np.ones((2, 5)), 2),
+    "loss_forward": lambda: loss_and_grads(
+        {"D": _head(3)}, [KLTerm(1.0, ConstTarget(numerics.P1),
+                                 ModelOutput("D", RawBatch(np.ones((2, 4)))))]),
+    "frozen_teacher": lambda: frozen_teacher({"C": _head(3)}, 2)(np.ones((2, 5))),
+    "dsft_loss": lambda: dsft_loss(np.ones((2, 2)), np.ones((2, 1)), np.ones((3, 2)),
+                                   np.ones((3, 1)), _map(3, 1), _map(3, 1), 1.0),
+}
+
+
+@pytest.mark.parametrize("call", _WIDTH_MISMATCHES.values(), ids=_WIDTH_MISMATCHES.keys())
+def test_every_affine_map_reports_a_width_mismatch_in_one_message(call):
+    with pytest.raises(InvalidInputError, match="inputs have"):
+        call()
