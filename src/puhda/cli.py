@@ -54,7 +54,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, with_grid_flags: bool) ->
         parser.add_argument("--seeds", type=_seed_list, default=None,
                             help="comma-separated seed list overriding the config")
         parser.add_argument("--jobs", type=_positive_int, default=1,
-                            help="parallel workers for grid cells")
+                            help="parallel workers for grid groups, one (method, seed) each")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,6 +9,15 @@ class InvalidInputError(PuhdaError):
     """An operation received values outside its domain."""
 
 
+class NonFiniteCells(InvalidInputError):
+    """Some cells of a stacked computation produced NaN or infinity; ``cells`` is
+    the boolean mask of those cells over the cell axis (0-d without one)."""
+
+    def __init__(self, message: str, cells):
+        super().__init__(message)
+        self.cells = cells
+
+
 class ConfigurationError(PuhdaError):
     """Components were wired together inconsistently."""
 

@@ -5,10 +5,11 @@ the hyperparameter grids, the seeds, and the split. Running an experiment
 trains every method over its grid once, selects one cell per method by mean
 validation accuracy, writes the selected cell's grid artifacts per seed as
 telemetry and checkpoints (nothing is retrained), and evaluates once on the
-held-out test split. Grid cells and seeds are independent work items, so they
-can run in parallel; results are folded in a fixed order, and every report is
-written with round-trip float formatting and no timestamps, making reruns
-byte-identical.
+held-out test split. A work item is a group, the cells of one (method, seed)
+trained as one stacked run; groups are independent, so they can run in
+parallel. Results are folded in a fixed (method, cell, seed) order, and every
+report is written with round-trip float formatting and no timestamps, making
+reruns byte-identical.
 
 The test split is kept inside a sealed handle that training and selection
 code never receives; it is opened exactly once, after selection.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from itertools import chain, groupby, product
@@ -92,6 +94,8 @@ def _reject_unknown(mapping: dict, allowed, where: str) -> None:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{where}: expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -430,17 +434,36 @@ def _cell_config(cell: GridCell, seed: int, training: TrainingSpec) -> TrainConf
     )
 
 
-def train_method(
-    method: str,
-    source: DomainMatrix,
-    train: DomainMatrix,
-    val: DomainMatrix,
-    config: TrainConfig,
-) -> TrainedArtifacts:
-    """Train one method end to end, the way its method-table entry says."""
+def _entry(method: str):
     if method not in METHOD_TABLE:
         raise ConfigurationError(f"unknown method {method!r}")
-    return METHOD_TABLE[method].train(source, train, val, config)
+    return METHOD_TABLE[method]
+
+
+def train_method(method: str, source: DomainMatrix, train: DomainMatrix, val: DomainMatrix,
+                 config: TrainConfig) -> TrainedArtifacts:
+    """Train one cell of a method, as a stack of one."""
+    return _entry(method).train(source, train, val, config)
+
+
+def train_group(method: str, source: DomainMatrix, train: DomainMatrix, val: DomainMatrix,
+                configs: list[TrainConfig]) -> list:
+    """Train one group, its cells stacked, the way the method-table entry says:
+    each cell's artifacts, or the error that cell failed with."""
+    return _entry(method).group(source, train, val, configs)
+
+
+def _groups(config: ExperimentConfig) -> list[tuple]:
+    """The grid's work items: one group per method and seed, holding the
+    method's cells, or one per learning rate for a method whose stacks hold one."""
+    items = []
+    for method in config.methods:
+        cells = grid_cells(method, config.grid)
+        by_rate = not METHOD_TABLE[method].stacks_learning_rate
+        for seed in sorted(config.seeds):
+            for _, group in groupby(cells, key=lambda c: c.learning_rate if by_rate else None):
+                items.append((method, tuple(group), seed, config.training))
+    return items
 
 
 # (source, train, val) in a pool worker process, set once by the pool initializer.
@@ -452,20 +475,72 @@ def _set_worker_data(data: tuple) -> None:
     _worker_data = data
 
 
-def _grid_worker(item, data: tuple | None = None) -> tuple[CellResult, TrainedArtifacts | None]:
-    """Train one (method, cell, seed); an ok result comes back with its artifacts."""
-    method, cell, seed, training = item
+def _group_worker(item, data: tuple | None = None) -> list[tuple]:
+    """Train one group of (method, cells, seed) as one stack; each cell's result,
+    an ok one with its artifacts."""
+    method, cells, seed, training = item
     source, train, val = data or _worker_data
     try:
-        art = train_method(method, source, train, val, _cell_config(cell, seed, training))
-        val_acc = accuracy(predict(art, val), val.labels)
-        return CellResult(method, cell, seed, "ok", val_acc, ""), art
-    except Exception as exc:  # a failed cell, expected or not, must not lose the grid
-        expected = isinstance(exc, PuhdaError)
-        error = str(exc) if expected else f"{type(exc).__name__}: {exc}"
-        logger.warning("%s %s seed %d failed: %s", method, cell, seed, error,
-                       exc_info=not expected)
-        return CellResult(method, cell, seed, "failed", float("nan"), error), None
+        outcomes = train_group(method, source, train, val,
+                               [_cell_config(cell, seed, training) for cell in cells])
+    except Exception as exc:  # a failed group, expected or not, must not lose the grid
+        outcomes = [exc] * len(cells)
+    return [_cell_result(method, cell, seed, outcome, val)
+            for cell, outcome in zip(cells, outcomes)]
+
+
+def _cell_result(method, cell, seed, outcome, val) -> tuple[CellResult, TrainedArtifacts | None]:
+    if not isinstance(outcome, Exception):
+        try:
+            val_acc = accuracy(predict(outcome, val), val.labels)
+            return CellResult(method, cell, seed, "ok", val_acc, ""), outcome
+        except Exception as exc:  # a failed cell, expected or not, must not lose the grid
+            outcome = exc
+    expected = isinstance(outcome, PuhdaError)
+    error = str(outcome) if expected else f"{type(outcome).__name__}: {outcome}"
+    logger.warning("%s %s seed %d failed: %s", method, cell, seed, error,
+                   exc_info=None if expected else outcome)
+    return CellResult(method, cell, seed, "failed", float("nan"), error), None
+
+
+WORKER_DIED = "worker process died"
+
+
+def _pool_outputs(items, shared: tuple, workers: int):
+    """Each group's cell results, in item order, from a pool of ``workers``. Once a
+    worker dies, every group not yet finished reruns alone in a fresh one-worker
+    pool; a group that kills that worker too fails its cells with WORKER_DIED."""
+    from concurrent.futures import ProcessPoolExecutor   # slow to import; only --jobs pays
+    from concurrent.futures.process import BrokenProcessPool
+
+    def pool(n):
+        return ProcessPoolExecutor(max_workers=n, initializer=_set_worker_data, initargs=(shared,))
+
+    def alone(item):
+        with pool(1) as single:
+            try:
+                return single.submit(_group_worker, item).result()
+            except BrokenProcessPool:
+                method, cells, seed, _ = item
+                logger.warning("%s seed %d: %s", method, seed, WORKER_DIED)
+                return [(CellResult(method, cell, seed, "failed", float("nan"), WORKER_DIED), None)
+                        for cell in cells]
+
+    with pool(workers) as many:
+        futures = [many.submit(_group_worker, item) for item in items]
+        for item, future in zip(items, futures):
+            try:
+                output = future.result()
+            except BrokenProcessPool:
+                output = alone(item)
+            yield output
+
+
+def _replay(groups):
+    """Cell results in (method, cell, seed) order from groups that arrive method
+    by method: one method's groups are buffered, then replayed."""
+    for _, outputs in groupby(groups, key=lambda output: output[0][0].method):
+        yield from sorted(chain.from_iterable(outputs), key=lambda o: (o[0].cell, o[0].seed))
 
 
 @dataclass(frozen=True)
@@ -478,7 +553,7 @@ class Selection:
 
 def _select(config: ExperimentConfig, outcomes):
     """The selection rule, as one fold over ``(CellResult, payload)`` pairs in
-    item order: method, then ascending cell, then seed.
+    order: method, then ascending cell, then seed.
 
     A cell is complete when every seed is present and ok. A later complete
     cell replaces a method's kept one only with a strictly higher mean
@@ -501,24 +576,23 @@ def _select(config: ExperimentConfig, outcomes):
 
 
 def run_grid(config: ExperimentConfig, data: PreparedData, jobs: int = 1):
-    """Train every method x cell x seed once; failures are recorded, not raised.
+    """Train every method x cell x seed once, each group as one stacked run;
+    failures are recorded, not raised.
 
-    Returns every cell result in item order, each method's selection, and the
-    selected cells' artifacts by (method, seed). Results are folded as they
-    arrive, so only each method's best cell keeps its artifacts.
+    Returns every cell result in (method, cell, seed) order, each method's
+    selection, and the selected cells' artifacts by (method, seed). Groups
+    are spread over ``jobs`` processes (never more than there are groups),
+    and one method's groups are folded once they have all arrived, so only
+    each method's best cell keeps its artifacts after that.
     """
-    items = [(method, cell, seed, config.training)
-             for method in config.methods
-             for cell in grid_cells(method, config.grid)
-             for seed in sorted(config.seeds)]
+    items = _groups(config)
     shared = (data.source, data.train, data.val)
-    if jobs <= 1:
-        return _select(config, (_grid_worker(item, shared) for item in items))
-    from concurrent.futures import ProcessPoolExecutor   # slow to import; only --jobs pays
-
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_set_worker_data,
-                             initargs=(shared,)) as pool:
-        return _select(config, pool.map(_grid_worker, items))
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        outputs = (_group_worker(item, shared) for item in items)
+    else:
+        outputs = _pool_outputs(items, shared, workers)
+    return _select(config, _replay(outputs))
 
 
 def evaluate_on_test(

@@ -26,6 +26,19 @@ rows whose raw softmax output left the clamp interval are locally constant,
 so their gradient is zero. For a term ``kl2(a, b)`` the local derivatives are
 ``dKL/da = log(a/b) + 1`` and ``dKL/db = -a/b`` (the constant offset is
 annihilated by the softmax Jacobian).
+
+The cell axis. A model holds one cell's parameters, weights ``(in, out)`` and
+bias ``(out,)``, or a stack of K cells' (a grid group trained in lockstep),
+weights ``(K, in, out)`` and bias ``(K, out)``. A stack maps rows ``(n, in)``
+that every cell shares, or its cells' own rows ``(K, n, in)``, to
+``(K, n, out)``; a term weight is a number or one per cell ``(K,)``; a loss
+value is a number or ``(K,)`` and the term values ``(T,)`` or ``(K, T)``;
+gradients have the parameters' shapes. Every operation works slice by slice
+(broadcast ``matmul``, reductions over the batch axis, elementwise pair
+arithmetic), so each cell of a stack gets the bits a stack of one gets. A
+non-finite logit or update raises ``NonFiniteCells`` marking only the cells
+that produced it, before any parameter changes, so the caller can drop those
+cells and replay the phase for the rest.
 """
 
 from __future__ import annotations
@@ -38,14 +51,17 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, InvalidInputError
-from .numerics import _softmax2, prob_pairs, require_finite, softmax2
+from .errors import ConfigurationError, InvalidInputError, NonFiniteCells
+from .numerics import _softmax2, prob_pairs, require_finite, require_finite_cells, softmax2
 
 
-def _init_weights(rng: np.random.Generator, in_dim: int, out_dim: int) -> np.ndarray:
-    # uniform in [-r, r] with r = 1/sqrt(in_dim); biases start at zero
+def _init_params(rng: np.random.Generator, in_dim: int, out_dim: int, cells: int | None):
+    # weights uniform in [-r, r] with r = 1/sqrt(in_dim), biases zero; every cell
+    # of a stack starts from the same draw
     r = 1.0 / np.sqrt(in_dim)
-    return rng.uniform(-r, r, size=(in_dim, out_dim))
+    weights = rng.uniform(-r, r, size=(in_dim, out_dim))
+    lead = () if cells is None else (cells,)
+    return np.broadcast_to(weights, lead + weights.shape).copy(), np.zeros(lead + (out_dim,))
 
 
 @dataclass
@@ -57,14 +73,15 @@ class GradientBundle:
 
     def add(self, x: np.ndarray, d_out: np.ndarray) -> None:
         """Accumulate an affine map's gradients from its inputs and dL/d outputs."""
-        self.d_weights += x.T @ d_out
-        self.d_bias += d_out.sum(axis=0)
+        self.d_weights += x.swapaxes(-1, -2) @ d_out
+        self.d_bias += d_out.sum(axis=-2)
 
 
 class _Linear:
     """What the two affine pieces share: the parameter check, the one affine map
     ``self(x) = x @ weights + bias`` with its width check (callers check finiteness),
-    and its updates. ``outputs`` fixes the output width of a kind that has one,
+    and its updates. The parameters are one cell's or a stack's (see the module
+    docstring). ``outputs`` fixes the output width of a kind that has one,
     ``shapes`` says what the check wants and ``kind`` names the piece."""
 
     outputs = None
@@ -75,29 +92,40 @@ class _Linear:
         self.weights = require_finite("weights", self.weights)
         self.bias = require_finite("bias", self.bias)
         w, b = self.weights, self.bias
-        if w.ndim != 2 or b.shape != (w.shape[1],) or self.outputs not in (None, w.shape[1]):
+        if (w.ndim not in (2, 3) or b.shape != w.shape[:-2] + w.shape[-1:]
+                or self.outputs not in (None, w.shape[-1])):
             raise InvalidInputError(f"{self.shapes}, got {w.shape} and {b.shape}")
 
     @property
     def input_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.input_dim:
             raise InvalidInputError(
                 f"inputs have {x.shape[-1]} columns, {self.kind} expects {self.input_dim}"
             )
-        return x @ self.weights + self.bias
+        return x @ self.weights + (self.bias if self.bias.ndim == 1 else self.bias[:, None])
 
-    def apply_step(self, grads: GradientBundle, scale: float) -> None:
-        """In-place parameter update ``theta += scale * grad``; rejects non-finite results."""
-        self.weights = self.weights + scale * grads.d_weights
-        self.bias = self.bias + scale * grads.d_bias
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
-            raise InvalidInputError("parameter update produced non-finite values")
+    def apply_step(self, grads: GradientBundle, scale) -> None:
+        """In-place parameter update ``theta += scale * grad``, where ``scale`` is a
+        number or one per cell. If any cell's update is not finite, nothing changes
+        and ``NonFiniteCells`` marks those cells."""
+        scale = np.asarray(scale)
+        weights = self.weights + scale[..., None, None] * grads.d_weights
+        bias = self.bias + scale[..., None] * grads.d_bias
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+            bad = ~(np.isfinite(weights).all(axis=(-2, -1)) & np.isfinite(bias).all(axis=-1))
+            raise NonFiniteCells("parameter update produced non-finite values", bad)
+        self.weights, self.bias = weights, bias
 
     def copy(self):
         return type(self)(self.weights.copy(), self.bias.copy())
+
+    def take(self, cells):
+        """The given cells of a stack (an index array or a mask) as a stack, or
+        with an integer, that cell's own model."""
+        return type(self)(self.weights[cells].copy(), self.bias[cells].copy())
 
 
 @dataclass
@@ -111,16 +139,19 @@ class LinearSoftmaxModel(_Linear):
     kind = "model"
 
     @classmethod
-    def initialize(cls, input_dim: int, rng: np.random.Generator) -> "LinearSoftmaxModel":
+    def initialize(cls, input_dim: int, rng: np.random.Generator,
+                   cells: int | None = None) -> "LinearSoftmaxModel":
+        """One cell's head, or with ``cells`` a stack of that many equal heads."""
         if input_dim < 1:
             raise InvalidInputError(f"input_dim must be >= 1, got {input_dim}")
-        return cls(weights=_init_weights(rng, input_dim, 2), bias=np.zeros(2))
+        return cls(*_init_params(rng, input_dim, 2, cells))
 
     def logits(self, x) -> np.ndarray:
-        return self(require_finite("inputs", x))
+        return self(require_finite_cells("inputs", x))
 
     def classify(self, x) -> np.ndarray:
-        """Probability pairs for a batch (n, d) -> (n, 2), or one row (d,) -> (2,)."""
+        """Probability pairs for a batch (n, d) -> (n, 2), or one row (d,) -> (2,); a
+        stack gives (K, n, 2), and ``NonFiniteCells`` marks the cells it cannot score."""
         return softmax2(self.logits(x))
 
 
@@ -132,19 +163,26 @@ class LinearTransform(_Linear):
     bias: np.ndarray     # (out_dim,)
 
     @classmethod
-    def initialize(cls, in_dim: int, out_dim: int, rng: np.random.Generator) -> "LinearTransform":
+    def initialize(cls, in_dim: int, out_dim: int, rng: np.random.Generator,
+                   cells: int | None = None) -> "LinearTransform":
+        """One cell's map, or with ``cells`` a stack of that many equal maps."""
         if in_dim < 1 or out_dim < 1:
             raise InvalidInputError(f"transform dims must be >= 1, got {in_dim} -> {out_dim}")
-        return cls(weights=_init_weights(rng, in_dim, out_dim), bias=np.zeros(out_dim))
+        return cls(*_init_params(rng, in_dim, out_dim, cells))
 
     def transform(self, x) -> np.ndarray:
-        return self(require_finite("inputs", x))
+        return self(require_finite_cells("inputs", x))
 
     def align(self, rows: np.ndarray, n_common: int) -> np.ndarray:
         """Target rows in the source layout ``[common ; F(rows)]``: the first
         ``n_common`` columns pass through, next to the map of the whole rows.
-        ``rows`` are finite already, so only their width is checked."""
-        return np.concatenate([rows[:, :n_common], self(rows)], axis=1)
+        ``rows`` are finite already, so only their width is checked. A stack
+        aligns shared rows ``(n, in)`` into ``(K, n, n_common + out)``."""
+        mapped = self(rows)
+        aligned = np.empty(mapped.shape[:-1] + (n_common + mapped.shape[-1],))
+        aligned[..., :n_common] = rows[..., :n_common]
+        aligned[..., n_common:] = mapped
+        return aligned
 
 
 Model = Union[LinearSoftmaxModel, LinearTransform]
@@ -189,8 +227,9 @@ Batch = Union[RawBatch, TransformedBatch]
 
 def _columns(probs: np.ndarray) -> tuple[tuple, tuple]:
     """``(p0, p1)`` and ``(log p0, log p1)``: the two class columns of clamped
-    pairs, each contiguous, so the loss works in pair arithmetic."""
-    columns = probs.T.copy()
+    pairs (one pair, one cell's ``(n, 2)`` or a stack's ``(K, n, 2)``), each
+    contiguous, so the loss works in pair arithmetic."""
+    columns = (probs.T if probs.ndim < 3 else probs.transpose(2, 0, 1)).copy()
     return tuple(columns), tuple(np.log(columns))
 
 
@@ -198,7 +237,7 @@ def _columns(probs: np.ndarray) -> tuple[tuple, tuple]:
 class ConstTarget:
     """A constant probability batch; no gradient flows into it."""
 
-    probs: np.ndarray  # (2,) or (n, 2), already clamped
+    probs: np.ndarray  # (2,), (n, 2) or a stack's (K, n, 2), already clamped
     columns: tuple = field(init=False, repr=False, compare=False)   # see _columns
 
     def __post_init__(self):
@@ -209,28 +248,40 @@ class ConstTarget:
     def _of_logits(cls, logits) -> "ConstTarget":
         """The softmax pairs of ``logits``, with one finite check on the logits;
         the pairs are clamped by construction, so ``prob_pairs`` is skipped."""
-        probs = _softmax2(require_finite("teacher logits", logits))[0]
+        probs = _softmax2(require_finite_cells("teacher logits", logits))[0]
         target = object.__new__(cls)   # skips __post_init__, which would check the pairs
         target.__dict__.update(probs=probs, columns=_columns(probs))
         return target
 
 
-def frozen_teacher(models: Mapping[str, Model], n_common: int):
-    """Soft labels for target batches from frozen copies of ``models["C"]`` and,
-    when there is one, ``models["F"]``: the classifier scores a batch's common
-    columns, or its rows aligned by the transform. The affine steps are the
-    loss's own, and one finite check on the logits covers the batch too."""
-    frozen_c = models["C"].copy()
-    frozen_f = models["F"].copy() if "F" in models else None
+class FrozenTeacher:
+    """Soft labels for target batches from a frozen classifier and, when there is
+    one, a frozen transform (one cell's or a stack's): the classifier scores a
+    batch's common columns, or its rows aligned by the transform. The affine
+    steps are the loss's own, and one finite check on the logits covers the
+    batch too."""
 
-    def teacher(batch_target: np.ndarray) -> ConstTarget:
-        if frozen_f is None:
-            x = batch_target[:, :n_common]
+    def __init__(self, classifier: LinearSoftmaxModel, transform: LinearTransform | None,
+                 n_common: int):
+        self.classifier, self.transform, self.n_common = classifier, transform, n_common
+
+    def __call__(self, batch_target: np.ndarray) -> ConstTarget:
+        if self.transform is None:
+            x = batch_target[:, :self.n_common]
         else:
-            x = frozen_f.align(batch_target, n_common)
-        return ConstTarget._of_logits(frozen_c(x))
+            x = self.transform.align(batch_target, self.n_common)
+        return ConstTarget._of_logits(self.classifier(x))
 
-    return teacher
+    def take(self, cells) -> "FrozenTeacher":
+        """The teacher of the given cells of a stack."""
+        transform = None if self.transform is None else self.transform.take(cells)
+        return FrozenTeacher(self.classifier.take(cells), transform, self.n_common)
+
+
+def frozen_teacher(models: Mapping[str, Model], n_common: int) -> FrozenTeacher:
+    """The teacher of frozen copies of ``models["C"]`` and, if bound, ``models["F"]``."""
+    transform = models["F"].copy() if "F" in models else None
+    return FrozenTeacher(models["C"].copy(), transform, n_common)
 
 
 @dataclass(frozen=True)
@@ -247,9 +298,10 @@ Side = Union[ConstTarget, ModelOutput]
 
 @dataclass(frozen=True)
 class KLTerm:
-    """``weight * sum_i kl2(left_i, right_i)``; the weight carries sign and 1/batch."""
+    """``weight * sum_i kl2(left_i, right_i)``; the weight carries sign and 1/batch,
+    and is one number or one per cell of a stack."""
 
-    weight: float
+    weight: float | np.ndarray
     left: Side
     right: Side
     name: str = ""
@@ -257,8 +309,8 @@ class KLTerm:
 
 @dataclass
 class LossResult:
-    value: float
-    term_values: np.ndarray  # weighted contribution of each term, in order
+    value: float | np.ndarray  # a number, or one per cell (K,)
+    term_values: np.ndarray    # weighted contribution of each term, in order: (T,) or (K, T)
     grads: dict[str, GradientBundle] = field(default_factory=dict)
 
 
@@ -301,7 +353,7 @@ def _forward(models: Mapping[str, Model], side: ModelOutput, forwards: dict, ali
         model = _bound(models, side.model, LinearSoftmaxModel, "two-class head")
         x_in = _model_inputs(models, side.batch, aligned)
         # a non-finite input or transform output leaves every logit of its row non-finite
-        z = require_finite(f"logits of {side.model!r}", model(x_in))
+        z = require_finite_cells(f"logits of {side.model!r}", model(x_in))
         fwd = _Forward(side.model, side.batch, x_in, *_softmax2(z))
         forwards[key] = fwd
     return fwd
@@ -339,7 +391,8 @@ def loss_and_grads(
     Parameters
     ----------
     models : mapping of name to model; every name referenced by a term must
-        be bound here.
+        be bound here. Either every model is one cell's or every model is a
+        stack of the same K cells (see the module docstring).
     terms : the objective, as emitted by the ``objectives`` module.
     wrt : names whose gradients are wanted. Gradients chain through a
         transform whenever its name appears here, even if it only occurs
@@ -353,7 +406,8 @@ def loss_and_grads(
     identity; each forward sums the probability gradients of the sides that
     read it, then runs one softmax Jacobian and one backward product. Term
     values and the Jacobian work on the two class columns in pair arithmetic;
-    ``dz`` goes back to ``(n, 2)`` rows only for the products and batch sums.
+    ``dz`` goes back to ``(n, 2)`` rows (``(K, n, 2)`` for a stack) only for
+    the products and batch sums. A non-finite logit raises ``NonFiniteCells``.
     """
     wrt_set = frozenset(wrt)
     for name in wrt_set:
@@ -364,18 +418,21 @@ def loss_and_grads(
     forwards: dict = {}
     aligned: dict = {}
     total = 0.0
-    term_values = np.zeros(len(terms))
-    for idx, term in enumerate(terms):
+    values = []
+    for term in terms:
         (a0, a1), (log_a0, log_a1), fwd_a = _side_columns(models, term.left, forwards, aligned)
         (b0, b1), (log_b0, log_b1), fwd_b = _side_columns(models, term.right, forwards, aligned)
         ratio0, ratio1 = log_a0 - log_b0, log_a1 - log_b1
-        w = term.weight
-        value = w * float((a0 * ratio0 + a1 * ratio1).sum())
-        term_values[idx] = value
-        total += value
-        if fwd_a is not None and _needs_grad(fwd_a, wrt_set):
+        value = term.weight * (a0 * ratio0 + a1 * ratio1).sum(axis=-1)
+        values.append(value)
+        total = total + value
+        grad_a = fwd_a is not None and _needs_grad(fwd_a, wrt_set)
+        grad_b = fwd_b is not None and _needs_grad(fwd_b, wrt_set)
+        if grad_a or grad_b:
+            w = np.asarray(term.weight)[..., None]   # broadcasts over a cell's rows
+        if grad_a:
             _add_grad(fwd_a, term.left, w * (ratio0 + 1.0), w * (ratio1 + 1.0))
-        if fwd_b is not None and _needs_grad(fwd_b, wrt_set):
+        if grad_b:
             _add_grad(fwd_b, term.right, w * (-(a0 / b0)), w * (-(a1 / b1)))
 
     d_aligned: dict = {}   # id(batch) -> (batch, dL/d transform output)
@@ -385,21 +442,21 @@ def loss_and_grads(
         (p0, p1), _ = fwd.columns
         g0, g1 = fwd.grad
         s = g0 * p0 + g1 * p1
-        dz = np.empty((s.shape[0], 2))
-        dz[:, 0] = p0 * (g0 - s)
-        dz[:, 1] = p1 * (g1 - s)
+        dz = np.empty(s.shape + (2,))
+        dz[..., 0] = p0 * (g0 - s)
+        dz[..., 1] = p1 * (g1 - s)
         if fwd.clamped.any():
             dz[fwd.clamped] = 0.0
         if fwd.model in wrt_set:
             grads[fwd.model].add(fwd.x_in, dz)
         batch = fwd.batch
         if isinstance(batch, TransformedBatch) and batch.transform in wrt_set:
-            d_out = dz @ models[fwd.model].weights[batch.n_common:].T
+            d_out = dz @ models[fwd.model].weights[..., batch.n_common:, :].swapaxes(-1, -2)
             prev = d_aligned.get(id(batch))
             d_aligned[id(batch)] = (batch, d_out if prev is None else prev[1] + d_out)
     for batch, d_out in d_aligned.values():
         grads[batch.transform].add(batch.rows, d_out)
-    return LossResult(value=total, term_values=term_values, grads=grads)
+    return LossResult(value=total, term_values=np.array(values).T, grads=grads)
 
 
 # --------------------------------------------------------------------------

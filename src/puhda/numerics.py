@@ -19,7 +19,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NonFiniteCells
 
 # Probabilities are clamped into [EPS, 1 - EPS] before any log is taken.
 EPS = 1e-7
@@ -30,6 +30,18 @@ def require_finite(name: str, values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size and not np.isfinite(arr).all():
         raise InvalidInputError(f"{name}: values must be finite")
+    return arr
+
+
+def require_finite_cells(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array, or ``NonFiniteCells`` marking the cells that
+    hold NaN or infinity. An array of more than two axes is a stack of cells,
+    cell axis first; anything smaller is one cell."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        cell_axes = tuple(range(max(arr.ndim - 2, 0), arr.ndim))
+        bad = ~np.isfinite(arr).all(axis=cell_axes)
+        raise NonFiniteCells(f"{name}: values must be finite", bad)
     return arr
 
 
@@ -61,10 +73,10 @@ def prob_pairs(values) -> np.ndarray:
 def softmax2(logits) -> np.ndarray:
     """Two-class softmax with max-subtraction, clamped to valid pairs.
 
-    Accepts shape (2,) or (n, 2) finite logits; magnitudes up to +-1e4 are
+    Accepts shape (2,), (n, 2) or a stack's (K, n, 2) finite logits; magnitudes up to +-1e4 are
     safe because the larger logit is subtracted before exponentiation.
     """
-    z = require_finite("logits", logits)
+    z = require_finite_cells("logits", logits)
     if z.shape[-1] != 2:
         raise InvalidInputError(f"logits: last axis must have length 2, got shape {z.shape}")
     return _softmax2(z)[0]

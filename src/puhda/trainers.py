@@ -31,6 +31,19 @@ The phases per step:
 The feature-completion fit is deterministic full-batch descent with a
 backtracking step size, so its loss trace never increases. Every trainer
 returns its models in one dict keyed by checkpoint slot name.
+
+The cell axis. Configs that differ only in ``learning_rate``, ``lam`` and
+``eta`` draw the same batches, so a method's group trainer (``pada_group``
+and its siblings in ``METHOD_TABLE``) trains K of them as one stack: every
+model holds weights ``(K, in, out)`` and bias ``(K, out)``, the per-cell
+scalars are ``(K,)`` arrays, each traced phase fills a ``(steps, K, terms)``
+block, and a stacked ``(K, n, 2)`` forward serves every cell (see the
+``models`` docstring for the shapes). Each cell ends as its own 2-D models
+and telemetry, or as the error it failed with: a cell whose logits or update
+turn non-finite leaves the stack, and the phase replays on the same batches
+for the others. A single trainer call (``train_pada`` and the rest) is a
+stack of one through the same code; a stack of one carries no cell axis, so
+it runs on one cell's arrays.
 """
 
 from __future__ import annotations
@@ -41,9 +54,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import DomainMatrix, write_table
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError, NonFiniteCells, PuhdaError
 from .metrics import accuracy
 from .models import (
+    FrozenTeacher,
     LinearSoftmaxModel,
     LinearTransform,
     Model,
@@ -102,11 +116,21 @@ class TrainConfig:
 
 
 class TrainTrace:
-    """Per-step objective telemetry: one row per training step."""
+    """Per-step objective telemetry: one row per training step. A stacked run
+    hands each cell its values as one array ``(steps, columns)``, which turns
+    into rows when they are first read."""
 
-    def __init__(self, columns):
+    def __init__(self, columns, values: np.ndarray | None = None):
         self.columns = ("step",) + tuple(columns)
-        self.rows: list[tuple] = []
+        self._values = values
+        self._rows: list[tuple] = []
+
+    @property
+    def rows(self) -> list[tuple]:
+        if self._values is not None:
+            self._rows = [(step, *row) for step, row in enumerate(self._values.tolist())]
+            self._values = None
+        return self._rows
 
     def record(self, step: int, values) -> None:
         values = tuple(float(v) for v in values)
@@ -148,6 +172,10 @@ class TrainedArtifacts:
         return self.slots.get("C")
 
 
+# What a group trainer returns per cell: its artifacts, or the error it failed with.
+Outcome = TrainedArtifacts | PuhdaError
+
+
 def _draw(rng: np.random.Generator, x: np.ndarray, batch_size: int) -> np.ndarray:
     return x[rng.integers(0, x.shape[0], size=batch_size)]
 
@@ -181,7 +209,91 @@ def _check_domains(source: DomainMatrix, target: DomainMatrix) -> None:
 
 
 # --------------------------------------------------------------------------
-# The phase loop
+# Stacks and the phase loop
+
+
+class _Stack:
+    """The cells of one stacked run: configs that differ only in learning_rate,
+    lam and eta, trained in lockstep on the same batches.
+
+    ``cells`` holds the group positions of the live cells; the per-cell
+    scalars (``learning_rate``, ``lam``, ``eta``, each ``(K,)``), ``models``
+    and ``teacher`` follow it. A cell leaves by failing (:meth:`drop`) or by
+    finishing (:meth:`finish`), and ``outcomes`` keeps what it left with.
+    A stack of one carries no cell axis (``stacked`` is False): its models
+    are one cell's and its scalars numbers, so it runs on the arrays an
+    unstacked run would, and it ends when its cell leaves.
+    """
+
+    def __init__(self, configs):
+        self.configs = tuple(configs)
+        if len({replace(c, learning_rate=1.0, lam=0.0, eta=0.0) for c in self.configs}) != 1:
+            raise ConfigurationError(
+                "the cells of a stack may differ only in learning_rate, lam and eta")
+        self.config = self.configs[0]   # the shared budget, seed and round rules
+        self.stacked = len(self.configs) > 1
+        self.outcomes: list = [None] * len(self.configs)
+        self.cells = np.arange(len(self.configs))
+        self.models: dict[str, Model] = {}
+        self.teacher: FrozenTeacher | None = None
+        self._keep(slice(None))
+
+    def _keep(self, keep) -> None:
+        self.cells = self.cells[keep]
+        if self.stacked:
+            self.models = {name: model.take(keep) for name, model in self.models.items()}
+            if self.teacher is not None:
+                self.teacher = self.teacher.take(keep)
+        for name in ("learning_rate", "lam", "eta"):
+            setattr(self, name, np.array([getattr(self.configs[i], name) for i in self.cells])
+                    if self.stacked else getattr(self.config, name))
+
+    @property
+    def live(self) -> int | None:
+        """The length of the cell axis, None for a stack of one."""
+        return len(self.cells) if self.stacked else None
+
+    def cell_models(self, j) -> dict[str, Model]:
+        """Live cell ``j``'s own models."""
+        if not self.stacked:
+            return dict(self.models)
+        return {name: model.take(j) for name, model in self.models.items()}
+
+    def per_cell(self, stacked) -> list:
+        """The live cells' slices of a stacked result, in order."""
+        return list(stacked) if self.stacked else [stacked]
+
+    def drop(self, exc: NonFiniteCells) -> None:
+        """Fail the live cells ``exc`` marks with its message; the rest go on."""
+        bad = np.broadcast_to(exc.cells, self.cells.shape)
+        for i in self.cells[bad]:
+            self.outcomes[i] = InvalidInputError(str(exc))
+        self._keep(~bad)
+
+    def finish(self, done: np.ndarray, artifacts: Callable[[int, int], TrainedArtifacts]) -> None:
+        """End the live cells ``done`` marks with ``artifacts(group position, live position)``."""
+        for j in np.flatnonzero(done):
+            self.outcomes[self.cells[j]] = artifacts(self.cells[j], j)
+        self._keep(~done)
+
+    def results(self, method: str, columns, values, shared: dict | None = None) -> list[Outcome]:
+        """Every cell's outcome, the live cells ending with their own slice of
+        ``models`` and of the trace ``values``, plus the ``shared`` slots."""
+        def artifacts(i, j):
+            slots = self.cell_models(j)
+            return TrainedArtifacts(method, self.configs[i], {**slots, **(shared or {})},
+                                    TrainTrace(columns, values[:, i]))
+
+        self.finish(np.ones(len(self.cells), dtype=bool), artifacts)
+        return self.outcomes
+
+
+def _one(outcomes: list[Outcome]) -> TrainedArtifacts:
+    """The artifacts of a stack of one, or its error raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, PuhdaError):
+        raise outcome
+    return outcome
 
 
 class Phase(NamedTuple):
@@ -201,33 +313,52 @@ class Phase(NamedTuple):
     trace: str | None = None
 
 
-def _run_phases(models: dict[str, Model], phases: list[Phase], config: TrainConfig,
-                rng: np.random.Generator) -> TrainTrace:
-    """Play ``phases`` in order for ``config.steps`` steps, updating ``models`` in place."""
-    trace = None
+def _play(stack: _Stack, phase: Phase, batches):
+    """One phase on drawn batches for every live cell: its terms and loss, or
+    None once no cell is left. Cells whose loss or update is not finite are
+    dropped, and the phase replays on the same batches for the rest."""
+    while stack.cells.size:
+        try:
+            terms = phase.terms(*batches)
+            res = loss_and_grads(stack.models, terms, wrt=(phase.player,))
+            stack.models[phase.player].apply_step(res.grads[phase.player],
+                                                  phase.sign * stack.learning_rate)
+            return terms, res
+        except NonFiniteCells as exc:
+            stack.drop(exc)
+    return None
+
+
+def _run_phases(stack: _Stack, phases: list[Phase], rng: np.random.Generator):
+    """Play ``phases`` in order for ``steps`` steps, updating ``stack.models`` in
+    place. Returns the trace columns and the values of every cell of the group,
+    ``(steps, cells, columns)``; the rows of a dropped cell are not filled."""
+    steps = stack.config.steps
     columns: list[str] = []
-    for step in range(config.steps):
-        row: list[float] = []
+    blocks: list[np.ndarray] = []   # one per traced phase: (steps, cells, 1 + terms)
+    for step in range(steps):
+        traced = 0
         for phase in phases:
-            terms = phase.terms(*[_draw(rng, x, config.batch_size) for x in phase.draws])
-            res = loss_and_grads(models, terms, wrt=(phase.player,))
-            models[phase.player].apply_step(res.grads[phase.player],
-                                            phase.sign * config.learning_rate)
+            played = _play(stack, phase, [_draw(rng, x, stack.config.batch_size)
+                                          for x in phase.draws])
+            if played is None:
+                return columns, None
+            terms, res = played
             if phase.trace is not None:
-                row += (res.value, *res.term_values)
-                if trace is None:
+                if step == 0:
+                    blocks.append(np.full((steps, len(stack.configs), 1 + len(terms)), np.nan))
                     columns += (phase.trace + "value", *(term.name for term in terms))
-        if trace is None:
-            trace = TrainTrace(columns)
-        trace.record(step, row)
-    return trace
+                blocks[traced][step, stack.cells, 0] = res.value
+                blocks[traced][step, stack.cells, 1:] = res.term_values
+                traced += 1
+    return columns, np.concatenate(blocks, axis=-1)
 
 
 # --------------------------------------------------------------------------
 # PU-only training
 
 
-def train_pan(x_pos, x_unl, config: TrainConfig) -> TrainedArtifacts:
+def _pan_stack(stack: _Stack, x_pos, x_unl, seed: int):
     """Adversarial PU training on a single feature space.
 
     Models initialize D then C. Per step the discriminator ascends the full
@@ -237,61 +368,76 @@ def train_pan(x_pos, x_unl, config: TrainConfig) -> TrainedArtifacts:
     never leave initialization.
     """
     x_pos, x_unl = _check_pair("positive rows", x_pos, "unlabeled rows", x_unl)
-    rng = make_rng(config.seed)
-    models = {name: LinearSoftmaxModel.initialize(x_pos.shape[1], rng) for name in ("D", "C")}
+    rng = make_rng(seed)
+    stack.models = {name: LinearSoftmaxModel.initialize(x_pos.shape[1], rng, stack.live)
+                    for name in ("D", "C")}
     phases = [
-        Phase("D", +1, (x_pos, x_unl), lambda bp, bu: pan_terms(bp, bu, config.lam),
-              trace=""),
-        Phase("C", -1, (x_unl,), lambda bu: classifier_terms(bu, config.lam)),
+        Phase("D", +1, (x_pos, x_unl), lambda bp, bu: pan_terms(bp, bu, stack.lam), trace=""),
+        Phase("C", -1, (x_unl,), lambda bu: classifier_terms(bu, stack.lam)),
     ]
-    return TrainedArtifacts("PAN", config, models, _run_phases(models, phases, config, rng))
+    return _run_phases(stack, phases, rng)
 
 
-def train_com_p(source: DomainMatrix, target: DomainMatrix, config: TrainConfig) -> TrainedArtifacts:
-    """The common-features baseline: PU training on the shared columns only."""
+def train_pan(x_pos, x_unl, config: TrainConfig) -> TrainedArtifacts:
+    """One cell of adversarial PU training (see ``_pan_stack``)."""
+    stack = _Stack((config,))
+    return _one(stack.results("PAN", *_pan_stack(stack, x_pos, x_unl, config.seed)))
+
+
+def _com_p_stack(stack: _Stack, source: DomainMatrix, target: DomainMatrix):
     _check_roles(source, target)
     if source.schema.c < 1:
         raise ConfigurationError("the common-features baseline needs at least one common column")
-    art = train_pan(source.common, target.common, config)
-    art.method = "COM_P"
-    return art
+    return _pan_stack(stack, source.common, target.common, stack.config.seed)
+
+
+def com_p_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Outcome]:
+    """The common-features baseline: PU training on the shared columns only."""
+    stack = _Stack(configs)
+    return stack.results("COM_P", *_com_p_stack(stack, source, target))
+
+
+def train_com_p(source: DomainMatrix, target: DomainMatrix, config: TrainConfig) -> TrainedArtifacts:
+    return _one(com_p_group(source, target, (config,)))
 
 
 # --------------------------------------------------------------------------
 # Heterogeneous training
 
 
-def _pada_loop(x_s, x_t, n_common, s_dim, config, seed, teacher=None):
-    """One full joint run; ``teacher`` adds the frozen-teacher pair (weight eta).
+def _pada_loop(stack: _Stack, x_s, x_t, n_common, s_dim, seed, taught=False):
+    """One full joint run; with ``taught`` the stack's teacher adds its pair (weight eta).
 
     Random sequence per run: initialize D, C, F in that order, then per step
     draw source+target batches for the D phase, source+target batches for the
-    F phase, and one target batch for the C phase. A run with a teacher draws
-    exactly the same sequence, so eta = 0 reproduces the plain run bit-for-bit.
+    F phase, and one target batch for the C phase. A taught run draws exactly
+    the same sequence, so eta = 0 reproduces the plain run bit-for-bit.
     """
     rng = make_rng(seed)
-    models = {name: LinearSoftmaxModel.initialize(x_s.shape[1], rng) for name in ("D", "C")}
-    models["F"] = LinearTransform.initialize(x_t.shape[1], s_dim, rng)
-    lam, eta = config.lam, config.eta
+    cells = stack.live
+    stack.models = {name: LinearSoftmaxModel.initialize(x_s.shape[1], rng, cells)
+                    for name in ("D", "C")}
+    stack.models["F"] = LinearTransform.initialize(x_t.shape[1], s_dim, rng, cells)
 
     def full_terms(bs, bt):
-        if teacher is None:
-            return pada_terms(bs, bt, n_common, lam)
-        return pada_s_terms(bs, bt, n_common, lam, eta, teacher(bt))
+        if not taught:
+            return pada_terms(bs, bt, n_common, stack.lam)
+        return pada_s_terms(bs, bt, n_common, stack.lam, stack.eta, stack.teacher(bt))
 
     def c_terms(bt):
-        probs = None if teacher is None else teacher(bt)
-        return aligned_classifier_terms(bt, n_common, lam, teacher_probs=probs, eta=eta)
+        probs = stack.teacher(bt) if taught else None
+        return aligned_classifier_terms(bt, n_common, stack.lam, teacher_probs=probs,
+                                        eta=stack.eta)
 
     phases = [
         Phase("D", +1, (x_s, x_t), full_terms, trace=""),
         Phase("F", -1, (x_s, x_t), full_terms),
         Phase("C", -1, (x_t,), c_terms),
     ]
-    return models, _run_phases(models, phases, config, rng)
+    return _run_phases(stack, phases, rng)
 
 
-def train_pada(source: DomainMatrix, target: DomainMatrix, config: TrainConfig) -> TrainedArtifacts:
+def pada_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Outcome]:
     """Joint alignment-plus-PU training.
 
     The transform fills the source-specific slots of target rows, the
@@ -300,18 +446,18 @@ def train_pada(source: DomainMatrix, target: DomainMatrix, config: TrainConfig) 
     """
     _check_domains(source, target)
     schema = source.schema
-    models, trace = _pada_loop(
-        source.features(), target.features(), schema.c, schema.s, config, config.seed
-    )
-    return TrainedArtifacts("PADA", config, models, trace)
+    stack = _Stack(configs)
+    trace = _pada_loop(stack, source.features(), target.features(), schema.c, schema.s,
+                       stack.config.seed)
+    return stack.results("PADA", *trace)
 
 
-def train_pada_s(
-    source: DomainMatrix,
-    target: DomainMatrix,
-    config: TrainConfig,
-    val_target: DomainMatrix,
-) -> TrainedArtifacts:
+def train_pada(source: DomainMatrix, target: DomainMatrix, config: TrainConfig) -> TrainedArtifacts:
+    return _one(pada_group(source, target, (config,)))
+
+
+def pada_s_group(source: DomainMatrix, target: DomainMatrix, val_target: DomainMatrix,
+                 configs) -> list[Outcome]:
     """Soft-label rounds on top of the joint training.
 
     The first teacher is a PU classifier trained on common features alone;
@@ -322,7 +468,8 @@ def train_pada_s(
     best round by validation accuracy. Round 1 consumes exactly the same
     random sequence as the plain joint trainer under the same config. The
     discriminator and transform restart fresh each round; only the teacher
-    carries over.
+    carries over. Every round of a stack runs its live cells in lockstep; a
+    cell whose rounds stop leaves the stack with its best round.
     """
     _check_domains(source, target)
     if val_target.labels is None:
@@ -330,29 +477,60 @@ def train_pada_s(
     schema = source.schema
     x_s = source.features()
     x_t = target.features()
+    stack = _Stack(configs)
+    config = stack.config
 
-    base_config = replace(config, seed=derive_seed(config.seed, "soft-base"))
-    base = train_pan(source.common, target.common, base_config)
-    teacher = frozen_teacher(base.models(), schema.c)
+    _pan_stack(stack, source.common, target.common, derive_seed(config.seed, "soft-base"))
+    stack.teacher = frozen_teacher(stack.models, schema.c)
+    val_accs = {i: [] for i in stack.cells}
+    best_run = {}
 
-    val_accs: list[float] = []
+    def artifacts(i, j):
+        return TrainedArtifacts("PADA_S", stack.configs[i], *best_run[i],
+                                rounds_run=len(val_accs[i]), round_val_accuracy=tuple(val_accs[i]))
+
     for round_idx in range(1, config.max_soft_rounds + 1):
         seed = config.seed if round_idx == 1 else derive_seed(config.seed, "soft-round", round_idx)
-        models, trace = _pada_loop(x_s, x_t, schema.c, schema.s, config, seed, teacher)
-        probs = models["C"].classify(align_features(models["F"], val_target))
-        val_accs.append(accuracy(probs, val_target.labels))
-        best = int(np.argmax(val_accs))   # the first round with the top accuracy
-        if best == round_idx - 1:
-            best_run = (models, trace)
-        elif round_idx - 1 - best >= config.val_patience:
+        columns, values = _pada_loop(stack, x_s, x_t, schema.c, schema.s, seed, taught=True)
+        accs = _val_accuracies(stack, val_target)
+        stop = np.zeros(len(stack.cells), dtype=bool)
+        for j, acc in enumerate(accs):
+            i = stack.cells[j]
+            val_accs[i].append(acc)
+            best = int(np.argmax(val_accs[i]))   # the first round with the top accuracy
+            if best == round_idx - 1:
+                best_run[i] = (stack.cell_models(j), TrainTrace(columns, values[:, i]))
+            elif round_idx - 1 - best >= config.val_patience:
+                stop[j] = True
+        stack.finish(stop, artifacts)
+        if not stack.cells.size:
             break
-        teacher = frozen_teacher(models, schema.c)
+        stack.teacher = frozen_teacher(stack.models, schema.c)
+    stack.finish(np.ones(len(stack.cells), dtype=bool), artifacts)
+    return stack.outcomes
 
-    return TrainedArtifacts("PADA_S", config, *best_run, rounds_run=len(val_accs),
-                            round_val_accuracy=tuple(val_accs))
+
+def _val_accuracies(stack: _Stack, val_target: DomainMatrix) -> list[float]:
+    """Each live cell's validation accuracy; a cell it cannot score is dropped."""
+    while stack.cells.size:
+        try:
+            probs = stack.models["C"].classify(align_features(stack.models["F"], val_target))
+            return [accuracy(cell_probs, val_target.labels) for cell_probs in stack.per_cell(probs)]
+        except NonFiniteCells as exc:
+            stack.drop(exc)
+    return []
 
 
-def train_pada_f(source: DomainMatrix, target: DomainMatrix, config: TrainConfig) -> TrainedArtifacts:
+def train_pada_s(
+    source: DomainMatrix,
+    target: DomainMatrix,
+    config: TrainConfig,
+    val_target: DomainMatrix,
+) -> TrainedArtifacts:
+    return _one(pada_s_group(source, target, val_target, (config,)))
+
+
+def pada_f_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Outcome]:
     """Two-discriminator ablation.
 
     The transform is trained only against a separate feature discriminator on
@@ -365,22 +543,29 @@ def train_pada_f(source: DomainMatrix, target: DomainMatrix, config: TrainConfig
     schema = source.schema
     x_s = source.features()
     x_t = target.features()
-    rng = make_rng(config.seed)
-    models = {name: LinearSoftmaxModel.initialize(x_s.shape[1], rng) for name in ("D", "C")}
-    models["F"] = LinearTransform.initialize(x_t.shape[1], schema.s, rng)
-    models["Df"] = LinearSoftmaxModel.initialize(x_s.shape[1], rng)
+    stack = _Stack(configs)
+    cells = stack.live
+    rng = make_rng(stack.config.seed)
+    stack.models = {name: LinearSoftmaxModel.initialize(x_s.shape[1], rng, cells)
+                    for name in ("D", "C")}
+    stack.models["F"] = LinearTransform.initialize(x_t.shape[1], schema.s, rng, cells)
+    stack.models["Df"] = LinearSoftmaxModel.initialize(x_s.shape[1], rng, cells)
 
     def pairing(bs, bt):
         return domain_adv_terms(bs, bt, schema.c)
 
     phases = [
-        Phase("D", +1, (x_s, x_t), lambda bs, bt: pada_terms(bs, bt, schema.c, config.lam),
+        Phase("D", +1, (x_s, x_t), lambda bs, bt: pada_terms(bs, bt, schema.c, stack.lam),
               trace=""),
         Phase("Df", +1, (x_s, x_t), pairing, trace="adv_"),
         Phase("F", -1, (x_s, x_t), pairing),
-        Phase("C", -1, (x_t,), lambda bt: aligned_classifier_terms(bt, schema.c, config.lam)),
+        Phase("C", -1, (x_t,), lambda bt: aligned_classifier_terms(bt, schema.c, stack.lam)),
     ]
-    return TrainedArtifacts("PADA_F", config, models, _run_phases(models, phases, config, rng))
+    return stack.results("PADA_F", *_run_phases(stack, phases, rng))
+
+
+def train_pada_f(source: DomainMatrix, target: DomainMatrix, config: TrainConfig) -> TrainedArtifacts:
+    return _one(pada_f_group(source, target, (config,)))
 
 
 # --------------------------------------------------------------------------
@@ -446,33 +631,40 @@ def complete_features(
     return np.hstack([dm.common, psi_s.transform(dm.common), dm.specific])
 
 
-def train_dsft_p(
-    source: DomainMatrix, target: DomainMatrix, config: TrainConfig
-) -> TrainedArtifacts:
+def dsft_p_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Outcome]:
     """Completion-then-PU composite baseline.
 
     Fits the completion maps first (own derived seed), then runs PU training
     on the completed rows under the config seed. The returned trace is the
-    PU stage's.
+    PU stage's. A stack holds cells of one learning rate, which the fit
+    reads: the maps are fitted once and shared, and the PU stage is stacked.
     """
-    fit_config = replace(config, seed=derive_seed(config.seed, "completion-fit"))
+    stack = _Stack(configs)
+    if len({c.learning_rate for c in stack.configs}) != 1:
+        raise ConfigurationError("a completion-baseline stack holds one learning rate")
+    fit_config = replace(stack.config, seed=derive_seed(stack.config.seed, "completion-fit"))
     maps, xs_hat, xt_hat = train_dsft(source, target, fit_config)
-    pu = train_pan(xs_hat, xt_hat, config)
-    return TrainedArtifacts("DSFT_P_linear", config, {**pu.models(), **maps.models()}, pu.trace)
+    trace = _pan_stack(stack, xs_hat, xt_hat, stack.config.seed)
+    return stack.results("DSFT_P_linear", *trace, shared=maps.models())
+
+
+def train_dsft_p(
+    source: DomainMatrix, target: DomainMatrix, config: TrainConfig
+) -> TrainedArtifacts:
+    return _one(dsft_p_group(source, target, (config,)))
 
 
 # --------------------------------------------------------------------------
 # Distillation and probe training
 
 
-def train_dist(
-    target: DomainMatrix, base_classifier: LinearSoftmaxModel, config: TrainConfig
-) -> TrainedArtifacts:
+def _dist_stack(stack: _Stack, target: DomainMatrix, base_classifier: LinearSoftmaxModel):
     """Distill a frozen common-features teacher into a full-feature student.
 
     Per step: draw a target batch, read the teacher's output on its common
     columns, descend the student on the matching divergence over the full
-    rows. The student is the run's only model, slot C.
+    rows. The student is the run's only model, slot C. ``base_classifier``
+    holds one teacher per live cell, stacked as the stack is.
     """
     if target.role != "target":
         raise ConfigurationError("distillation trains on the target matrix")
@@ -481,23 +673,39 @@ def train_dist(
         raise ConfigurationError(
             f"teacher expects {base_classifier.input_dim} columns, schema has {n_common} common"
         )
-    teacher = frozen_teacher({"C": base_classifier}, n_common)
+    stack.teacher = frozen_teacher({"C": base_classifier}, n_common)
     x_t = target.features()
-    rng = make_rng(config.seed)
-    models = {"C": LinearSoftmaxModel.initialize(x_t.shape[1], rng)}
-    phases = [Phase("C", -1, (x_t,), lambda bt: distillation_terms(teacher(bt), bt),
+    rng = make_rng(stack.config.seed)
+    stack.models = {"C": LinearSoftmaxModel.initialize(x_t.shape[1], rng, stack.live)}
+    phases = [Phase("C", -1, (x_t,), lambda bt: distillation_terms(stack.teacher(bt), bt),
                     trace="")]
-    return TrainedArtifacts("DIST", config, models, _run_phases(models, phases, config, rng))
+    return _run_phases(stack, phases, rng)
+
+
+def dist_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Outcome]:
+    """The distillation baseline, its common-features teacher trained in the same stack."""
+    stack = _Stack(configs)
+    _com_p_stack(stack, source, target)
+    return stack.results("DIST", *_dist_stack(stack, target, stack.models["C"]))
+
+
+def train_dist(
+    target: DomainMatrix, base_classifier: LinearSoftmaxModel, config: TrainConfig
+) -> TrainedArtifacts:
+    """One cell of distillation from the given teacher (see ``_dist_stack``)."""
+    stack = _Stack((config,))
+    return _one(stack.results("DIST", *_dist_stack(stack, target, base_classifier)))
 
 
 def train_discriminator(x_a, x_b, config: TrainConfig) -> TrainedArtifacts:
     """Plain supervised two-class probe: rows of ``x_a`` are the positive
     class. Used for the post-hoc domain-separability diagnostics."""
     x_a, x_b = _check_pair("class-a rows", x_a, "class-b rows", x_b)
+    stack = _Stack((config,))
     rng = make_rng(config.seed)
-    models = {"D": LinearSoftmaxModel.initialize(x_a.shape[1], rng)}
+    stack.models = {"D": LinearSoftmaxModel.initialize(x_a.shape[1], rng)}
     phases = [Phase("D", +1, (x_a, x_b), supervised_terms, trace="")]
-    return TrainedArtifacts("D_PRIME", config, models, _run_phases(models, phases, config, rng))
+    return _one(stack.results("D_PRIME", *_run_phases(stack, phases, rng)))
 
 
 # --------------------------------------------------------------------------
@@ -515,28 +723,34 @@ def _aligned_rows(artifacts: TrainedArtifacts, dm: DomainMatrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Method:
-    """One pipeline method: how it trains from ``(source, train, val, config)``,
-    which rows its classifier scores, and whether its grid has an ``eta`` axis."""
+    """One pipeline method: how it trains a stack of cells from
+    ``(source, train, val, configs)``, which rows its classifier scores,
+    whether its grid has an ``eta`` axis, and whether one stack may span
+    learning rates."""
 
-    train: Callable[..., TrainedArtifacts]
+    group: Callable[..., list[Outcome]]
     rows: Callable[[TrainedArtifacts, DomainMatrix], np.ndarray]
     searches_eta: bool = False
+    stacks_learning_rate: bool = True
+
+    def train(self, source, train, val, config: TrainConfig) -> TrainedArtifacts:
+        """One cell, as a stack of one."""
+        return _one(self.group(source, train, val, (config,)))
 
 
 # The methods a config can name, in report order. Entries look trainers up by
 # module name at call time, so a replaced module attribute is what runs.
 METHOD_TABLE = {
-    "COM_P": Method(lambda s, t, v, c: train_com_p(s, t, c), lambda art, dm: dm.common),
-    # the distillation baseline trains its common-features teacher in the same cell
-    "DIST": Method(lambda s, t, v, c: train_dist(t, train_com_p(s, t, c).classifier, c),
-                   lambda art, dm: dm.features()),
-    "DSFT_P_linear": Method(lambda s, t, v, c: train_dsft_p(s, t, c),
+    "COM_P": Method(lambda s, t, v, cs: com_p_group(s, t, cs), lambda art, dm: dm.common),
+    "DIST": Method(lambda s, t, v, cs: dist_group(s, t, cs), lambda art, dm: dm.features()),
+    "DSFT_P_linear": Method(lambda s, t, v, cs: dsft_p_group(s, t, cs),
                             lambda art, dm: complete_features(art.models()["psi_s"],
-                                                              art.models()["psi_t"], dm)),
-    "PADA": Method(lambda s, t, v, c: train_pada(s, t, c), _aligned_rows),
-    "PADA_S": Method(lambda s, t, v, c: train_pada_s(s, t, c, val_target=v), _aligned_rows,
+                                                              art.models()["psi_t"], dm),
+                            stacks_learning_rate=False),
+    "PADA": Method(lambda s, t, v, cs: pada_group(s, t, cs), _aligned_rows),
+    "PADA_S": Method(lambda s, t, v, cs: pada_s_group(s, t, v, cs), _aligned_rows,
                      searches_eta=True),
-    "PADA_F": Method(lambda s, t, v, c: train_pada_f(s, t, c), _aligned_rows),
+    "PADA_F": Method(lambda s, t, v, cs: pada_f_group(s, t, cs), _aligned_rows),
 }
 
 

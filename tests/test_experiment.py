@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ import yaml
 
 from puhda.cli import main
 from puhda.data import SyntheticSpec, generate_synthetic, load_domain_matrix
-from puhda.errors import ConfigurationError, DataError, PuhdaError
+from puhda.errors import ConfigurationError, DataError, InvalidInputError, PuhdaError
 from puhda.experiment import (
     ABLATION_SPACES,
     METHODS,
@@ -181,6 +182,12 @@ def _set(doc, path, value):
          "dataset.synthetic.latent_noise_dim: must be >= 0"),
         (("dataset", "synthetic", "seed"), -1, "dataset.synthetic.seed: must be >= 0"),
         (("split", "seed"), -1, "split.seed: must be >= 0"),
+        (("dataset", "synthetic", "noise_scale"), float("nan"),
+         "dataset.synthetic.noise_scale: expected a finite number, got nan"),
+        (("grid", "learning_rate"), [float("inf")],
+         "grid.learning_rate: expected a finite number, got inf"),
+        (("training", "gamma_mmd"), float("nan"),
+         "training.gamma_mmd: expected a finite number, got nan"),
     ],
 )
 def test_build_config_rejects_bad_documents(path, value, message):
@@ -542,7 +549,7 @@ def test_single_class_target_is_rejected_before_training(tmp_path, monkeypatch):
     def untouchable(*args):
         raise AssertionError("trained before the target was checked")
 
-    monkeypatch.setattr(experiment_module, "train_method", untouchable)
+    monkeypatch.setattr(experiment_module, "train_group", untouchable)
     out = tmp_path / "run"
     with pytest.raises(ConfigurationError, match="test split holds only class 1"):
         run_experiment(build_config(doc), out_dir=out)
@@ -562,14 +569,14 @@ def test_failing_method_is_recorded_and_the_run_continues(tmp_path, monkeypatch)
     doc["grid"]["learning_rate"] = [0.05]
     config = build_config(doc)
 
-    real = experiment_module.train_method
+    real = experiment_module.train_group
 
-    def sabotaged(method, source, train, val, cfg):
+    def sabotaged(method, source, train, val, configs):
         if method == "PADA":
             raise DataError("boom")
-        return real(method, source, train, val, cfg)
+        return real(method, source, train, val, configs)
 
-    monkeypatch.setattr(experiment_module, "train_method", sabotaged)
+    monkeypatch.setattr(experiment_module, "train_group", sabotaged)
     out = run_experiment(config, out_dir=tmp_path / "broken")
 
     grid_rows = read_table(out / "grid.csv")
@@ -588,14 +595,14 @@ def test_failing_cell_falls_back_to_a_surviving_one(tmp_path, monkeypatch):
     doc["methods"] = ["PADA"]
     config = build_config(doc)
 
-    real = experiment_module.train_method
+    real = experiment_module.train_group
 
-    def sabotaged(method, source, train, val, cfg):
-        if method == "PADA" and cfg.learning_rate == 0.05:
-            raise DataError("boom")
-        return real(method, source, train, val, cfg)
+    def sabotaged(method, source, train, val, configs):
+        outcomes = real(method, source, train, val, configs)
+        return [DataError("boom") if method == "PADA" and cfg.learning_rate == 0.05 else outcome
+                for cfg, outcome in zip(configs, outcomes)]
 
-    monkeypatch.setattr(experiment_module, "train_method", sabotaged)
+    monkeypatch.setattr(experiment_module, "train_group", sabotaged)
     out = run_experiment(config, out_dir=tmp_path / "partial")
     sel = {r["method"]: r for r in read_table(out / "selection.csv")}
     assert sel["PADA"]["status"] == "ok"
@@ -609,14 +616,14 @@ def test_error_text_with_comma_and_quote_round_trips(tmp_path, monkeypatch):
     config = build_config(doc)
     message = 'got s=0, t=1 and a "quoted" name'
 
-    real = experiment_module.train_method
+    real = experiment_module.train_group
 
-    def sabotaged(method, source, train, val, cfg):
+    def sabotaged(method, source, train, val, configs):
         if method == "PADA":
             raise DataError(message)
-        return real(method, source, train, val, cfg)
+        return real(method, source, train, val, configs)
 
-    monkeypatch.setattr(experiment_module, "train_method", sabotaged)
+    monkeypatch.setattr(experiment_module, "train_group", sabotaged)
     out = run_experiment(config, out_dir=tmp_path / "quoted")
 
     with (out / "grid.csv").open(newline="") as fh:
@@ -637,14 +644,14 @@ def test_unexpected_exception_fails_only_its_cells(tmp_path, monkeypatch):
     doc["grid"]["learning_rate"] = [0.05]
     config = build_config(doc)
 
-    real = experiment_module.train_method
+    real = experiment_module.train_group
 
-    def crashing(method, source, train, val, cfg):
+    def crashing(method, source, train, val, configs):
         if method == "PADA":
             raise RuntimeError("worker bug")
-        return real(method, source, train, val, cfg)
+        return real(method, source, train, val, configs)
 
-    monkeypatch.setattr(experiment_module, "train_method", crashing)
+    monkeypatch.setattr(experiment_module, "train_group", crashing)
     out = run_experiment(config, out_dir=tmp_path / "crashed")
 
     grid_rows = read_table(out / "grid.csv")
@@ -657,21 +664,79 @@ def test_unexpected_exception_fails_only_its_cells(tmp_path, monkeypatch):
     assert (out / "checkpoints" / "COM_P" / "seed-0.json").is_file()
 
 
-def _count_train_method(monkeypatch) -> list[tuple]:
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_diverging_cell_fails_alone_while_its_stack_finishes(tmp_path):
+    doc = base_doc()
+    doc["methods"] = ["PADA"]
+    doc["grid"]["learning_rate"] = [0.05, 1e308]
+    config = build_config(doc)
+    out = run_experiment(config, out_dir=tmp_path / "diverged")
+
+    error = "logits of 'D': values must be finite"
+    rows = read_table(out / "grid.csv")
+    assert [(r["learning_rate"], r["seed"], r["status"], r["error"]) for r in rows] == [
+        ("0.05", "0", "ok", ""), ("0.05", "1", "ok", ""),
+        ("1e+308", "0", "failed", error), ("1e+308", "1", "failed", error)]
+    (sel,) = read_table(out / "selection.csv")
+    assert (sel["learning_rate"], sel["status"]) == ("0.05", "ok")
+    data = prepare_data(config)
+    for seed in config.seeds:
+        art = _fresh(config, data, "PADA", GridCell(0.05, 0.1, 0.0), seed)
+        _assert_written_artifacts_are(out, "PADA", seed, art, tmp_path)
+        with pytest.raises(InvalidInputError, match=re.escape(error)):
+            _fresh(config, data, "PADA", GridCell(1e308, 0.1, 0.0), seed)
+
+
+def _run_with_a_dying_worker(tmp_path, monkeypatch, jobs):
+    """A run whose completion-baseline group at learning rate 0.05 and seed 0
+    kills the worker process that trains it."""
+    doc = base_doc()
+    doc["methods"] = ["COM_P", "DSFT_P_linear"]
+    config = build_config(doc)
+    real = experiment_module.train_group
+
+    def dying(method, source, train, val, configs):
+        if method == "DSFT_P_linear" and (configs[0].learning_rate, configs[0].seed) == (0.05, 0):
+            os._exit(1)
+        return real(method, source, train, val, configs)
+
+    monkeypatch.setattr(experiment_module, "train_group", dying)
+    return run_experiment(config, out_dir=tmp_path / f"jobs-{jobs}", jobs=jobs)
+
+
+def test_a_dead_worker_fails_only_its_group(tmp_path, monkeypatch):
+    outs = [_run_with_a_dying_worker(tmp_path, monkeypatch, jobs) for jobs in (2, 3)]
+    for out in outs:
+        for name in ("grid.csv", "selection.csv", "eval.csv", "analytics.csv",
+                     "comparison.txt", "run_meta.json"):
+            assert (out / name).is_file(), name
+        rows = read_table(out / "grid.csv")
+        failed = [(r["method"], r["learning_rate"], r["seed"], r["error"])
+                  for r in rows if r["status"] != "ok"]
+        assert failed == [("DSFT_P_linear", "0.05", "0", "worker process died")]
+        sel = {r["method"]: r for r in read_table(out / "selection.csv")}
+        assert sel["DSFT_P_linear"]["learning_rate"] == "0.02"
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
+    for rel in files:
+        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+
+
+def _count_trained_cells(monkeypatch) -> list[tuple]:
     """Record every (method, learning_rate, lam, eta, seed) that gets trained."""
     calls = []
-    real = experiment_module.train_method
+    real = experiment_module.train_group
 
-    def counted(method, source, train, val, cfg):
-        calls.append((method, cfg.learning_rate, cfg.lam, cfg.eta, cfg.seed))
-        return real(method, source, train, val, cfg)
+    def counted(method, source, train, val, configs):
+        calls.extend((method, cfg.learning_rate, cfg.lam, cfg.eta, cfg.seed) for cfg in configs)
+        return real(method, source, train, val, configs)
 
-    monkeypatch.setattr(experiment_module, "train_method", counted)
+    monkeypatch.setattr(experiment_module, "train_group", counted)
     return calls
 
 
 def test_run_trains_each_cell_once(run_config, tmp_path, monkeypatch):
-    calls = _count_train_method(monkeypatch)
+    calls = _count_trained_cells(monkeypatch)
     run_experiment(run_config, out_dir=tmp_path / "once")
     assert len(calls) == len(set(calls)) == 16
 
@@ -884,7 +949,7 @@ def test_ablate_requires_both_alignment_methods():
 def test_ablate_trains_each_cell_once(tmp_path, monkeypatch):
     doc = base_doc()
     doc["methods"] = ["COM_P", "PADA", "PADA_F"]
-    calls = _count_train_method(monkeypatch)
+    calls = _count_trained_cells(monkeypatch)
     ablate_experiment(build_config(doc), out_dir=tmp_path / "once")
     assert len(calls) == len(set(calls)) == 3 * 2 * 2
 

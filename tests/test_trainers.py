@@ -707,3 +707,75 @@ def test_frozen_teacher_pairs_equal_classify(tiny_data, with_transform):
     bad[0, 0] = np.nan
     with pytest.raises(InvalidInputError, match="teacher logits"):
         teacher(bad)
+
+
+# --------------------------------------------------------------------------
+# Stacked groups
+
+
+def _same_run(got, want):
+    """Two runs agree bit for bit: parameters, telemetry and soft-label rounds."""
+    assert (got.method, got.config) == (want.method, want.config)
+    assert set(got.models()) == set(want.models())
+    for slot, model in want.models().items():
+        assert got.models()[slot].weights.shape == model.weights.shape, slot
+        assert got.models()[slot].weights.tobytes() == model.weights.tobytes(), slot
+        assert got.models()[slot].bias.tobytes() == model.bias.tobytes(), slot
+    assert got.trace.columns == want.trace.columns
+    assert (np.asarray(got.trace.rows).tobytes() == np.asarray(want.trace.rows).tobytes()
+            and len(got.trace) == len(want.trace))
+    assert got.rounds_run == want.rounds_run
+    assert got.round_val_accuracy == want.round_val_accuracy
+
+
+def _stacks(method, configs):
+    """The stacks the grid makes of ``configs``: one, or one per learning rate."""
+    if METHOD_TABLE[method].stacks_learning_rate:
+        return [configs]
+    rates = sorted({c.learning_rate for c in configs})
+    return [[c for c in configs if c.learning_rate == rate] for rate in rates]
+
+
+@pytest.mark.parametrize("method", sorted(METHOD_TABLE))
+def test_a_stacked_group_equals_its_cells_trained_alone(tiny_data, method):
+    source, train, val, _ = tiny_data
+    entry = METHOD_TABLE[method]
+    base = TrainConfig(learning_rate=1.0, steps=30, batch_size=32, seed=0,
+                       max_soft_rounds=4, val_patience=1)
+    etas = (0.05, 0.5) if entry.searches_eta else (0.0,)
+    configs = [replace(base, learning_rate=rate, lam=lam, eta=eta)
+               for rate in (0.02, 0.3) for lam in (0.1, 1.0) for eta in etas]
+    for stack in _stacks(method, configs):
+        outcomes = entry.group(source, train, val, stack)
+        assert len(outcomes) == len(stack)
+        for config, got in zip(stack, outcomes):
+            _same_run(got, entry.train(source, train, val, config))
+    if method == "PADA_S":
+        assert len({art.rounds_run for art in outcomes}) > 1   # cells stop at different rounds
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("method", ["DIST", "PADA", "PADA_F", "PADA_S"])
+def test_a_diverging_cell_fails_alone_and_its_stack_goes_on(tiny_data, method):
+    source, train, val, _ = tiny_data
+    entry = METHOD_TABLE[method]
+    base = TrainConfig(learning_rate=0.3, lam=0.5, eta=0.5, steps=30, batch_size=32, seed=3,
+                       max_soft_rounds=3, val_patience=1)
+    configs = [base, replace(base, learning_rate=1e308), replace(base, lam=0.1)]
+    outcomes = entry.group(source, train, val, configs)
+    with pytest.raises(InvalidInputError, match="values must be finite") as alone:
+        entry.train(source, train, val, configs[1])
+    assert type(outcomes[1]) is InvalidInputError
+    assert str(outcomes[1]) == str(alone.value)
+    for i in (0, 2):
+        _same_run(outcomes[i], entry.train(source, train, val, configs[i]))
+
+
+def test_a_stack_holds_cells_of_one_budget(tiny_data):
+    source, train, val, _ = tiny_data
+    base = TrainConfig(learning_rate=0.3, steps=3, batch_size=32)
+    with pytest.raises(ConfigurationError, match="differ only in learning_rate, lam and eta"):
+        METHOD_TABLE["PADA"].group(source, train, val, [base, replace(base, steps=4)])
+    with pytest.raises(ConfigurationError, match="one learning rate"):
+        METHOD_TABLE["DSFT_P_linear"].group(
+            source, train, val, [base, replace(base, learning_rate=0.1)])
