@@ -434,23 +434,11 @@ def _cell_config(cell: GridCell, seed: int, training: TrainingSpec) -> TrainConf
     )
 
 
-def _entry(method: str):
-    if method not in METHOD_TABLE:
-        raise ConfigurationError(f"unknown method {method!r}")
-    return METHOD_TABLE[method]
-
-
-def train_method(method: str, source: DomainMatrix, train: DomainMatrix, val: DomainMatrix,
-                 config: TrainConfig) -> TrainedArtifacts:
-    """Train one cell of a method, as a stack of one."""
-    return _entry(method).train(source, train, val, config)
-
-
 def train_group(method: str, source: DomainMatrix, train: DomainMatrix, val: DomainMatrix,
                 configs: list[TrainConfig]) -> list:
     """Train one group, its cells stacked, the way the method-table entry says:
     each cell's artifacts, or the error that cell failed with."""
-    return _entry(method).group(source, train, val, configs)
+    return METHOD_TABLE[method].group(source, train, val, configs)
 
 
 def _groups(config: ExperimentConfig) -> list[tuple]:

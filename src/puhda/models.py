@@ -36,9 +36,10 @@ value is a number or ``(K,)`` and the term values ``(T,)`` or ``(K, T)``;
 gradients have the parameters' shapes. Every operation works slice by slice
 (broadcast ``matmul``, reductions over the batch axis, elementwise pair
 arithmetic), so each cell of a stack gets the bits a stack of one gets. A
-non-finite logit or update raises ``NonFiniteCells`` marking only the cells
-that produced it, before any parameter changes, so the caller can drop those
-cells and replay the phase for the rest.
+non-finite logit (``numerics.require_finite``) or update raises
+``NonFiniteCells`` marking only the cells that produced it, before any
+parameter changes, so the caller can fail those cells and rerun the phase
+for the rest.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, InvalidInputError, NonFiniteCells
-from .numerics import _softmax2, prob_pairs, require_finite, require_finite_cells, softmax2
+from .numerics import _softmax2, prob_pairs, require_finite, softmax2
 
 
 def _init_params(rng: np.random.Generator, in_dim: int, out_dim: int, cells: int | None):
@@ -147,7 +148,7 @@ class LinearSoftmaxModel(_Linear):
         return cls(*_init_params(rng, input_dim, 2, cells))
 
     def logits(self, x) -> np.ndarray:
-        return self(require_finite_cells("inputs", x))
+        return self(require_finite("inputs", x))
 
     def classify(self, x) -> np.ndarray:
         """Probability pairs for a batch (n, d) -> (n, 2), or one row (d,) -> (2,); a
@@ -171,7 +172,7 @@ class LinearTransform(_Linear):
         return cls(*_init_params(rng, in_dim, out_dim, cells))
 
     def transform(self, x) -> np.ndarray:
-        return self(require_finite_cells("inputs", x))
+        return self(require_finite("inputs", x))
 
     def align(self, rows: np.ndarray, n_common: int) -> np.ndarray:
         """Target rows in the source layout ``[common ; F(rows)]``: the first
@@ -248,7 +249,7 @@ class ConstTarget:
     def _of_logits(cls, logits) -> "ConstTarget":
         """The softmax pairs of ``logits``, with one finite check on the logits;
         the pairs are clamped by construction, so ``prob_pairs`` is skipped."""
-        probs = _softmax2(require_finite_cells("teacher logits", logits))[0]
+        probs = _softmax2(require_finite("teacher logits", logits))[0]
         target = object.__new__(cls)   # skips __post_init__, which would check the pairs
         target.__dict__.update(probs=probs, columns=_columns(probs))
         return target
@@ -353,7 +354,7 @@ def _forward(models: Mapping[str, Model], side: ModelOutput, forwards: dict, ali
         model = _bound(models, side.model, LinearSoftmaxModel, "two-class head")
         x_in = _model_inputs(models, side.batch, aligned)
         # a non-finite input or transform output leaves every logit of its row non-finite
-        z = require_finite_cells(f"logits of {side.model!r}", model(x_in))
+        z = require_finite(f"logits of {side.model!r}", model(x_in))
         fwd = _Forward(side.model, side.batch, x_in, *_softmax2(z))
         forwards[key] = fwd
     return fwd

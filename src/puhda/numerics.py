@@ -5,7 +5,10 @@ A probability pair is a float64 array whose last axis has length 2 and holds
 (p0, p1), the negative/fake and positive/real class probabilities. Every
 public operation clamps probabilities into [EPS, 1 - EPS] and renormalizes,
 so downstream KL terms stay finite for any finite logits. Batched inputs are
-arrays of shape (n, 2); single pairs are shape (2,).
+arrays of shape (n, 2), or a stack's (K, n, 2); single pairs are shape (2,).
+Every input is checked finite by one function, ``require_finite``: its
+``NonFiniteCells`` error marks the cells of a stack that hold NaN or infinity,
+so a stacked run can fail those cells alone.
 
 Reproducibility: all randomness flows through numpy Generators created by
 `make_rng` / `derive_rng`, and reductions use numpy's deterministic summation
@@ -26,21 +29,13 @@ EPS = 1e-7
 
 
 def require_finite(name: str, values) -> np.ndarray:
-    """Return ``values`` as a float64 array, rejecting NaN and infinity."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size and not np.isfinite(arr).all():
-        raise InvalidInputError(f"{name}: values must be finite")
-    return arr
-
-
-def require_finite_cells(name: str, values) -> np.ndarray:
-    """``values`` as a float64 array, or ``NonFiniteCells`` marking the cells that
-    hold NaN or infinity. An array of more than two axes is a stack of cells,
-    cell axis first; anything smaller is one cell."""
+    """``values`` as a float64 array, or ``NonFiniteCells`` if it holds NaN or
+    infinity. An array of more than two axes is a stack of cells, cell axis
+    first, and the error marks the cells that hold them; anything smaller is
+    one cell, marked by a 0-d mask."""
     arr = np.asarray(values, dtype=np.float64)
     if not np.isfinite(arr).all():
-        cell_axes = tuple(range(max(arr.ndim - 2, 0), arr.ndim))
-        bad = ~np.isfinite(arr).all(axis=cell_axes)
+        bad = ~np.isfinite(arr).all(axis=tuple(range(1 if arr.ndim > 2 else 0, arr.ndim)))
         raise NonFiniteCells(f"{name}: values must be finite", bad)
     return arr
 
@@ -76,7 +71,7 @@ def softmax2(logits) -> np.ndarray:
     Accepts shape (2,), (n, 2) or a stack's (K, n, 2) finite logits; magnitudes up to +-1e4 are
     safe because the larger logit is subtracted before exponentiation.
     """
-    z = require_finite_cells("logits", logits)
+    z = require_finite("logits", logits)
     if z.shape[-1] != 2:
         raise InvalidInputError(f"logits: last axis must have length 2, got shape {z.shape}")
     return _softmax2(z)[0]

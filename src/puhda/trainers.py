@@ -39,9 +39,10 @@ model holds weights ``(K, in, out)`` and bias ``(K, out)``, the per-cell
 scalars are ``(K,)`` arrays, each traced phase fills a ``(steps, K, terms)``
 block, and a stacked ``(K, n, 2)`` forward serves every cell (see the
 ``models`` docstring for the shapes). Each cell ends as its own 2-D models
-and telemetry, or as the error it failed with: a cell whose logits or update
-turn non-finite leaves the stack, and the phase replays on the same batches
-for the others. A single trainer call (``train_pada`` and the rest) is a
+and telemetry (a ``TrainTrace`` owning its ``(steps, columns)`` values), or
+as the error it failed with: a cell whose logits or update turn non-finite
+fails, and ``_Stack.attempt`` replays the phase on the same batches for the
+others. A single trainer call (``train_pada`` and the rest) is a
 stack of one through the same code; a stack of one carries no cell axis, so
 it runs on one cell's arrays.
 """
@@ -103,6 +104,9 @@ class TrainConfig:
     gamma_mmd: float = 1.0
 
     def __post_init__(self):
+        for name in ("learning_rate", "lam", "eta", "gamma_mmd"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.lam < 0 or self.eta < 0 or self.gamma_mmd < 0:
@@ -116,36 +120,26 @@ class TrainConfig:
 
 
 class TrainTrace:
-    """Per-step objective telemetry: one row per training step. A stacked run
-    hands each cell its values as one array ``(steps, columns)``, which turns
-    into rows when they are first read."""
+    """Per-step objective telemetry: ``values`` holds one row per training step,
+    ``(steps, columns)``, as a float64 copy the trace owns."""
 
-    def __init__(self, columns, values: np.ndarray | None = None):
+    def __init__(self, columns, values):
         self.columns = ("step",) + tuple(columns)
-        self._values = values
-        self._rows: list[tuple] = []
+        self.values = np.array(values, dtype=np.float64)
+        if self.values.shape[1:] != (len(self.columns) - 1,):
+            raise InvalidInputError(f"trace values have shape {self.values.shape}, "
+                                    f"expected (steps, {len(self.columns) - 1})")
 
     @property
     def rows(self) -> list[tuple]:
-        if self._values is not None:
-            self._rows = [(step, *row) for step, row in enumerate(self._values.tolist())]
-            self._values = None
-        return self._rows
-
-    def record(self, step: int, values) -> None:
-        values = tuple(float(v) for v in values)
-        if 1 + len(values) != len(self.columns):
-            raise InvalidInputError(
-                f"trace row has {len(values)} values, expected {len(self.columns) - 1}"
-            )
-        self.rows.append((step,) + values)
+        return [(step, *row) for step, row in enumerate(self.values.tolist())]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.values)
 
     def value_column(self, name: str) -> np.ndarray:
         idx = self.columns.index(name)
-        return np.array([row[idx] for row in self.rows], dtype=np.float64)
+        return self.values[:, idx - 1].copy() if idx else np.arange(len(self), dtype=np.float64)
 
     def write(self, path) -> None:
         """Delimited text with shortest round-trip float formatting."""
@@ -218,8 +212,8 @@ class _Stack:
 
     ``cells`` holds the group positions of the live cells; the per-cell
     scalars (``learning_rate``, ``lam``, ``eta``, each ``(K,)``), ``models``
-    and ``teacher`` follow it. A cell leaves by failing (:meth:`drop`) or by
-    finishing (:meth:`finish`), and ``outcomes`` keeps what it left with.
+    and ``teacher`` follow it. A cell leaves by failing (:meth:`attempt`) or
+    by finishing (:meth:`finish`), and ``outcomes`` keeps what it left with.
     A stack of one carries no cell axis (``stacked`` is False): its models
     are one cell's and its scalars numbers, so it runs on the arrays an
     unstacked run would, and it ends when its cell leaves.
@@ -259,16 +253,19 @@ class _Stack:
             return dict(self.models)
         return {name: model.take(j) for name, model in self.models.items()}
 
-    def per_cell(self, stacked) -> list:
-        """The live cells' slices of a stacked result, in order."""
-        return list(stacked) if self.stacked else [stacked]
-
-    def drop(self, exc: NonFiniteCells) -> None:
-        """Fail the live cells ``exc`` marks with its message; the rest go on."""
-        bad = np.broadcast_to(exc.cells, self.cells.shape)
-        for i in self.cells[bad]:
-            self.outcomes[i] = InvalidInputError(str(exc))
-        self._keep(~bad)
+    def attempt(self, compute: Callable[[], object]):
+        """``compute()`` for the live cells, or None once no cell is left. When it
+        raises ``NonFiniteCells``, the cells it marks fail with its message and it
+        reruns for the rest, so it must change nothing before it raises."""
+        while self.cells.size:
+            try:
+                return compute()
+            except NonFiniteCells as exc:
+                bad = np.broadcast_to(exc.cells, self.cells.shape)
+                for i in self.cells[bad]:
+                    self.outcomes[i] = InvalidInputError(str(exc))
+                self._keep(~bad)
+        return None
 
     def finish(self, done: np.ndarray, artifacts: Callable[[int, int], TrainedArtifacts]) -> None:
         """End the live cells ``done`` marks with ``artifacts(group position, live position)``."""
@@ -315,18 +312,16 @@ class Phase(NamedTuple):
 
 def _play(stack: _Stack, phase: Phase, batches):
     """One phase on drawn batches for every live cell: its terms and loss, or
-    None once no cell is left. Cells whose loss or update is not finite are
-    dropped, and the phase replays on the same batches for the rest."""
-    while stack.cells.size:
-        try:
-            terms = phase.terms(*batches)
-            res = loss_and_grads(stack.models, terms, wrt=(phase.player,))
-            stack.models[phase.player].apply_step(res.grads[phase.player],
-                                                  phase.sign * stack.learning_rate)
-            return terms, res
-        except NonFiniteCells as exc:
-            stack.drop(exc)
-    return None
+    None once no cell is left. Cells whose loss or update is not finite fail,
+    and the phase replays on the same batches for the rest."""
+    def play():
+        terms = phase.terms(*batches)
+        res = loss_and_grads(stack.models, terms, wrt=(phase.player,))
+        stack.models[phase.player].apply_step(res.grads[phase.player],
+                                              phase.sign * stack.learning_rate)
+        return terms, res
+
+    return stack.attempt(play)
 
 
 def _run_phases(stack: _Stack, phases: list[Phase], rng: np.random.Generator):
@@ -511,14 +506,12 @@ def pada_s_group(source: DomainMatrix, target: DomainMatrix, val_target: DomainM
 
 
 def _val_accuracies(stack: _Stack, val_target: DomainMatrix) -> list[float]:
-    """Each live cell's validation accuracy; a cell it cannot score is dropped."""
-    while stack.cells.size:
-        try:
-            probs = stack.models["C"].classify(align_features(stack.models["F"], val_target))
-            return [accuracy(cell_probs, val_target.labels) for cell_probs in stack.per_cell(probs)]
-        except NonFiniteCells as exc:
-            stack.drop(exc)
-    return []
+    """Each live cell's validation accuracy; a cell it cannot score fails."""
+    def score():
+        probs = stack.models["C"].classify(align_features(stack.models["F"], val_target))
+        return [accuracy(p, val_target.labels) for p in (probs if stack.stacked else [probs])]
+
+    return stack.attempt(score) or []
 
 
 def train_pada_s(
@@ -595,7 +588,7 @@ def train_dsft(
     t_c, t_t = target.common, target.specific
 
     loss = _dsft_fit(s_c, s_s, t_c, t_t, config.gamma_mmd)   # blocks checked once per fit
-    trace = TrainTrace(("value", "rec_source", "rec_target", "mmd", "step_size"))
+    values = np.empty((config.steps, 5))
     step_size = config.learning_rate
     res = loss(psi_s, psi_t)
     for step in range(config.steps):
@@ -613,8 +606,9 @@ def train_dsft(
                 res = cand
                 break
             step_size *= 0.5
-        trace.record(step, (res.value, res.rec_source, res.rec_target, res.mmd, taken))
+        values[step] = (res.value, res.rec_source, res.rec_target, res.mmd, taken)
 
+    trace = TrainTrace(("value", "rec_source", "rec_target", "mmd", "step_size"), values)
     art = TrainedArtifacts("DSFT", config, {"psi_s": psi_s, "psi_t": psi_t}, trace)
     xs_hat = complete_features(psi_s, psi_t, source)
     xt_hat = complete_features(psi_s, psi_t, target)
@@ -732,10 +726,6 @@ class Method:
     rows: Callable[[TrainedArtifacts, DomainMatrix], np.ndarray]
     searches_eta: bool = False
     stacks_learning_rate: bool = True
-
-    def train(self, source, train, val, config: TrainConfig) -> TrainedArtifacts:
-        """One cell, as a stack of one."""
-        return _one(self.group(source, train, val, (config,)))
 
 
 # The methods a config can name, in report order. Entries look trainers up by

@@ -754,8 +754,12 @@ def _assert_written_artifacts_are(out, method, seed, art, tmp_path):
 
 
 def _fresh(config, data, method, cell, seed):
+    """One cell trained afresh, as a group of one; its error raised."""
     cfg = experiment_module._cell_config(cell, seed, config.training)
-    return experiment_module.train_method(method, data.source, data.train, data.val, cfg)
+    (outcome,) = experiment_module.train_group(method, data.source, data.train, data.val, [cfg])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def test_written_artifacts_are_a_fresh_training_of_the_selected_cell(

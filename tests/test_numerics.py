@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from puhda import numerics
-from puhda.errors import InvalidInputError
+from puhda.errors import InvalidInputError, NonFiniteCells
 
 from _oracles import clamp_pair, kl_pair, softmax_pair
 
@@ -167,6 +167,28 @@ class TestSwapAndPairedIdentity:
         c = numerics.softmax2((0.7, -0.4))
         diff = numerics.kl2(half, c) - numerics.kl2(half, numerics.swap_probs(c))
         assert diff == pytest.approx(0.0, abs=1e-12)
+
+
+class TestRequireFinite:
+    def test_a_stack_marks_its_non_finite_cells(self):
+        stack = np.zeros((3, 4, 2))
+        stack[1, 2, 0] = np.nan
+        with pytest.raises(NonFiniteCells, match="^logits: values must be finite$") as err:
+            numerics.require_finite("logits", stack)
+        assert err.value.cells.tolist() == [False, True, False]
+
+    def test_one_cell_gets_a_0d_mask_and_the_same_message(self):
+        rows = np.zeros((4, 2))
+        rows[3, 1] = np.inf
+        with pytest.raises(NonFiniteCells, match="^rows: values must be finite$") as err:
+            numerics.require_finite("rows", rows)
+        assert err.value.cells.shape == ()
+        assert bool(err.value.cells)
+
+    def test_finite_and_empty_arrays_pass_as_float64(self):
+        got = numerics.require_finite("rows", [[1, 2]])
+        assert got.dtype == np.float64 and got.tolist() == [[1.0, 2.0]]
+        assert numerics.require_finite("empty", np.empty((0, 2, 2))).shape == (0, 2, 2)
 
 
 class TestClampAndConstants:

@@ -6,6 +6,7 @@ the batch order and which player each phase updates.
 """
 
 import csv
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -79,32 +80,35 @@ def pu_blocks(data):
         dict(learning_rate=0.1, seed=-1),
         dict(learning_rate=0.1, max_soft_rounds=0),
         dict(learning_rate=0.1, val_patience=0),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(learning_rate=0.1, lam=float("inf")),
+        dict(learning_rate=0.1, eta=float("nan")),
+        dict(learning_rate=0.1, gamma_mmd=float("inf")),
     ],
 )
 def test_train_config_rejects_bad_values(bad):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=list(bad)[-1]):   # the bad field, named
         TrainConfig(**bad)
 
 
 def test_trace_records_and_reads_back():
-    trace = TrainTrace(("value", "aux"))
-    trace.record(0, (1.5, -2.0))
-    trace.record(1, (0.25, 3.0))
+    values = [(1.5, -2.0), (0.25, 3.0)]
+    trace = TrainTrace(("value", "aux"), values)
     assert len(trace) == 2
     assert trace.columns == ("step", "value", "aux")
+    assert trace.rows == [(0, 1.5, -2.0), (1, 0.25, 3.0)]
     np.testing.assert_array_equal(trace.value_column("aux"), [-2.0, 3.0])
+    np.testing.assert_array_equal(trace.value_column("step"), [0.0, 1.0])
 
 
 def test_trace_rejects_wrong_arity():
-    trace = TrainTrace(("value",))
-    with pytest.raises(InvalidInputError, match="2 values"):
-        trace.record(0, (1.0, 2.0))
+    with pytest.raises(InvalidInputError, match=r"shape \(1, 2\), expected \(steps, 1\)"):
+        TrainTrace(("value",), [(1.0, 2.0)])
 
 
 def test_trace_write_round_trips_exact(tmp_path):
-    trace = TrainTrace(("value", "aux"))
-    trace.record(0, (1.0 / 3.0, 1e-17))
-    trace.record(1, (-0.1, 2.0**-40))
+    trace = TrainTrace(("value", "aux"), [(1.0 / 3.0, 1e-17), (-0.1, 2.0**-40)])
     path = tmp_path / "sub" / "trace.csv"
     trace.write(path)
     with path.open() as fh:
@@ -623,9 +627,17 @@ def test_predict_rejects_unknown_method(tiny_data):
 # --------------------------------------------------------------------------
 # Checkpoints
 
+def _alone(method, source, train, val, config):
+    """One cell of a method-table entry, trained as a stack of one; its error raised."""
+    (outcome,) = METHOD_TABLE[method].group(source, train, val, [config])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 # Every trainer, called as the method table calls them.
 ALL_TRAINERS = {
-    **{method: entry.train for method, entry in METHOD_TABLE.items()},
+    **{method: functools.partial(_alone, method) for method in METHOD_TABLE},
     "D_PRIME": lambda s, t, v, c: train_discriminator(s.common, t.common, c),
     "DSFT": lambda s, t, v, c: train_dsft(s, t, c)[0],
 }
@@ -749,9 +761,23 @@ def test_a_stacked_group_equals_its_cells_trained_alone(tiny_data, method):
         outcomes = entry.group(source, train, val, stack)
         assert len(outcomes) == len(stack)
         for config, got in zip(stack, outcomes):
-            _same_run(got, entry.train(source, train, val, config))
+            _same_run(got, _alone(method, source, train, val, config))
     if method == "PADA_S":
         assert len({art.rounds_run for art in outcomes}) > 1   # cells stop at different rounds
+
+
+@pytest.mark.parametrize("method", ["PADA", "PADA_S"])
+def test_each_cell_of_a_stack_owns_its_trace(tiny_data, method):
+    source, train, val, _ = tiny_data
+    base = TrainConfig(learning_rate=1.0, eta=0.5, steps=5, batch_size=32, seed=0,
+                       max_soft_rounds=2)
+    configs = [replace(base, learning_rate=rate, lam=lam) for rate in (0.02, 0.3)
+               for lam in (0.1, 1.0)]
+    outcomes = METHOD_TABLE[method].group(source, train, val, configs)
+    assert len(outcomes) == 4
+    for art in outcomes:
+        assert art.trace.values.base is None
+        assert art.trace.values.shape == (5, len(art.trace.columns) - 1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -764,11 +790,11 @@ def test_a_diverging_cell_fails_alone_and_its_stack_goes_on(tiny_data, method):
     configs = [base, replace(base, learning_rate=1e308), replace(base, lam=0.1)]
     outcomes = entry.group(source, train, val, configs)
     with pytest.raises(InvalidInputError, match="values must be finite") as alone:
-        entry.train(source, train, val, configs[1])
+        _alone(method, source, train, val, configs[1])
     assert type(outcomes[1]) is InvalidInputError
     assert str(outcomes[1]) == str(alone.value)
     for i in (0, 2):
-        _same_run(outcomes[i], entry.train(source, train, val, configs[i]))
+        _same_run(outcomes[i], _alone(method, source, train, val, configs[i]))
 
 
 def test_a_stack_holds_cells_of_one_budget(tiny_data):
