@@ -9,7 +9,7 @@ Two affine pieces, each called as ``model(x)`` (``_Linear.__call__``), cover eve
   one builder of target rows in the source layout ``[common ; F(rows)]``.
 
 Objectives are lists of :class:`KLTerm`. Each term is
-``weight * sum_i kl2(left_i, right_i)`` where a side is either a constant
+``weight * sum_i KL(left_i, right_i)`` where a side is either a constant
 probability batch or a model applied to a batch. A batch is either raw
 features (``RawBatch``) or target rows ``[common | specific]`` that a model
 reads as ``[common ; F(rows)]`` (``TransformedBatch(rows, n_common)``): the
@@ -23,7 +23,7 @@ through softmax, clamping, swapping, concatenation, and the transform, and
 Gradient notes. For ``p = softmax(z)`` strictly inside the clamp interval the
 Jacobian gives ``dL/dz_j = p_j * (g_j - sum_k g_k p_k)`` where ``g = dL/dp``;
 rows whose raw softmax output left the clamp interval are locally constant,
-so their gradient is zero. For a term ``kl2(a, b)`` the local derivatives are
+so their gradient is zero. For a term ``KL(a, b)`` the local derivatives are
 ``dKL/da = log(a/b) + 1`` and ``dKL/db = -a/b`` (the constant offset is
 annihilated by the softmax Jacobian).
 
@@ -299,7 +299,7 @@ Side = Union[ConstTarget, ModelOutput]
 
 @dataclass(frozen=True)
 class KLTerm:
-    """``weight * sum_i kl2(left_i, right_i)``; the weight carries sign and 1/batch,
+    """``weight * sum_i KL(left_i, right_i)``; the weight carries sign and 1/batch,
     and is one number or one per cell of a stack."""
 
     weight: float | np.ndarray

@@ -1,11 +1,12 @@
-"""Numeric primitives: stable two-class softmax, KL divergence on probability
-pairs, and seeded random generators.
+"""Numeric primitives: stable two-class softmax, probability-pair clamping and
+validation, the finite check, and seeded random generators.
 
 A probability pair is a float64 array whose last axis has length 2 and holds
 (p0, p1), the negative/fake and positive/real class probabilities. Every
-public operation clamps probabilities into [EPS, 1 - EPS] and renormalizes,
-so downstream KL terms stay finite for any finite logits. Batched inputs are
-arrays of shape (n, 2), or a stack's (K, n, 2); single pairs are shape (2,).
+public operation that makes pairs clamps them into [EPS, 1 - EPS] and
+renormalizes, so the KL terms of ``models`` stay finite for any finite
+logits. Batched inputs are arrays of shape (n, 2), or a stack's (K, n, 2);
+single pairs are shape (2,).
 Every input is checked finite by one function, ``require_finite``: its
 ``NonFiniteCells`` error marks the cells of a stack that hold NaN or infinity,
 so a stacked run can fail those cells alone.
@@ -84,25 +85,6 @@ def _softmax2(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.exp(z - np.maximum(z[..., :1], z[..., 1:]))
     p = e / (e[..., :1] + e[..., 1:])
     return _clamp(p), (p[..., 1] <= EPS) | (p[..., 1] >= 1.0 - EPS)
-
-
-def kl2(p, q) -> np.ndarray:
-    """KL divergence between two-class probability pairs, elementwise over batches.
-
-    Both arguments must already be valid (clamped) pairs; broadcasting between
-    a single pair and a batch is allowed. Returns a scalar for two single
-    pairs, else an array of per-row divergences.
-    """
-    a = prob_pairs(p)
-    b = prob_pairs(q)
-    out = np.sum(a * (np.log(a) - np.log(b)), axis=-1)
-    return out
-
-
-def swap_probs(p) -> np.ndarray:
-    """Swap the two components, turning confidence in one class into the other."""
-    a = prob_pairs(p)
-    return np.ascontiguousarray(a[..., ::-1])
 
 
 def _one_hot(positive: bool) -> np.ndarray:

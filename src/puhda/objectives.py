@@ -5,24 +5,27 @@ over mini-batches and share one value convention: the term list spells out the
 quantity V that the discriminator maximizes and the classifier (and
 transformer, when present) minimizes. Trainers pick the sign per player.
 
-The adversarial PU objective over positives ``x_p`` and unlabeled ``x_u``:
+The adversarial PU objective over positives ``x_p`` and unlabeled ``x_u``,
+with ``KL`` the divergence between two-class probability pairs and ``swap``
+exchanging a pair's components:
 
-    V = -mean kl2(P1, D(x_p)) - mean kl2(P0, D(x_u))
-        + lam * (mean kl2(D(x_u), C(x_u)) - mean kl2(D(x_u), swap(C(x_u))))
+    V = -mean KL(P1, D(x_p)) - mean KL(P0, D(x_u))
+        + lam * (mean KL(D(x_u), C(x_u)) - mean KL(D(x_u), swap(C(x_u))))
 
 The heterogeneous variant replaces ``x_p`` with source rows and ``x_u`` with
 aligned target rows ``[t_common ; F(x_target)]``. The soft-label variant adds
 a teacher pair with weight ``eta``:
 
-    + eta * (mean kl2(C0, C(x_hat)) - mean kl2(C0, swap(C(x_hat))))
+    + eta * (mean KL(C0, C(x_hat)) - mean KL(C0, swap(C(x_hat))))
 
 where the teacher output C0 enters as a constant, so no gradient can reach it.
 Sums over a mini-batch are divided by that batch's size, which rescales the
 whole-sum formulation without changing any argmin or argmax.
 
 The reconstruction-plus-MMD loss for the naive feature-completion baseline is
-a separate closed-form objective, `dsft_loss`, with its own analytic
-gradients.
+a separate closed-form objective with its own analytic gradients: one fit
+checks its data once as :class:`CompletionBlocks`, and :func:`dsft_loss`
+evaluates the loss of two maps on them.
 """
 
 from __future__ import annotations
@@ -201,18 +204,30 @@ def supervised_terms(batch_pos: np.ndarray, batch_neg: np.ndarray) -> list[KLTer
 # Feature-completion baseline objective
 
 
-def mmd2(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared linear-kernel maximum mean discrepancy: ||mean(A) - mean(B)||^2."""
-    a = require_finite("a", a)
-    b = require_finite("b", b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] == 0 or b.shape[0] == 0:
-        raise InvalidInputError("mmd2 needs two non-empty 2-D matrices")
-    if a.shape[1] != b.shape[1]:
-        raise InvalidInputError(
-            f"mmd2 column mismatch: {a.shape[1]} vs {b.shape[1]}"
-        )
-    delta = a.mean(axis=0) - b.mean(axis=0)
-    return float(delta @ delta)
+class CompletionBlocks:
+    """The data of one completion fit: the four blocks, checked once, and the
+    block means the alignment part reads, taken once."""
+
+    def __init__(self, source_common, source_specific, target_common, target_specific,
+                 gamma_mmd: float):
+        self.s_c = require_finite("source common", source_common)
+        self.s_s = require_finite("source specific", source_specific)
+        self.t_c = require_finite("target common", target_common)
+        self.t_t = require_finite("target specific", target_specific)
+        if gamma_mmd < 0:
+            raise InvalidInputError("gamma_mmd must be >= 0")
+        if self.s_c.shape[0] != self.s_s.shape[0] or self.t_c.shape[0] != self.t_t.shape[0]:
+            raise InvalidInputError("row counts differ between common and specific blocks")
+        if self.s_c.shape[0] == 0 or self.t_c.shape[0] == 0:
+            raise InvalidInputError("dsft_loss needs non-empty domains")
+        if self.s_c.shape[1] != self.t_c.shape[1]:
+            raise InvalidInputError(
+                f"common column mismatch: source {self.s_c.shape[1]}, target {self.t_c.shape[1]}")
+        self.gamma_mmd = gamma_mmd
+        self.mean_s_c, self.mean_t_c = self.s_c.mean(axis=0), self.t_c.mean(axis=0)
+        self.mean_s_s, self.mean_t_t = self.s_s.mean(axis=0), self.t_t.mean(axis=0)
+        delta_c = self.mean_s_c - self.mean_t_c
+        self.mmd_c = delta_c @ delta_c
 
 
 @dataclass
@@ -234,22 +249,15 @@ class DsftLoss:
         return self._grads
 
 
-def dsft_loss(
-    source_common: np.ndarray,
-    source_specific: np.ndarray,
-    target_common: np.ndarray,
-    target_specific: np.ndarray,
-    psi_s: LinearTransform,
-    psi_t: LinearTransform,
-    gamma_mmd: float,
-) -> DsftLoss:
+def dsft_loss(blocks: CompletionBlocks, psi_s: LinearTransform,
+              psi_t: LinearTransform) -> DsftLoss:
     """Reconstruction-plus-alignment loss for the two completion maps.
 
     psi_s predicts source-specific columns from common ones, psi_t predicts
     target-specific columns from common ones. The loss is
 
         ||psi_t(T_c) - T_t||^2 / n_t + ||psi_s(S_c) - S_s||^2 / n_s
-        + gamma_mmd * mmd2(X_s_hat, X_t_hat)
+        + gamma_mmd * ||mean(X_s_hat) - mean(X_t_hat)||^2
 
     with the augmented matrices laid out ``[common | source-spec | target-spec]``
     where each domain's missing block is filled by the corresponding map.
@@ -257,60 +265,36 @@ def dsft_loss(
     with the mean, so the augmented matrices are never built. Gradients for
     both maps are returned in closed form.
     """
-    blocks = (source_common, source_specific, target_common, target_specific)
-    return _dsft_fit(*blocks, gamma_mmd)(psi_s, psi_t)
+    b = blocks
+    resid_s = psi_s(b.s_c) - b.s_s   # source-specific reconstruction
+    resid_t = psi_t(b.t_c) - b.t_t   # target-specific reconstruction
+    rec_source = float(np.sum(resid_s * resid_s)) / b.s_c.shape[0]
+    rec_target = float(np.sum(resid_t * resid_t)) / b.t_c.shape[0]
+    # source-specific slots, filled by psi_s on target rows; target-specific, by psi_t
+    delta_s = b.mean_s_s - psi_s(b.mean_t_c)
+    delta_t = psi_t(b.mean_s_c) - b.mean_t_t
+    mmd_val = float(b.mmd_c + delta_s @ delta_s + delta_t @ delta_t)
+    return DsftLoss(
+        value=rec_source + rec_target + b.gamma_mmd * mmd_val,
+        rec_source=rec_source,
+        rec_target=rec_target,
+        mmd=mmd_val,
+        _parts=(b, resid_s, resid_t, delta_s, delta_t),
+    )
 
 
-def _dsft_fit(source_common, source_specific, target_common, target_specific, gamma_mmd):
-    """:func:`dsft_loss` as a function of the two maps, for one fit: the four
-    blocks are checked, and their means taken, once."""
-    s_c = require_finite("source common", source_common)
-    s_s = require_finite("source specific", source_specific)
-    t_c = require_finite("target common", target_common)
-    t_t = require_finite("target specific", target_specific)
-    if gamma_mmd < 0:
-        raise InvalidInputError("gamma_mmd must be >= 0")
-    if s_c.shape[0] != s_s.shape[0] or t_c.shape[0] != t_t.shape[0]:
-        raise InvalidInputError("row counts differ between common and specific blocks")
-    if s_c.shape[0] == 0 or t_c.shape[0] == 0:
-        raise InvalidInputError("dsft_loss needs non-empty domains")
-    mean_s_c, mean_t_c = s_c.mean(axis=0), t_c.mean(axis=0)
-    mean_s_s, mean_t_t = s_s.mean(axis=0), t_t.mean(axis=0)
-    delta_c = mean_s_c - mean_t_c
-    mmd_c = delta_c @ delta_c
-
-    def loss(psi_s: LinearTransform, psi_t: LinearTransform) -> DsftLoss:
-        resid_s = psi_s(s_c) - s_s   # source-specific reconstruction
-        resid_t = psi_t(t_c) - t_t   # target-specific reconstruction
-        rec_source = float(np.sum(resid_s * resid_s)) / s_c.shape[0]
-        rec_target = float(np.sum(resid_t * resid_t)) / t_c.shape[0]
-        # source-specific slots, filled by psi_s on target rows; target-specific, by psi_t
-        delta_s = mean_s_s - psi_s(mean_t_c)
-        delta_t = psi_t(mean_s_c) - mean_t_t
-        mmd_val = float(mmd_c + delta_s @ delta_s + delta_t @ delta_t)
-        return DsftLoss(
-            value=rec_source + rec_target + gamma_mmd * mmd_val,
-            rec_source=rec_source,
-            rec_target=rec_target,
-            mmd=mmd_val,
-            _parts=(s_c, t_c, resid_s, resid_t, mean_s_c, mean_t_c, delta_s, delta_t, gamma_mmd),
-        )
-
-    return loss
-
-
-def _dsft_grads(s_c, t_c, resid_s, resid_t, mean_s_c, mean_t_c, delta_s, delta_t, gamma_mmd):
-    n_s = s_c.shape[0]
-    n_t = t_c.shape[0]
-    g_psi_s_w = (2.0 / n_s) * (s_c.T @ resid_s)
+def _dsft_grads(b: CompletionBlocks, resid_s, resid_t, delta_s, delta_t):
+    n_s = b.s_c.shape[0]
+    n_t = b.t_c.shape[0]
+    g_psi_s_w = (2.0 / n_s) * (b.s_c.T @ resid_s)
     g_psi_s_b = (2.0 / n_s) * resid_s.sum(axis=0)
-    g_psi_t_w = (2.0 / n_t) * (t_c.T @ resid_t)
+    g_psi_t_w = (2.0 / n_t) * (b.t_c.T @ resid_t)
     g_psi_t_b = (2.0 / n_t) * resid_t.sum(axis=0)
-    if gamma_mmd > 0:
-        g_psi_t_w += gamma_mmd * np.outer(mean_s_c, 2.0 * delta_t)
-        g_psi_t_b += gamma_mmd * 2.0 * delta_t
-        g_psi_s_w += gamma_mmd * np.outer(mean_t_c, -2.0 * delta_s)
-        g_psi_s_b += gamma_mmd * -2.0 * delta_s
+    if b.gamma_mmd > 0:
+        g_psi_t_w += b.gamma_mmd * np.outer(b.mean_s_c, 2.0 * delta_t)
+        g_psi_t_b += b.gamma_mmd * 2.0 * delta_t
+        g_psi_s_w += b.gamma_mmd * np.outer(b.mean_t_c, -2.0 * delta_s)
+        g_psi_s_b += b.gamma_mmd * -2.0 * delta_s
     return {
         "psi_s": GradientBundle(g_psi_s_w, g_psi_s_b),
         "psi_t": GradientBundle(g_psi_t_w, g_psi_t_b),

@@ -67,11 +67,12 @@ from .models import (
 )
 from .numerics import derive_seed, make_rng, require_finite
 from .objectives import (
-    _dsft_fit,
+    CompletionBlocks,
     aligned_classifier_terms,
     classifier_terms,
     distillation_terms,
     domain_adv_terms,
+    dsft_loss,
     pada_s_terms,
     pada_terms,
     pan_terms,
@@ -111,12 +112,13 @@ class TrainConfig:
             raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.lam < 0 or self.eta < 0 or self.gamma_mmd < 0:
             raise ConfigurationError("lam, eta, gamma_mmd must be >= 0")
-        if self.steps < 1 or self.batch_size < 1:
-            raise ConfigurationError("steps and batch_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be >= 0")
-        if self.max_soft_rounds < 1 or self.val_patience < 1:
-            raise ConfigurationError("max_soft_rounds and val_patience must be >= 1")
+        for name, least in (("steps", 1), ("batch_size", 1), ("seed", 0),
+                            ("max_soft_rounds", 1), ("val_patience", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ConfigurationError(f"{name} must be >= {least}, got {value}")
 
 
 class TrainTrace:
@@ -373,12 +375,6 @@ def _pan_stack(stack: _Stack, x_pos, x_unl, seed: int):
     return _run_phases(stack, phases, rng)
 
 
-def train_pan(x_pos, x_unl, config: TrainConfig) -> TrainedArtifacts:
-    """One cell of adversarial PU training (see ``_pan_stack``)."""
-    stack = _Stack((config,))
-    return _one(stack.results("PAN", *_pan_stack(stack, x_pos, x_unl, config.seed)))
-
-
 def _com_p_stack(stack: _Stack, source: DomainMatrix, target: DomainMatrix):
     _check_roles(source, target)
     if source.schema.c < 1:
@@ -572,7 +568,8 @@ def train_dsft(
 
     Full-batch descent with a backtracking step size on a convex objective:
     a step is only taken when it does not increase the loss, so the recorded
-    loss trace is non-increasing. Returns the artifacts plus the completed
+    loss trace is non-increasing; a step whose update overflows is halved
+    like one that increases it. Returns the artifacts plus the completed
     source and target feature matrices for the training rows, each laid out
     ``[common | source-specific | target-specific]``.
     """
@@ -584,22 +581,24 @@ def train_dsft(
     rng = make_rng(config.seed)
     psi_s = LinearTransform.initialize(schema.c, schema.s, rng)
     psi_t = LinearTransform.initialize(schema.c, schema.t, rng)
-    s_c, s_s = source.common, source.specific
-    t_c, t_t = target.common, target.specific
-
-    loss = _dsft_fit(s_c, s_s, t_c, t_t, config.gamma_mmd)   # blocks checked once per fit
+    blocks = CompletionBlocks(source.common, source.specific, target.common, target.specific,
+                              config.gamma_mmd)
     values = np.empty((config.steps, 5))
     step_size = config.learning_rate
-    res = loss(psi_s, psi_t)
+    res = dsft_loss(blocks, psi_s, psi_t)
     for step in range(config.steps):
         taken = 0.0
         for _ in range(40):
             cand_s = psi_s.copy()
             cand_t = psi_t.copy()
-            cand_s.apply_step(res.grads["psi_s"], -step_size)
-            cand_t.apply_step(res.grads["psi_t"], -step_size)
-            cand = loss(cand_s, cand_t)
-            if cand.value <= res.value:
+            try:
+                cand_s.apply_step(res.grads["psi_s"], -step_size)
+                cand_t.apply_step(res.grads["psi_t"], -step_size)
+                cand = dsft_loss(blocks, cand_s, cand_t)
+                better = cand.value <= res.value
+            except NonFiniteCells:   # an overflowing step is rejected like a worse one
+                better = False
+            if better:
                 psi_s, psi_t = cand_s, cand_t
                 taken = step_size
                 step_size = min(step_size * 2.0, 1e3)

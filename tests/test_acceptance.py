@@ -16,6 +16,8 @@ import pytest
 from conftest import BENCH_SEEDS, BENCH_SPEC, BENCH_SPLIT, bench_config
 from _oracles import (
     finite_difference,
+    kl_pair,
+    mmd_linear,
     pack_grads,
     pack_params,
     relative_error,
@@ -40,9 +42,9 @@ from puhda.metrics import (
 )
 from puhda.models import LinearSoftmaxModel, LinearTransform, loss_and_grads
 from puhda.objectives import (
+    CompletionBlocks,
     domain_adv_terms,
     dsft_loss,
-    mmd2,
     pada_s_terms,
     pada_terms,
     pan_terms,
@@ -55,7 +57,6 @@ from puhda.trainers import (
     train_pada,
     train_pada_f,
     train_pada_s,
-    train_pan,
 )
 
 PROBE_CONFIG = TrainConfig(learning_rate=0.05, steps=2000, batch_size=128, seed=0)
@@ -144,7 +145,7 @@ def _gradient_instances(rng):
     s_s = rng.normal(size=(n1, s))
     t_c = rng.normal(size=(n2, c))
     t_t = rng.normal(size=(n2, t))
-    yield "completion", maps, (s_c, s_s, t_c, t_t, gamma)
+    yield "completion", maps, CompletionBlocks(s_c, s_s, t_c, t_t, gamma)
 
 
 def test_analytic_gradients_match_finite_differences():
@@ -156,14 +157,11 @@ def test_analytic_gradients_match_finite_differences():
         for name, models, problem in _gradient_instances(rng):
             names = tuple(sorted(models))
             if name == "completion":
-                s_c, s_s, t_c, t_t, gamma = problem
-                res = dsft_loss(s_c, s_s, t_c, t_t, models["psi_s"], models["psi_t"], gamma)
+                res = dsft_loss(problem, models["psi_s"], models["psi_t"])
 
                 def value_fn(vec):
                     set_params(models, names, vec)
-                    return dsft_loss(
-                        s_c, s_s, t_c, t_t, models["psi_s"], models["psi_t"], gamma
-                    ).value
+                    return dsft_loss(problem, models["psi_s"], models["psi_t"]).value
             else:
                 terms = problem()
                 res = loss_and_grads(models, terms, wrt=names)
@@ -198,7 +196,7 @@ def test_paired_divergence_terms_collapse_to_closed_form():
     rng = np.random.default_rng(99)
     d = _pairs(np.concatenate([rng.uniform(size=997), [0.0, 1.0, 0.5]]))
     c = _pairs(np.concatenate([[1.0, 0.0, 0.5], rng.uniform(size=997)]))
-    lhs = numerics.kl2(d, c) - numerics.kl2(d, numerics.swap_probs(c))
+    lhs = np.array([kl_pair(di, ci) - kl_pair(di, ci[::-1]) for di, ci in zip(d, c)])
     rhs = (d[:, 1] - d[:, 0]) * np.log(c[:, 0] / c[:, 1])
     worst = float(np.max(np.abs(lhs - rhs)))
     assert worst <= 1e-9
@@ -244,8 +242,10 @@ def test_pu_training_separates_gaussian_blobs():
         x_neg = rng.normal(size=(1000, 2)) - mean
         half = rng.permutation(1000)[:500]
         x_unl = np.vstack([x_pos[half], x_neg[half]])
-        art = train_pan(
-            x_pos, x_unl,
+        schema = FeatureSchema(("x0", "x1"), (), ())
+        art = train_com_p(
+            DomainMatrix(schema, "source", x_pos, np.empty((1000, 0))),
+            DomainMatrix(schema, "target", x_unl, np.empty((1000, 0))),
             TrainConfig(learning_rate=0.01, lam=0.5, steps=2000, batch_size=128, seed=seed))
         test_x = np.vstack([rng.normal(size=(500, 2)) + mean,
                             rng.normal(size=(500, 2)) - mean])
@@ -366,7 +366,7 @@ def test_metric_unit_checks():
     assert accuracy(tie, np.array([1])) == 0.0
 
     a = np.random.default_rng(5).normal(size=(40, 3))
-    assert mmd2(a, a) == 0.0
+    assert mmd_linear(a.tolist(), a.tolist()) == 0.0
 
     rng = np.random.default_rng(8)
     n = 60

@@ -13,6 +13,7 @@ import numpy as np
 
 import puhda.experiment
 import puhda.models
+import puhda.objectives
 import puhda.trainers
 from puhda.objectives import pada_terms, pan_terms
 
@@ -30,7 +31,7 @@ def _hooked():
     return (puhda.trainers._draw, puhda.experiment._write_standard_reports,
             puhda.experiment._write_checkpoint, puhda.trainers.TrainTrace.write,
             puhda.models.LinearSoftmaxModel.logits, puhda.models.LinearTransform.transform,
-            puhda.models.loss_and_grads)
+            puhda.models.loss_and_grads, puhda.objectives.dsft_loss, puhda.trainers.dsft_loss)
 
 
 def test_every_trace_hook_resolves_and_is_put_back():

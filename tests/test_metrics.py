@@ -14,7 +14,8 @@ from puhda.metrics import (
     discrimination_accuracy,
     improvement_metrics,
 )
-from puhda.objectives import mmd2
+from puhda.models import LinearTransform
+from puhda.objectives import CompletionBlocks, dsft_loss
 from puhda.trainers import TrainConfig
 
 
@@ -132,23 +133,32 @@ def test_improvement_metrics_undefined_at_perfect_baseline():
 
 
 # --------------------------------------------------------------------------
-# Distribution distance
+# Distribution distance: the MMD between completed domains
 
 
 def test_mmd2_identical_samples_is_zero(rng):
+    # the same common rows in both domains, each missing block filled with its mean
     a = rng.normal(size=(50, 4))
-    assert mmd2(a, a) == 0.0
+    s_s, t_t = rng.normal(size=(50, 2)), rng.normal(size=(50, 3))
+    psi_s = LinearTransform(np.zeros((4, 2)), s_s.mean(axis=0))
+    psi_t = LinearTransform(np.zeros((4, 3)), t_t.mean(axis=0))
+    assert dsft_loss(CompletionBlocks(a, s_s, a, t_t, 1.0), psi_s, psi_t).mmd == 0.0
 
 
 def test_mmd2_hand_value():
-    a = np.array([[0.0, 0.0], [2.0, 0.0]])
-    b = np.array([[4.0, 3.0]])
-    assert mmd2(a, b) == pytest.approx(18.0, abs=1e-12)  # ||(1,0)-(4,3)||^2
+    # completed source rows [[0, 0, 1, 5], [2, 0, 1, 5]], target row [4, 3, 0, 5]
+    blocks = CompletionBlocks(np.array([[0.0, 0.0], [2.0, 0.0]]), np.ones((2, 1)),
+                              np.array([[4.0, 3.0]]), np.array([[5.0]]), 1.0)
+    psi_s = LinearTransform(np.zeros((2, 1)), np.zeros(1))
+    psi_t = LinearTransform(np.zeros((2, 1)), np.array([5.0]))
+    got = dsft_loss(blocks, psi_s, psi_t).mmd
+    assert got == pytest.approx(19.0, abs=1e-12)  # ||(1,0,1,5)-(4,3,0,5)||^2
 
 
 def test_mmd2_rejects_column_mismatch(rng):
     with pytest.raises(InvalidInputError, match="column mismatch"):
-        mmd2(rng.normal(size=(5, 3)), rng.normal(size=(5, 4)))
+        CompletionBlocks(rng.normal(size=(5, 3)), rng.normal(size=(5, 1)),
+                         rng.normal(size=(5, 4)), rng.normal(size=(5, 1)), 1.0)
 
 
 # --------------------------------------------------------------------------

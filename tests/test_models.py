@@ -21,7 +21,7 @@ from puhda.models import (
     loss_and_grads,
     save_checkpoint,
 )
-from puhda.objectives import dsft_loss
+from puhda.objectives import CompletionBlocks, dsft_loss
 
 from _oracles import (
     classify_row,
@@ -336,8 +336,9 @@ _WIDTH_MISMATCHES = {
         {"D": _head(3)}, [KLTerm(1.0, ConstTarget(numerics.P1),
                                  ModelOutput("D", RawBatch(np.ones((2, 4)))))]),
     "frozen_teacher": lambda: frozen_teacher({"C": _head(3)}, 2)(np.ones((2, 5))),
-    "dsft_loss": lambda: dsft_loss(np.ones((2, 2)), np.ones((2, 1)), np.ones((3, 2)),
-                                   np.ones((3, 1)), _map(3, 1), _map(3, 1), 1.0),
+    "dsft_loss": lambda: dsft_loss(
+        CompletionBlocks(np.ones((2, 2)), np.ones((2, 1)), np.ones((3, 2)), np.ones((3, 1)), 1.0),
+        _map(3, 1), _map(3, 1)),
 }
 
 

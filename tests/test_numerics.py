@@ -5,8 +5,37 @@ import pytest
 
 from puhda import numerics
 from puhda.errors import InvalidInputError, NonFiniteCells
+from puhda.models import (
+    ConstTarget,
+    KLTerm,
+    LinearSoftmaxModel,
+    ModelOutput,
+    RawBatch,
+    loss_and_grads,
+)
 
 from _oracles import clamp_pair, kl_pair, softmax_pair
+
+
+def kl(p, q) -> float:
+    """KL(p, q) of two-class pairs, summed over rows, as the package computes
+    every KL: one term of ``loss_and_grads`` between two constant sides."""
+    return loss_and_grads({}, [KLTerm(1.0, ConstTarget(p), ConstTarget(q))]).value
+
+
+def pair_model(logits) -> tuple[dict, RawBatch]:
+    """A classifier ``C`` whose output on its one-row batch is ``softmax2(logits)``."""
+    model = LinearSoftmaxModel(np.zeros((1, 2)), np.asarray(logits, dtype=float))
+    return {"C": model}, RawBatch(np.zeros((1, 1)))
+
+
+def paired(d, logits) -> float:
+    """The classifier term pair ``KL(d, C(x)) - KL(d, swap(C(x)))``, as
+    ``objectives`` builds it, for one pair ``d``."""
+    models, batch = pair_model(logits)
+    d = ConstTarget(np.atleast_2d(d))
+    return loss_and_grads(models, [KLTerm(1.0, d, ModelOutput("C", batch)),
+                                   KLTerm(-1.0, d, ModelOutput("C", batch, swapped=True))]).value
 
 
 class TestSoftmax2:
@@ -96,10 +125,12 @@ class TestPairArithmetic:
 
 
 class TestKl2:
+    """The two-class KL divergence of the loss's terms."""
+
     def test_frozen_example(self):
         # oracle: 0.2*ln(0.2/0.6) + 0.8*ln(0.8/0.4)
         want = kl_pair((0.2, 0.8), (0.6, 0.4))
-        got = numerics.kl2((0.2, 0.8), (0.6, 0.4))
+        got = kl((0.2, 0.8), (0.6, 0.4))
         assert got == pytest.approx(want, abs=1e-12)
         assert got == pytest.approx(0.3347952867143343, abs=1e-12)
 
@@ -108,65 +139,75 @@ class TestKl2:
         for _ in range(300):
             p = numerics.softmax2(rng.normal(scale=3.0, size=2))
             q = numerics.softmax2(rng.normal(scale=3.0, size=2))
-            d = float(numerics.kl2(p, q))
+            d = kl(p, q)
             assert d >= -1e-15
             if abs(p[0] - q[0]) > 1e-9:
                 assert d > 0.0
-            assert numerics.kl2(p, p) == pytest.approx(0.0, abs=1e-12)
+            assert kl(p, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_hot_target_is_cross_entropy(self):
-        # kl2(P1, q) collapses to -log q1 up to the clamp epsilon
+        # KL(P1, q) collapses to -log q1 up to the clamp epsilon
         rng = np.random.default_rng(9)
         for _ in range(100):
             q = numerics.softmax2(rng.normal(size=2))
-            assert float(numerics.kl2(numerics.P1, q)) == pytest.approx(
-                -math.log(q[1]), abs=1e-5
-            )
+            assert kl(numerics.P1, q) == pytest.approx(-math.log(q[1]), abs=1e-5)
 
     def test_batch_broadcast(self):
+        # one pair against a batch: the sum of the one-pair divergences
         rng = np.random.default_rng(2)
         q = numerics.softmax2(rng.normal(size=(30, 2)))
-        vals = numerics.kl2(numerics.P0, q)
-        assert vals.shape == (30,)
-        singles = [float(numerics.kl2(numerics.P0, qi)) for qi in q]
-        assert vals == pytest.approx(singles, abs=1e-15)
+        singles = [kl(numerics.P0, qi) for qi in q]
+        assert kl(numerics.P0, q) == pytest.approx(sum(singles), abs=1e-12)
 
     def test_rejects_unclamped(self):
         with pytest.raises(InvalidInputError):
-            numerics.kl2((0.0, 1.0), (0.5, 0.5))
+            kl((0.0, 1.0), (0.5, 0.5))
         with pytest.raises(InvalidInputError):
-            numerics.kl2((0.3, 0.8), (0.5, 0.5))
+            kl((0.3, 0.8), (0.5, 0.5))
 
 
 class TestSwapAndPairedIdentity:
+    """The swapped side of a model output, which the classifier term pairs read."""
+
     def test_swap_involution(self):
+        # scoring against the swapped output is scoring the swapped constant
+        # against the output, in value and in gradient
         rng = np.random.default_rng(4)
-        p = numerics.softmax2(rng.normal(size=(20, 2)))
-        assert np.array_equal(numerics.swap_probs(numerics.swap_probs(p)), p)
+        models, batch = pair_model(rng.normal(size=2))
+        for _ in range(20):
+            d = numerics.softmax2(rng.normal(size=(1, 2)))
+            swapped = loss_and_grads(models, [KLTerm(1.0, ConstTarget(d), ModelOutput(
+                "C", batch, swapped=True))], wrt=("C",))
+            plain = loss_and_grads(models, [KLTerm(1.0, ConstTarget(d[:, ::-1]), ModelOutput(
+                "C", batch))], wrt=("C",))
+            assert swapped.value == plain.value
+            assert np.array_equal(swapped.grads["C"].d_bias, plain.grads["C"].d_bias)
 
     def test_swap_one_hots(self):
-        assert np.array_equal(numerics.swap_probs(numerics.P1), numerics.P0)
+        models, batch = pair_model((0.3, -1.1))
+        real = loss_and_grads(models, [KLTerm(1.0, ConstTarget(numerics.P1), ModelOutput(
+            "C", batch, swapped=True))])
+        fake = loss_and_grads(models, [KLTerm(1.0, ConstTarget(numerics.P0), ModelOutput(
+            "C", batch))])
+        assert real.value == fake.value
 
     def test_paired_difference_identity(self):
-        # kl2(d, c) - kl2(d, swap(c)) == (d1 - d0) * log(c0 / c1)
+        # KL(d, c) - KL(d, swap(c)) == (d1 - d0) * log(c0 / c1)
         rng = np.random.default_rng(123)
         for _ in range(1000):
             d = numerics.softmax2(rng.normal(scale=4.0, size=2))
-            c = numerics.softmax2(rng.normal(scale=4.0, size=2))
-            lhs = float(numerics.kl2(d, c) - numerics.kl2(d, numerics.swap_probs(c)))
+            logits = rng.normal(scale=4.0, size=2)
+            c = numerics.softmax2(logits)
             rhs = (d[1] - d[0]) * math.log(c[0] / c[1])
-            assert abs(lhs - rhs) < 1e-9
+            assert abs(paired(d, logits) - rhs) < 1e-9
 
     def test_balanced_pairs_cancel(self):
         half = numerics.clamp_probs((0.5, 0.5))
         d = numerics.softmax2((0.3, 1.2))
         # balanced second argument: the pair difference is exactly zero
-        diff = numerics.kl2(d, half) - numerics.kl2(d, numerics.swap_probs(half))
-        assert diff == pytest.approx(0.0, abs=1e-12)
+        assert paired(d, (0.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
         # balanced first argument likewise
-        c = numerics.softmax2((0.7, -0.4))
-        diff = numerics.kl2(half, c) - numerics.kl2(half, numerics.swap_probs(c))
-        assert diff == pytest.approx(0.0, abs=1e-12)
+        assert paired(half, (0.7, -0.4)) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRequireFinite:

@@ -5,11 +5,10 @@ from puhda import numerics
 from puhda.errors import ConfigurationError, InvalidInputError
 from puhda.models import LinearSoftmaxModel, LinearTransform, loss_and_grads
 from puhda.objectives import (
-    DsftLoss,
+    CompletionBlocks,
     distillation_terms,
     domain_adv_terms,
     dsft_loss,
-    mmd2,
     pada_s_terms,
     pada_terms,
     pan_terms,
@@ -307,54 +306,79 @@ class TestDomainAdvAndHelpers:
         assert sup[1].weight == pytest.approx(-0.25)
 
 
+def completion_instance(rng):
+    """Random completion data and maps: blocks s_c, s_s, t_c, t_t, then psi_s, psi_t."""
+    c = int(rng.integers(1, 4))
+    s = int(rng.integers(1, 4))
+    t = int(rng.integers(1, 4))
+    psi_s = LinearTransform(rng.normal(size=(c, s)), rng.normal(size=s))
+    psi_t = LinearTransform(rng.normal(size=(c, t)), rng.normal(size=t))
+    s_c = rng.normal(size=(int(rng.integers(1, 6)), c))
+    s_s = rng.normal(size=(s_c.shape[0], s))
+    t_c = rng.normal(size=(int(rng.integers(1, 6)), c))
+    t_t = rng.normal(size=(t_c.shape[0], t))
+    return s_c, s_s, t_c, t_t, psi_s, psi_t
+
+
+def mean_filling_maps(s_s, t_t, n_common):
+    """Completion maps that fill each missing block with that block's mean."""
+    return (LinearTransform(np.zeros((n_common, s_s.shape[1])), s_s.mean(axis=0)),
+            LinearTransform(np.zeros((n_common, t_t.shape[1])), t_t.mean(axis=0)))
+
+
+def completion_mmd(s_c, s_s, t_c, t_t, psi_s, psi_t) -> float:
+    return dsft_loss(CompletionBlocks(s_c, s_s, t_c, t_t, 1.0), psi_s, psi_t).mmd
+
+
 class TestMmd2:
+    """The linear-kernel MMD part of the completion loss: the squared distance
+    between the means of the completed source and target rows."""
+
     def test_identical_matrices_zero(self):
         rng = np.random.default_rng(50)
         a = rng.normal(size=(8, 5))
-        assert mmd2(a, a.copy()) == 0.0
+        s_s, t_t = rng.normal(size=(8, 2)), rng.normal(size=(8, 3))
+        assert completion_mmd(a, s_s, a.copy(), t_t, *mean_filling_maps(s_s, t_t, 5)) == 0.0
 
     def test_opposite_one_hots(self):
         a = np.tile([1.0, 0.0], (6, 1))
         b = np.tile([0.0, 1.0], (9, 1))
-        assert mmd2(a, b) == pytest.approx(2.0, abs=1e-15)
+        s_s, t_t = np.ones((6, 1)), np.ones((9, 1))
+        got = completion_mmd(a, s_s, b, t_t, *mean_filling_maps(s_s, t_t, 2))
+        assert got == pytest.approx(2.0, abs=1e-15)
 
     def test_matches_scalar_oracle_and_permutation_invariance(self):
         rng = np.random.default_rng(51)
         for _ in range(20):
-            a = rng.normal(size=(int(rng.integers(1, 7)), 4))
-            b = rng.normal(size=(int(rng.integers(1, 7)), 4))
-            got = mmd2(a, b)
-            assert got == pytest.approx(mmd_linear(a.tolist(), b.tolist()), abs=1e-10)
+            s_c, s_s, t_c, t_t, psi_s, psi_t = completion_instance(rng)
+            got = completion_mmd(s_c, s_s, t_c, t_t, psi_s, psi_t)
+            xs_hat = [list(row) + list(ys) + transform_row(psi_t.weights, psi_t.bias, row)
+                      for row, ys in zip(s_c, s_s)]
+            xt_hat = [list(row) + transform_row(psi_s.weights, psi_s.bias, row) + list(yt)
+                      for row, yt in zip(t_c, t_t)]
+            assert got == pytest.approx(mmd_linear(xs_hat, xt_hat), abs=1e-10)
             assert got >= 0.0
-            perm = rng.permutation(a.shape[0])
-            assert mmd2(a[perm], b) == pytest.approx(got, abs=1e-12)
+            perm = rng.permutation(s_c.shape[0])
+            assert completion_mmd(s_c[perm], s_s[perm], t_c, t_t, psi_s, psi_t) == (
+                pytest.approx(got, abs=1e-12))
 
     def test_errors(self):
         with pytest.raises(InvalidInputError):
-            mmd2(np.zeros((0, 3)), np.zeros((2, 3)))
+            CompletionBlocks(np.zeros((0, 3)), np.zeros((0, 1)), np.zeros((2, 3)),
+                             np.zeros((2, 1)), 1.0)
         with pytest.raises(InvalidInputError):
-            mmd2(np.zeros((2, 3)), np.zeros((2, 4)))
+            CompletionBlocks(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((2, 4)),
+                             np.zeros((2, 1)), 1.0)
 
 
 class TestDsftLoss:
-    def _random_instance(self, rng):
-        c = int(rng.integers(1, 4))
-        s = int(rng.integers(1, 4))
-        t = int(rng.integers(1, 4))
-        psi_s = LinearTransform(rng.normal(size=(c, s)), rng.normal(size=s))
-        psi_t = LinearTransform(rng.normal(size=(c, t)), rng.normal(size=t))
-        s_c = rng.normal(size=(int(rng.integers(1, 6)), c))
-        s_s = rng.normal(size=(s_c.shape[0], s))
-        t_c = rng.normal(size=(int(rng.integers(1, 6)), c))
-        t_t = rng.normal(size=(t_c.shape[0], t))
-        return s_c, s_s, t_c, t_t, psi_s, psi_t
 
     def test_value_matches_scalar_oracle(self):
         rng = np.random.default_rng(60)
         for _ in range(15):
-            s_c, s_s, t_c, t_t, psi_s, psi_t = self._random_instance(rng)
+            s_c, s_s, t_c, t_t, psi_s, psi_t = completion_instance(rng)
             gamma = float(rng.uniform(0, 2))
-            res = dsft_loss(s_c, s_s, t_c, t_t, psi_s, psi_t, gamma)
+            res = dsft_loss(CompletionBlocks(s_c, s_s, t_c, t_t, gamma), psi_s, psi_t)
             rec_s = sum(
                 (p - y) ** 2
                 for row, ys in zip(s_c, s_s)
@@ -382,14 +406,15 @@ class TestDsftLoss:
         rng = np.random.default_rng(61)
         names = ("psi_s", "psi_t")
         for _ in range(20):
-            s_c, s_s, t_c, t_t, psi_s, psi_t = self._random_instance(rng)
+            s_c, s_s, t_c, t_t, psi_s, psi_t = completion_instance(rng)
             gamma = float(rng.uniform(0, 2))
             maps = {"psi_s": psi_s, "psi_t": psi_t}
-            res = dsft_loss(s_c, s_s, t_c, t_t, psi_s, psi_t, gamma)
+            blocks = CompletionBlocks(s_c, s_s, t_c, t_t, gamma)
+            res = dsft_loss(blocks, psi_s, psi_t)
 
             def value_fn(vec):
                 set_params(maps, names, vec)
-                return dsft_loss(s_c, s_s, t_c, t_t, maps["psi_s"], maps["psi_t"], gamma).value
+                return dsft_loss(blocks, maps["psi_s"], maps["psi_t"]).value
 
             start = pack_params(maps, names)
             fd = finite_difference(value_fn, start)
@@ -404,24 +429,20 @@ class TestDsftLoss:
         s_c = rng.normal(size=(6, c))
         t_c = rng.normal(size=(7, c))
         res = dsft_loss(
-            s_c,
-            s_c @ m_s,
-            t_c,
-            t_c @ m_t,
+            CompletionBlocks(s_c, s_c @ m_s, t_c, t_c @ m_t, gamma_mmd=0.0),
             LinearTransform(m_s.copy(), np.zeros(s)),
             LinearTransform(m_t.copy(), np.zeros(t)),
-            gamma_mmd=0.0,
         )
         assert res.value == pytest.approx(0.0, abs=1e-18)
         assert res.rec_source == pytest.approx(0.0, abs=1e-18)
 
     def test_rejects_negative_gamma_and_bad_rows(self):
         rng = np.random.default_rng(63)
-        s_c, s_s, t_c, t_t, psi_s, psi_t = self._random_instance(rng)
+        s_c, s_s, t_c, t_t, _, _ = completion_instance(rng)
         with pytest.raises(InvalidInputError):
-            dsft_loss(s_c, s_s, t_c, t_t, psi_s, psi_t, -0.1)
+            CompletionBlocks(s_c, s_s, t_c, t_t, -0.1)
         with pytest.raises(InvalidInputError):
-            dsft_loss(s_c, s_s[:-1] if len(s_s) > 1 else np.vstack([s_s, s_s]), t_c, t_t, psi_s, psi_t, 0.0)
+            CompletionBlocks(s_c, s_s[:-1] if len(s_s) > 1 else np.vstack([s_s, s_s]), t_c, t_t, 0.0)
 
 
 class _CountingWeights(np.ndarray):

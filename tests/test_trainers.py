@@ -50,7 +50,6 @@ from puhda.trainers import (
     train_pada,
     train_pada_f,
     train_pada_s,
-    train_pan,
 )
 
 
@@ -61,6 +60,15 @@ def models_equal(a, b) -> bool:
 def pu_blocks(data):
     source, train, _, _ = data
     return source.common, train.common
+
+
+def train_pu(x_pos, x_unl, config):
+    """Plain PU training: the common-features baseline on a source of positive
+    rows and a target of unlabeled rows that have only common columns."""
+    schema = FeatureSchema(tuple(f"x{j}" for j in range(x_pos.shape[1])), (), ())
+    source = DomainMatrix(schema, "source", x_pos, np.empty((len(x_pos), 0)))
+    target = DomainMatrix(schema, "target", x_unl, np.empty((len(x_unl), 0)))
+    return train_com_p(source, target, config)
 
 
 # --------------------------------------------------------------------------
@@ -80,6 +88,12 @@ def pu_blocks(data):
         dict(learning_rate=0.1, seed=-1),
         dict(learning_rate=0.1, max_soft_rounds=0),
         dict(learning_rate=0.1, val_patience=0),
+        dict(learning_rate=0.1, steps=2.5),
+        dict(learning_rate=0.1, steps=True),
+        dict(learning_rate=0.1, batch_size=8.5),
+        dict(learning_rate=0.1, seed=1.0),
+        dict(learning_rate=0.1, max_soft_rounds=False),
+        dict(learning_rate=0.1, val_patience=2.0),
         dict(learning_rate=float("nan")),
         dict(learning_rate=float("inf")),
         dict(learning_rate=0.1, lam=float("inf")),
@@ -126,17 +140,17 @@ def test_trace_write_round_trips_exact(tmp_path):
 def test_pan_trace_has_one_row_per_step(tiny_data):
     x_pos, x_unl = pu_blocks(tiny_data)
     cfg = TrainConfig(learning_rate=0.05, lam=0.1, steps=17, batch_size=32, seed=3)
-    art = train_pan(x_pos, x_unl, cfg)
+    art = train_pu(x_pos, x_unl, cfg)
     assert len(art.trace) == cfg.steps
     assert art.trace.columns == ("step", "value", "kl_pos", "kl_unl", "kl_dc", "kl_dc_swap")
-    assert art.method == "PAN"
+    assert art.method == "COM_P"
 
 
 def test_pan_rerun_is_bit_identical(tiny_data):
     x_pos, x_unl = pu_blocks(tiny_data)
     cfg = TrainConfig(learning_rate=0.05, lam=0.1, steps=60, batch_size=32, seed=5)
-    a = train_pan(x_pos, x_unl, cfg)
-    b = train_pan(x_pos, x_unl, cfg)
+    a = train_pu(x_pos, x_unl, cfg)
+    b = train_pu(x_pos, x_unl, cfg)
     assert models_equal(a.classifier, b.classifier)
     assert models_equal(a.models()["D"], b.models()["D"])
     assert a.trace.rows == b.trace.rows
@@ -145,8 +159,8 @@ def test_pan_rerun_is_bit_identical(tiny_data):
 def test_pan_seed_changes_the_run(tiny_data):
     x_pos, x_unl = pu_blocks(tiny_data)
     cfg = TrainConfig(learning_rate=0.05, lam=0.1, steps=30, batch_size=32, seed=5)
-    a = train_pan(x_pos, x_unl, cfg)
-    b = train_pan(x_pos, x_unl, TrainConfig(
+    a = train_pu(x_pos, x_unl, cfg)
+    b = train_pu(x_pos, x_unl, TrainConfig(
         learning_rate=0.05, lam=0.1, steps=30, batch_size=32, seed=6))
     assert not models_equal(a.classifier, b.classifier)
 
@@ -154,7 +168,7 @@ def test_pan_seed_changes_the_run(tiny_data):
 def test_pan_lambda_zero_leaves_classifier_at_init(tiny_data):
     x_pos, x_unl = pu_blocks(tiny_data)
     cfg = TrainConfig(learning_rate=0.05, lam=0.0, steps=40, batch_size=32, seed=9)
-    art = train_pan(x_pos, x_unl, cfg)
+    art = train_pu(x_pos, x_unl, cfg)
     rng = make_rng(cfg.seed)
     d0 = LinearSoftmaxModel.initialize(x_pos.shape[1], rng)
     c0 = LinearSoftmaxModel.initialize(x_pos.shape[1], rng)
@@ -166,7 +180,7 @@ def test_pan_single_step_matches_manual_replay(tiny_data):
     """One iteration replayed by hand: batch order, update targets, signs."""
     x_pos, x_unl = pu_blocks(tiny_data)
     cfg = TrainConfig(learning_rate=1e-3, lam=0.2, steps=1, batch_size=48, seed=11)
-    art = train_pan(x_pos, x_unl, cfg)
+    art = train_pu(x_pos, x_unl, cfg)
 
     rng = make_rng(cfg.seed)
     d = LinearSoftmaxModel.initialize(x_pos.shape[1], rng)
@@ -197,9 +211,9 @@ def test_pan_rejects_bad_inputs(tiny_data):
     x_pos, x_unl = pu_blocks(tiny_data)
     cfg = TrainConfig(learning_rate=0.05, steps=1)
     with pytest.raises(InvalidInputError, match="column mismatch"):
-        train_pan(x_pos, x_unl[:, :-1], cfg)
+        train_discriminator(x_pos, x_unl[:, :-1], cfg)
     with pytest.raises(InvalidInputError):
-        train_pan(np.empty((0, 3)), x_unl[:, :3], cfg)
+        train_discriminator(np.empty((0, 3)), x_unl[:, :3], cfg)
 
 
 # --------------------------------------------------------------------------
@@ -210,7 +224,7 @@ def test_com_p_is_pu_training_on_common_columns(tiny_data):
     source, train, _, _ = tiny_data
     cfg = TrainConfig(learning_rate=0.05, lam=0.1, steps=50, batch_size=32, seed=2)
     com = train_com_p(source, train, cfg)
-    pan = train_pan(source.common, train.common, cfg)
+    pan = train_pu(source.common, train.common, cfg)   # the same rows, no specific columns
     assert com.method == "COM_P"
     assert models_equal(com.classifier, pan.classifier)
     assert models_equal(com.models()["D"], pan.models()["D"])
@@ -374,8 +388,7 @@ def test_pada_s_single_step_matches_manual_replay(tiny_data):
                       max_soft_rounds=1)
     art = train_pada_s(source, train, cfg, val_target=val)
 
-    base = train_pan(source.common, train.common,
-                     replace(cfg, seed=derive_seed(cfg.seed, "soft-base")))
+    base = train_com_p(source, train, replace(cfg, seed=derive_seed(cfg.seed, "soft-base")))
 
     def teacher(bt):
         return base.classifier.classify(bt[:, :schema.c])
@@ -513,6 +526,18 @@ def test_completion_trace_never_increases(tiny_data):
     values = art.trace.value_column("value")
     assert np.all(np.diff(values) <= 0)
     assert art.trace.columns == ("step", "value", "rec_source", "rec_target", "mmd", "step_size")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_completion_rejects_an_overflowing_step_like_a_worse_one(tiny_data, seed):
+    source, train, _, _ = tiny_data
+    cfg = TrainConfig(learning_rate=1e308, gamma_mmd=1.0, steps=20, batch_size=1, seed=seed)
+    art, xs_hat, xt_hat = train_dsft(source, train, cfg)
+    for model in art.models().values():
+        assert np.isfinite(model.weights).all() and np.isfinite(model.bias).all()
+    assert np.isfinite(xs_hat).all() and np.isfinite(xt_hat).all()
 
 
 def test_completed_rows_have_the_documented_layout(tiny_data):
