@@ -54,8 +54,9 @@ def _add_common_flags(parser: argparse.ArgumentParser, with_grid_flags: bool) ->
         parser.add_argument("--seeds", type=_seed_list, default=None,
                             help="comma-separated seed list overriding the config")
         parser.add_argument("--jobs", type=_positive_int, default=1,
-                            help="parallel workers for grid groups, one (method, seed) each, "
-                                 "or one (learning rate, seed) for DSFT_P_linear")
+                            help="parallel workers for grid stacks: up to 64 of one method's "
+                                 "(cell, seed) runs each, across seeds, one (learning rate, "
+                                 "seed) for DSFT_P_linear; a dead worker fails its whole stack")
 
 
 def build_parser() -> argparse.ArgumentParser:

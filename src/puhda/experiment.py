@@ -5,11 +5,12 @@ the hyperparameter grids, the seeds, and the split. Running an experiment
 trains every method over its grid once, selects one cell per method by mean
 validation accuracy, writes the selected cell's grid artifacts per seed as
 telemetry and checkpoints (nothing is retrained), and evaluates once on the
-held-out test split. A work item is a group, the cells of one (method, seed)
-trained as one stacked run; groups are independent, so they can run in
-parallel. Results are folded in a fixed (method, cell, seed) order, and every
-report is written with round-trip float formatting and no timestamps, making
-reruns byte-identical.
+held-out test split. A work item is a stack, up to ``STACK_CAP`` (cell, seed)
+runs of one method trained as one stacked run, each seed drawing its own
+batches; stacks can run in parallel, and a dead worker fails its whole stack.
+Results are folded in a fixed (method, cell, seed) order, and every report is
+written with round-trip float formatting and no timestamps, making reruns
+byte-identical; wall times go only to the log, one INFO line per stack.
 
 The test split is kept inside a sealed handle that training and selection
 code never receives; it is opened exactly once, after selection.
@@ -21,6 +22,7 @@ import json
 import logging
 import math
 import os
+import time
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from itertools import chain, groupby, product
 from pathlib import Path
@@ -436,21 +438,34 @@ def _cell_config(cell: GridCell, seed: int, training: TrainingSpec) -> TrainConf
 
 def train_group(method: str, source: DomainMatrix, train: DomainMatrix, val: DomainMatrix,
                 configs: list[TrainConfig]) -> list:
-    """Train one group, its cells stacked, the way the method-table entry says:
-    each cell's artifacts, or the error that cell failed with."""
+    """Train one stack of cells the way the method-table entry says: each
+    cell's artifacts, or the error that cell failed with."""
     return METHOD_TABLE[method].group(source, train, val, configs)
 
 
+# The most (cell, seed) runs one stack holds. Past a few dozen cells a stack's
+# cost per cell-step stops falling, and smaller stacks keep workers balanced.
+STACK_CAP = 64
+
+
 def _groups(config: ExperimentConfig) -> list[tuple]:
-    """The grid's work items: one group per method and seed, holding the
-    method's cells, or one per learning rate for a method whose stacks hold one."""
+    """The grid's work items, ``(method, ((cell, seed), ...), training)``: each
+    method's cells times seeds in (cell, seed) order, cut per (learning rate,
+    seed) if its stacks hold one rate, then into stacks of at most
+    ``STACK_CAP``. A cell's bits do not depend on its stack mates, so the cut
+    changes wall time and memory, never output."""
     items = []
     for method in config.methods:
-        cells = grid_cells(method, config.grid)
         by_rate = not METHOD_TABLE[method].stacks_learning_rate
-        for seed in sorted(config.seeds):
-            for _, group in groupby(cells, key=lambda c: c.learning_rate if by_rate else None):
-                items.append((method, tuple(group), seed, config.training))
+
+        def key(run):
+            return (run[0].learning_rate, run[1]) if by_rate else ()
+
+        runs = sorted(product(grid_cells(method, config.grid), sorted(config.seeds)), key=key)
+        for _, group in groupby(runs, key=key):
+            group = tuple(group)
+            items += [(method, group[i:i + STACK_CAP], config.training)
+                      for i in range(0, len(group), STACK_CAP)]
     return items
 
 
@@ -463,18 +478,24 @@ def _set_worker_data(data: tuple) -> None:
     _worker_data = data
 
 
-def _group_worker(item, data: tuple | None = None) -> list[tuple]:
-    """Train one group of (method, cells, seed) as one stack; each cell's result,
-    an ok one with its artifacts."""
-    method, cells, seed, training = item
+def _group_worker(item, data: tuple | None = None) -> tuple[list[tuple], float]:
+    """Train one work item (see ``_groups``) as one stack: each run's result, an
+    ok one with its artifacts, and the stack's wall seconds."""
+    start = time.perf_counter()
+    method, runs, training = item
     source, train, val = data or _worker_data
     try:
         outcomes = train_group(method, source, train, val,
-                               [_cell_config(cell, seed, training) for cell in cells])
-    except Exception as exc:  # a failed group, expected or not, must not lose the grid
-        outcomes = [exc] * len(cells)
-    return [_cell_result(method, cell, seed, outcome, val)
-            for cell, outcome in zip(cells, outcomes)]
+                               [_cell_config(cell, seed, training) for cell, seed in runs])
+    except Exception as exc:  # a failed stack, expected or not, must not lose the grid
+        outcomes = [exc] * len(runs)
+    results = [_cell_result(method, cell, seed, outcome, val)
+               for (cell, seed), outcome in zip(runs, outcomes)]
+    return results, time.perf_counter() - start
+
+
+def _seeds(runs) -> str:
+    return ",".join(map(str, sorted({seed for _, seed in runs})))
 
 
 def _cell_result(method, cell, seed, outcome, val) -> tuple[CellResult, TrainedArtifacts | None]:
@@ -495,9 +516,9 @@ WORKER_DIED = "worker process died"
 
 
 def _pool_outputs(items, shared: tuple, workers: int):
-    """Each group's cell results, in item order, from a pool of ``workers``. Once a
-    worker dies, every group not yet finished reruns alone in a fresh one-worker
-    pool; a group that kills that worker too fails its cells with WORKER_DIED."""
+    """Each stack's ``_group_worker`` output, in item order, from a pool of ``workers``.
+    Once a worker dies, every stack not yet finished reruns alone in a fresh
+    one-worker pool; a stack that kills that worker too fails with WORKER_DIED."""
     from concurrent.futures import ProcessPoolExecutor   # slow to import; only --jobs pays
     from concurrent.futures.process import BrokenProcessPool
 
@@ -505,14 +526,15 @@ def _pool_outputs(items, shared: tuple, workers: int):
         return ProcessPoolExecutor(max_workers=n, initializer=_set_worker_data, initargs=(shared,))
 
     def alone(item):
+        start = time.perf_counter()
         with pool(1) as single:
             try:
                 return single.submit(_group_worker, item).result()
             except BrokenProcessPool:
-                method, cells, seed, _ = item
-                logger.warning("%s seed %d: %s", method, seed, WORKER_DIED)
+                method, runs, _ = item
+                logger.warning("%s seeds %s: %s", method, _seeds(runs), WORKER_DIED)
                 return [(CellResult(method, cell, seed, "failed", float("nan"), WORKER_DIED), None)
-                        for cell in cells]
+                        for cell, seed in runs], time.perf_counter() - start
 
     with pool(workers) as many:
         futures = [many.submit(_group_worker, item) for item in items]
@@ -524,10 +546,19 @@ def _pool_outputs(items, shared: tuple, workers: int):
             yield output
 
 
-def _replay(groups):
-    """Cell results in (method, cell, seed) order from groups that arrive method
-    by method: one method's groups are buffered, then replayed."""
-    for _, outputs in groupby(groups, key=lambda output: output[0][0].method):
+def _logged(items, outputs):
+    """Each stack's cell results as it arrives, after one INFO line saying how it went."""
+    for number, ((method, runs, _), (results, seconds)) in enumerate(zip(items, outputs), 1):
+        ok = sum(result.status == "ok" for result, _ in results)
+        logger.info("stack %d/%d: %s seeds %s, %d cells ok, %d failed, %.2f s", number,
+                    len(items), method, _seeds(runs), ok, len(results) - ok, seconds)
+        yield results
+
+
+def _replay(stacks):
+    """Cell results in (method, cell, seed) order from stacks that arrive method
+    by method: one method's stacks are buffered, then replayed."""
+    for _, outputs in groupby(stacks, key=lambda output: output[0][0].method):
         yield from sorted(chain.from_iterable(outputs), key=lambda o: (o[0].cell, o[0].seed))
 
 
@@ -564,13 +595,13 @@ def _select(config: ExperimentConfig, outcomes):
 
 
 def run_grid(config: ExperimentConfig, data: PreparedData, jobs: int = 1):
-    """Train every method x cell x seed once, each group as one stacked run;
+    """Train every method x cell x seed once, in the stacks ``_groups`` cuts;
     failures are recorded, not raised.
 
     Returns every cell result in (method, cell, seed) order, each method's
-    selection, and the selected cells' artifacts by (method, seed). Groups
-    are spread over ``jobs`` processes (never more than there are groups),
-    and one method's groups are folded once they have all arrived, so only
+    selection, and the selected cells' artifacts by (method, seed). Stacks
+    are spread over ``jobs`` processes (never more than there are stacks),
+    and one method's stacks are folded once they have all arrived, so only
     each method's best cell keeps its artifacts after that.
     """
     items = _groups(config)
@@ -580,7 +611,7 @@ def run_grid(config: ExperimentConfig, data: PreparedData, jobs: int = 1):
         outputs = (_group_worker(item, shared) for item in items)
     else:
         outputs = _pool_outputs(items, shared, workers)
-    return _select(config, _replay(outputs))
+    return _select(config, _replay(_logged(items, outputs)))
 
 
 def evaluate_on_test(

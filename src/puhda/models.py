@@ -28,7 +28,7 @@ so their gradient is zero. For a term ``KL(a, b)`` the local derivatives are
 annihilated by the softmax Jacobian).
 
 The cell axis. A model holds one cell's parameters, weights ``(in, out)`` and
-bias ``(out,)``, or a stack of K cells' (a grid group trained in lockstep),
+bias ``(out,)``, or a stack of K cells' (a grid stack trained in lockstep),
 weights ``(K, in, out)`` and bias ``(K, out)``. A stack maps rows ``(n, in)``
 that every cell shares, or its cells' own rows ``(K, n, in)``, to
 ``(K, n, out)``; a term weight is a number or one per cell ``(K,)``; a loss
@@ -56,13 +56,10 @@ from .errors import ConfigurationError, InvalidInputError, NonFiniteCells
 from .numerics import _softmax2, prob_pairs, require_finite, softmax2
 
 
-def _init_params(rng: np.random.Generator, in_dim: int, out_dim: int, cells: int | None):
-    # weights uniform in [-r, r] with r = 1/sqrt(in_dim), biases zero; every cell
-    # of a stack starts from the same draw
+def _init_params(rng: np.random.Generator, in_dim: int, out_dim: int):
+    # weights uniform in [-r, r] with r = 1/sqrt(in_dim), biases zero
     r = 1.0 / np.sqrt(in_dim)
-    weights = rng.uniform(-r, r, size=(in_dim, out_dim))
-    lead = () if cells is None else (cells,)
-    return np.broadcast_to(weights, lead + weights.shape).copy(), np.zeros(lead + (out_dim,))
+    return rng.uniform(-r, r, size=(in_dim, out_dim)), np.zeros(out_dim)
 
 
 @dataclass
@@ -123,6 +120,12 @@ class _Linear:
     def copy(self):
         return type(self)(self.weights.copy(), self.bias.copy())
 
+    @classmethod
+    def stack(cls, models, cells):
+        """The stack whose cell ``i`` holds the parameters of ``models[cells[i]]``."""
+        return cls(np.stack([m.weights for m in models])[cells],
+                   np.stack([m.bias for m in models])[cells])
+
     def take(self, cells):
         """The given cells of a stack (an index array or a mask) as a stack, or
         with an integer, that cell's own model."""
@@ -140,12 +143,10 @@ class LinearSoftmaxModel(_Linear):
     kind = "model"
 
     @classmethod
-    def initialize(cls, input_dim: int, rng: np.random.Generator,
-                   cells: int | None = None) -> "LinearSoftmaxModel":
-        """One cell's head, or with ``cells`` a stack of that many equal heads."""
+    def initialize(cls, input_dim: int, rng: np.random.Generator) -> "LinearSoftmaxModel":
         if input_dim < 1:
             raise InvalidInputError(f"input_dim must be >= 1, got {input_dim}")
-        return cls(*_init_params(rng, input_dim, 2, cells))
+        return cls(*_init_params(rng, input_dim, 2))
 
     def logits(self, x) -> np.ndarray:
         return self(require_finite("inputs", x))
@@ -164,12 +165,10 @@ class LinearTransform(_Linear):
     bias: np.ndarray     # (out_dim,)
 
     @classmethod
-    def initialize(cls, in_dim: int, out_dim: int, rng: np.random.Generator,
-                   cells: int | None = None) -> "LinearTransform":
-        """One cell's map, or with ``cells`` a stack of that many equal maps."""
+    def initialize(cls, in_dim: int, out_dim: int, rng: np.random.Generator) -> "LinearTransform":
         if in_dim < 1 or out_dim < 1:
             raise InvalidInputError(f"transform dims must be >= 1, got {in_dim} -> {out_dim}")
-        return cls(*_init_params(rng, in_dim, out_dim, cells))
+        return cls(*_init_params(rng, in_dim, out_dim))
 
     def transform(self, x) -> np.ndarray:
         return self(require_finite("inputs", x))
@@ -178,7 +177,8 @@ class LinearTransform(_Linear):
         """Target rows in the source layout ``[common ; F(rows)]``: the first
         ``n_common`` columns pass through, next to the map of the whole rows.
         ``rows`` are finite already, so only their width is checked. A stack
-        aligns shared rows ``(n, in)`` into ``(K, n, n_common + out)``."""
+        aligns shared rows ``(n, in)``, or its cells' own ``(K, n, in)``, into
+        ``(K, n, n_common + out)``."""
         mapped = self(rows)
         aligned = np.empty(mapped.shape[:-1] + (n_common + mapped.shape[-1],))
         aligned[..., :n_common] = rows[..., :n_common]
@@ -197,12 +197,12 @@ Model = Union[LinearSoftmaxModel, LinearTransform]
 class RawBatch:
     """Feature rows fed to a softmax model unchanged."""
 
-    x: np.ndarray  # (n, d)
+    x: np.ndarray  # (n, d), or a stack's per-cell (K, n, d)
 
     def __post_init__(self):
         x = require_finite("batch", self.x)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise InvalidInputError(f"batch must be a non-empty 2-D array, got shape {x.shape}")
+        if x.ndim not in (2, 3) or x.shape[-2] < 1:
+            raise InvalidInputError(f"batch must be non-empty and 2-D or 3-D, got shape {x.shape}")
         object.__setattr__(self, "x", x)
 
 
@@ -211,14 +211,14 @@ class TransformedBatch:
     """Target rows ``[common | specific]`` read as ``[common ; F(rows)]``: the
     first ``n_common`` columns pass through and the transform maps whole rows."""
 
-    rows: np.ndarray  # (n, in_dim of the transform), n_common < in_dim
+    rows: np.ndarray  # (n, in_dim of the transform) or (K, n, in_dim), n_common < in_dim
     n_common: int
     transform = "F"   # the slot of the transform, not a field
 
     def __post_init__(self):
         rows = require_finite("target batch", self.rows)
-        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] <= self.n_common:
-            raise InvalidInputError(f"target batch must be non-empty and 2-D with more than "
+        if rows.ndim not in (2, 3) or rows.shape[-2] < 1 or rows.shape[-1] <= self.n_common:
+            raise InvalidInputError(f"target batch must be non-empty and 2-D or 3-D with more than "
                                     f"{self.n_common} columns, got shape {rows.shape}")
         object.__setattr__(self, "rows", rows)
 
@@ -268,7 +268,7 @@ class FrozenTeacher:
 
     def __call__(self, batch_target: np.ndarray) -> ConstTarget:
         if self.transform is None:
-            x = batch_target[:, :self.n_common]
+            x = batch_target[..., :self.n_common]
         else:
             x = self.transform.align(batch_target, self.n_common)
         return ConstTarget._of_logits(self.classifier(x))

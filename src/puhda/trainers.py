@@ -32,19 +32,21 @@ The feature-completion fit is deterministic full-batch descent with a
 backtracking step size, so its loss trace never increases. Every trainer
 returns its models in one dict keyed by checkpoint slot name.
 
-The cell axis. Configs that differ only in ``learning_rate``, ``lam`` and
-``eta`` draw the same batches, so a method's group trainer (``pada_group``
-and its siblings in ``METHOD_TABLE``) trains K of them as one stack: every
-model holds weights ``(K, in, out)`` and bias ``(K, out)``, the per-cell
-scalars are ``(K,)`` arrays, each traced phase fills a ``(steps, K, terms)``
-block, and a stacked ``(K, n, 2)`` forward serves every cell (see the
-``models`` docstring for the shapes). Each cell ends as its own 2-D models
-and telemetry (a ``TrainTrace`` owning its ``(steps, columns)`` values), or
-as the error it failed with: a cell whose logits or update turn non-finite
-fails, and ``_Stack.attempt`` replays the phase on the same batches for the
-others. A single trainer call (``train_pada`` and the rest) is a
-stack of one through the same code; a stack of one carries no cell axis, so
-it runs on one cell's arrays.
+The cell axis. A method's group trainer (``pada_group`` and its siblings in
+``METHOD_TABLE``) trains K configs that differ only in ``learning_rate``,
+``lam``, ``eta`` and ``seed`` as one stack: every model holds weights
+``(K, in, out)`` and bias ``(K, out)``, the per-cell scalars are ``(K,)``
+arrays, each traced phase fills a ``(steps, K, terms)`` block, and a stacked
+``(K, n, 2)`` forward serves every cell (see the ``models`` docstring for the
+shapes). Each seed keeps its own generators (derived seeds are derived per
+seed) and draws in the order above; the cells of one seed share ``(n, d)``
+rows, and a stack across seeds gathers each cell's own ``(K, n, d)`` rows.
+Each cell ends as its own 2-D models and telemetry (a ``TrainTrace`` owning
+its ``(steps, columns)`` values), or as the error it failed with: a cell whose
+logits or update turn non-finite fails, and ``_Stack.attempt`` replays the
+phase on the same batches for the others. A single trainer call
+(``train_pada`` and the rest) is a stack of one through the same code; a
+stack of one carries no cell axis, so it runs on one cell's arrays.
 """
 
 from __future__ import annotations
@@ -106,8 +108,11 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "lam", "eta", "gamma_mmd"):
-            if not np.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.number)):
+                raise ConfigurationError(f"{name} must be a number, got {value!r}")
+            if not np.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.learning_rate <= 0:
             raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.lam < 0 or self.eta < 0 or self.gamma_mmd < 0:
@@ -172,8 +177,11 @@ class TrainedArtifacts:
 Outcome = TrainedArtifacts | PuhdaError
 
 
-def _draw(rng: np.random.Generator, x: np.ndarray, batch_size: int) -> np.ndarray:
-    return x[rng.integers(0, x.shape[0], size=batch_size)]
+def _draw(rngs: list[np.random.Generator], x: np.ndarray, batch_size: int) -> np.ndarray:
+    """One batch of ``x``: its rows from one generator, else ``(seeds, n)`` row indices."""
+    if len(rngs) == 1:
+        return x[rngs[0].integers(0, x.shape[0], size=batch_size)]
+    return np.array([rng.integers(0, x.shape[0], size=batch_size) for rng in rngs])
 
 
 def _check_pair(name_a: str, x_a, name_b: str, x_b) -> tuple[np.ndarray, np.ndarray]:
@@ -210,23 +218,29 @@ def _check_domains(source: DomainMatrix, target: DomainMatrix) -> None:
 
 class _Stack:
     """The cells of one stacked run: configs that differ only in learning_rate,
-    lam and eta, trained in lockstep on the same batches.
+    lam, eta and seed, trained in lockstep.
 
-    ``cells`` holds the group positions of the live cells; the per-cell
-    scalars (``learning_rate``, ``lam``, ``eta``, each ``(K,)``), ``models``
-    and ``teacher`` follow it. A cell leaves by failing (:meth:`attempt`) or
-    by finishing (:meth:`finish`), and ``outcomes`` keeps what it left with.
-    A stack of one carries no cell axis (``stacked`` is False): its models
-    are one cell's and its scalars numbers, so it runs on the arrays an
-    unstacked run would, and it ends when its cell leaves.
+    Each seed has its own generators (:meth:`rngs`): a cell's models start
+    from its seed's draws (:meth:`init`), and each phase draws a batch per
+    seed (``_draw``) that :meth:`rows` gathers for the live cells. ``cells``
+    holds the group positions of the live cells; the per-cell scalars
+    (``learning_rate``, ``lam``, ``eta``, each ``(K,)``), ``models`` and
+    ``teacher`` follow it. A cell leaves by failing (:meth:`attempt`) or by
+    finishing (:meth:`finish`), and ``outcomes`` keeps what it left with. A
+    stack of one carries no cell axis (``stacked`` is False): its models are
+    one cell's and its scalars numbers, so it runs on the arrays an unstacked
+    run would, and it ends when its cell leaves.
     """
 
     def __init__(self, configs):
         self.configs = tuple(configs)
-        if len({replace(c, learning_rate=1.0, lam=0.0, eta=0.0) for c in self.configs}) != 1:
+        if len({replace(c, learning_rate=1.0, lam=0.0, eta=0.0, seed=0)
+                for c in self.configs}) != 1:
             raise ConfigurationError(
-                "the cells of a stack may differ only in learning_rate, lam and eta")
-        self.config = self.configs[0]   # the shared budget, seed and round rules
+                "the cells of a stack may differ only in learning_rate, lam, eta and seed")
+        self.config = self.configs[0]   # the shared budget and round rules
+        self.seeds = tuple(dict.fromkeys(c.seed for c in self.configs))
+        self._seed_of = np.array([self.seeds.index(c.seed) for c in self.configs])
         self.stacked = len(self.configs) > 1
         self.outcomes: list = [None] * len(self.configs)
         self.cells = np.arange(len(self.configs))
@@ -236,6 +250,7 @@ class _Stack:
 
     def _keep(self, keep) -> None:
         self.cells = self.cells[keep]
+        self._seed_at = self._seed_of[self.cells]   # each live cell's seed position
         if self.stacked:
             self.models = {name: model.take(keep) for name, model in self.models.items()}
             if self.teacher is not None:
@@ -244,10 +259,22 @@ class _Stack:
             setattr(self, name, np.array([getattr(self.configs[i], name) for i in self.cells])
                     if self.stacked else getattr(self.config, name))
 
-    @property
-    def live(self) -> int | None:
-        """The length of the cell axis, None for a stack of one."""
-        return len(self.cells) if self.stacked else None
+    def rngs(self, *tags) -> list[np.random.Generator]:
+        """One generator per seed, from the seed or, given tags, ``derive_seed(seed, *tags)``."""
+        return [make_rng(derive_seed(seed, *tags) if tags else seed) for seed in self.seeds]
+
+    def init(self, rngs, initialize, *dims) -> Model:
+        """``initialize(*dims, rng)`` on each seed's generator in turn: one cell's
+        model, or the live cells' stack, each cell starting from its seed's draw."""
+        per_seed = [initialize(*dims, rng) for rng in rngs]
+        return type(per_seed[0]).stack(per_seed, self._seed_at) if self.stacked else per_seed[0]
+
+    def rows(self, matrices, draws) -> list[np.ndarray]:
+        """A phase's batches from its ``_draw`` of each matrix: one seed's shared rows
+        as drawn, else each live cell's own ``(K, n, d)`` rows."""
+        if len(self.seeds) == 1:
+            return draws
+        return [x[index[self._seed_at]] for x, index in zip(matrices, draws)]
 
     def cell_models(self, j) -> dict[str, Model]:
         """Live cell ``j``'s own models."""
@@ -312,12 +339,13 @@ class Phase(NamedTuple):
     trace: str | None = None
 
 
-def _play(stack: _Stack, phase: Phase, batches):
-    """One phase on drawn batches for every live cell: its terms and loss, or
-    None once no cell is left. Cells whose loss or update is not finite fail,
-    and the phase replays on the same batches for the rest."""
+def _play(stack: _Stack, phase: Phase, draws):
+    """One phase on drawn batches (a ``_draw`` per matrix) for every live cell:
+    its terms and loss, or None once no cell is left. Cells whose loss or
+    update is not finite fail, and the phase replays on the same batches,
+    gathered again, for the rest."""
     def play():
-        terms = phase.terms(*batches)
+        terms = phase.terms(*stack.rows(phase.draws, draws))
         res = loss_and_grads(stack.models, terms, wrt=(phase.player,))
         stack.models[phase.player].apply_step(res.grads[phase.player],
                                               phase.sign * stack.learning_rate)
@@ -326,17 +354,18 @@ def _play(stack: _Stack, phase: Phase, batches):
     return stack.attempt(play)
 
 
-def _run_phases(stack: _Stack, phases: list[Phase], rng: np.random.Generator):
-    """Play ``phases`` in order for ``steps`` steps, updating ``stack.models`` in
-    place. Returns the trace columns and the values of every cell of the group,
-    ``(steps, cells, columns)``; the rows of a dropped cell are not filled."""
+def _run_phases(stack: _Stack, phases: list[Phase], rngs: list[np.random.Generator]):
+    """Play ``phases`` in order for ``steps`` steps, drawing from each seed's
+    generator in ``rngs``, updating ``stack.models`` in place. Returns the trace
+    columns and the values of every cell of the group, ``(steps, cells,
+    columns)``; the rows of a dropped cell are not filled."""
     steps = stack.config.steps
     columns: list[str] = []
     blocks: list[np.ndarray] = []   # one per traced phase: (steps, cells, 1 + terms)
     for step in range(steps):
         traced = 0
         for phase in phases:
-            played = _play(stack, phase, [_draw(rng, x, stack.config.batch_size)
+            played = _play(stack, phase, [_draw(rngs, x, stack.config.batch_size)
                                           for x in phase.draws])
             if played is None:
                 return columns, None
@@ -355,7 +384,7 @@ def _run_phases(stack: _Stack, phases: list[Phase], rng: np.random.Generator):
 # PU-only training
 
 
-def _pan_stack(stack: _Stack, x_pos, x_unl, seed: int):
+def _pan_stack(stack: _Stack, x_pos, x_unl, rngs):
     """Adversarial PU training on a single feature space.
 
     Models initialize D then C. Per step the discriminator ascends the full
@@ -365,21 +394,20 @@ def _pan_stack(stack: _Stack, x_pos, x_unl, seed: int):
     never leave initialization.
     """
     x_pos, x_unl = _check_pair("positive rows", x_pos, "unlabeled rows", x_unl)
-    rng = make_rng(seed)
-    stack.models = {name: LinearSoftmaxModel.initialize(x_pos.shape[1], rng, stack.live)
+    stack.models = {name: stack.init(rngs, LinearSoftmaxModel.initialize, x_pos.shape[1])
                     for name in ("D", "C")}
     phases = [
         Phase("D", +1, (x_pos, x_unl), lambda bp, bu: pan_terms(bp, bu, stack.lam), trace=""),
         Phase("C", -1, (x_unl,), lambda bu: classifier_terms(bu, stack.lam)),
     ]
-    return _run_phases(stack, phases, rng)
+    return _run_phases(stack, phases, rngs)
 
 
 def _com_p_stack(stack: _Stack, source: DomainMatrix, target: DomainMatrix):
     _check_roles(source, target)
     if source.schema.c < 1:
         raise ConfigurationError("the common-features baseline needs at least one common column")
-    return _pan_stack(stack, source.common, target.common, stack.config.seed)
+    return _pan_stack(stack, source.common, target.common, stack.rngs())
 
 
 def com_p_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Outcome]:
@@ -396,7 +424,7 @@ def train_com_p(source: DomainMatrix, target: DomainMatrix, config: TrainConfig)
 # Heterogeneous training
 
 
-def _pada_loop(stack: _Stack, x_s, x_t, n_common, s_dim, seed, taught=False):
+def _pada_loop(stack: _Stack, x_s, x_t, n_common, s_dim, rngs, taught=False):
     """One full joint run; with ``taught`` the stack's teacher adds its pair (weight eta).
 
     Random sequence per run: initialize D, C, F in that order, then per step
@@ -404,11 +432,9 @@ def _pada_loop(stack: _Stack, x_s, x_t, n_common, s_dim, seed, taught=False):
     F phase, and one target batch for the C phase. A taught run draws exactly
     the same sequence, so eta = 0 reproduces the plain run bit-for-bit.
     """
-    rng = make_rng(seed)
-    cells = stack.live
-    stack.models = {name: LinearSoftmaxModel.initialize(x_s.shape[1], rng, cells)
+    stack.models = {name: stack.init(rngs, LinearSoftmaxModel.initialize, x_s.shape[1])
                     for name in ("D", "C")}
-    stack.models["F"] = LinearTransform.initialize(x_t.shape[1], s_dim, rng, cells)
+    stack.models["F"] = stack.init(rngs, LinearTransform.initialize, x_t.shape[1], s_dim)
 
     def full_terms(bs, bt):
         if not taught:
@@ -425,7 +451,7 @@ def _pada_loop(stack: _Stack, x_s, x_t, n_common, s_dim, seed, taught=False):
         Phase("F", -1, (x_s, x_t), full_terms),
         Phase("C", -1, (x_t,), c_terms),
     ]
-    return _run_phases(stack, phases, rng)
+    return _run_phases(stack, phases, rngs)
 
 
 def pada_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Outcome]:
@@ -439,7 +465,7 @@ def pada_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Outc
     schema = source.schema
     stack = _Stack(configs)
     trace = _pada_loop(stack, source.features(), target.features(), schema.c, schema.s,
-                       stack.config.seed)
+                       stack.rngs())
     return stack.results("PADA", *trace)
 
 
@@ -471,7 +497,7 @@ def pada_s_group(source: DomainMatrix, target: DomainMatrix, val_target: DomainM
     stack = _Stack(configs)
     config = stack.config
 
-    _pan_stack(stack, source.common, target.common, derive_seed(config.seed, "soft-base"))
+    _pan_stack(stack, source.common, target.common, stack.rngs("soft-base"))
     stack.teacher = frozen_teacher(stack.models, schema.c)
     val_accs = {i: [] for i in stack.cells}
     best_run = {}
@@ -481,8 +507,8 @@ def pada_s_group(source: DomainMatrix, target: DomainMatrix, val_target: DomainM
                                 rounds_run=len(val_accs[i]), round_val_accuracy=tuple(val_accs[i]))
 
     for round_idx in range(1, config.max_soft_rounds + 1):
-        seed = config.seed if round_idx == 1 else derive_seed(config.seed, "soft-round", round_idx)
-        columns, values = _pada_loop(stack, x_s, x_t, schema.c, schema.s, seed, taught=True)
+        rngs = stack.rngs() if round_idx == 1 else stack.rngs("soft-round", round_idx)
+        columns, values = _pada_loop(stack, x_s, x_t, schema.c, schema.s, rngs, taught=True)
         accs = _val_accuracies(stack, val_target)
         stop = np.zeros(len(stack.cells), dtype=bool)
         for j, acc in enumerate(accs):
@@ -533,12 +559,11 @@ def pada_f_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Ou
     x_s = source.features()
     x_t = target.features()
     stack = _Stack(configs)
-    cells = stack.live
-    rng = make_rng(stack.config.seed)
-    stack.models = {name: LinearSoftmaxModel.initialize(x_s.shape[1], rng, cells)
+    rngs = stack.rngs()
+    stack.models = {name: stack.init(rngs, LinearSoftmaxModel.initialize, x_s.shape[1])
                     for name in ("D", "C")}
-    stack.models["F"] = LinearTransform.initialize(x_t.shape[1], schema.s, rng, cells)
-    stack.models["Df"] = LinearSoftmaxModel.initialize(x_s.shape[1], rng, cells)
+    stack.models["F"] = stack.init(rngs, LinearTransform.initialize, x_t.shape[1], schema.s)
+    stack.models["Df"] = stack.init(rngs, LinearSoftmaxModel.initialize, x_s.shape[1])
 
     def pairing(bs, bt):
         return domain_adv_terms(bs, bt, schema.c)
@@ -550,7 +575,7 @@ def pada_f_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Ou
         Phase("F", -1, (x_s, x_t), pairing),
         Phase("C", -1, (x_t,), lambda bt: aligned_classifier_terms(bt, schema.c, stack.lam)),
     ]
-    return stack.results("PADA_F", *_run_phases(stack, phases, rng))
+    return stack.results("PADA_F", *_run_phases(stack, phases, rngs))
 
 
 def train_pada_f(source: DomainMatrix, target: DomainMatrix, config: TrainConfig) -> TrainedArtifacts:
@@ -629,15 +654,16 @@ def dsft_p_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Ou
 
     Fits the completion maps first (own derived seed), then runs PU training
     on the completed rows under the config seed. The returned trace is the
-    PU stage's. A stack holds cells of one learning rate, which the fit
-    reads: the maps are fitted once and shared, and the PU stage is stacked.
+    PU stage's. A stack holds cells of one learning rate and one seed, which
+    the fit reads: the maps are fitted once and shared, and the PU stage is
+    stacked.
     """
     stack = _Stack(configs)
-    if len({c.learning_rate for c in stack.configs}) != 1:
-        raise ConfigurationError("a completion-baseline stack holds one learning rate")
+    if len({(c.learning_rate, c.seed) for c in stack.configs}) != 1:
+        raise ConfigurationError("a completion-baseline stack holds one learning rate and one seed")
     fit_config = replace(stack.config, seed=derive_seed(stack.config.seed, "completion-fit"))
     maps, xs_hat, xt_hat = train_dsft(source, target, fit_config)
-    trace = _pan_stack(stack, xs_hat, xt_hat, stack.config.seed)
+    trace = _pan_stack(stack, xs_hat, xt_hat, stack.rngs())
     return stack.results("DSFT_P_linear", *trace, shared=maps.models())
 
 
@@ -668,11 +694,11 @@ def _dist_stack(stack: _Stack, target: DomainMatrix, base_classifier: LinearSoft
         )
     stack.teacher = frozen_teacher({"C": base_classifier}, n_common)
     x_t = target.features()
-    rng = make_rng(stack.config.seed)
-    stack.models = {"C": LinearSoftmaxModel.initialize(x_t.shape[1], rng, stack.live)}
+    rngs = stack.rngs()
+    stack.models = {"C": stack.init(rngs, LinearSoftmaxModel.initialize, x_t.shape[1])}
     phases = [Phase("C", -1, (x_t,), lambda bt: distillation_terms(stack.teacher(bt), bt),
                     trace="")]
-    return _run_phases(stack, phases, rng)
+    return _run_phases(stack, phases, rngs)
 
 
 def dist_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Outcome]:
@@ -695,10 +721,10 @@ def train_discriminator(x_a, x_b, config: TrainConfig) -> TrainedArtifacts:
     class. Used for the post-hoc domain-separability diagnostics."""
     x_a, x_b = _check_pair("class-a rows", x_a, "class-b rows", x_b)
     stack = _Stack((config,))
-    rng = make_rng(config.seed)
-    stack.models = {"D": LinearSoftmaxModel.initialize(x_a.shape[1], rng)}
+    rngs = stack.rngs()
+    stack.models = {"D": stack.init(rngs, LinearSoftmaxModel.initialize, x_a.shape[1])}
     phases = [Phase("D", +1, (x_a, x_b), supervised_terms, trace="")]
-    return _one(stack.results("D_PRIME", *_run_phases(stack, phases, rng)))
+    return _one(stack.results("D_PRIME", *_run_phases(stack, phases, rngs)))
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 import csv
 import json
+import logging
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -355,6 +357,35 @@ def test_grid_cells_sorted_ascending():
     assert keys[0] == (0.02, 0.1, 0.01)
 
 
+def test_stacks_cover_every_run_once_and_hold_at_most_the_cap():
+    doc = base_doc()
+    doc["methods"] = list(METHODS)
+    doc["seeds"] = [0, 1, 2]
+    doc["grid"] = {"learning_rate": [0.02, 0.05, 0.1], "lam": [0.1, 0.5, 1.0],
+                   "eta": [0.01, 0.2, 0.5]}
+    config = build_config(doc)
+    for grid in (config.grid, GridSpec()):
+        items = experiment_module._groups(replace(config, grid=grid))
+        runs = [(method, cell, seed) for method, stack, _ in items for cell, seed in stack]
+        assert len(runs) == len(set(runs))
+        assert set(runs) == {(method, cell, seed) for method in METHODS
+                             for cell in grid_cells(method, grid) for seed in config.seeds}
+        for method, stack, _ in items:
+            assert 1 <= len(stack) <= experiment_module.STACK_CAP == 64
+            if method == "DSFT_P_linear":
+                assert len({(cell.learning_rate, seed) for cell, seed in stack}) == 1
+            else:
+                assert list(stack) == sorted(stack)   # (cell, seed) order
+        stacks = {method: sum(m == method for m, _, _ in items) for method in METHODS}
+        cut = [len(stack) for m, stack, _ in items if m == "PADA_S"]
+        if grid == GridSpec():
+            assert stacks["PADA_S"] == 27   # 567 cells x 3 seeds
+            assert stacks["DSFT_P_linear"] == 7 * 3
+        else:
+            assert cut == [64, 17]          # 27 cells x 3 seeds
+            assert stacks == {**{m: 1 for m in METHODS}, "PADA_S": 2, "DSFT_P_linear": 9}
+
+
 def _config_for_selection(grid: GridSpec, seeds=(0, 1)):
     doc = base_doc()
     doc["methods"] = ["PADA"]
@@ -685,6 +716,28 @@ def test_a_diverging_cell_fails_alone_while_its_stack_finishes(tmp_path):
         _assert_written_artifacts_are(out, "PADA", seed, art, tmp_path)
         with pytest.raises(InvalidInputError, match=re.escape(error)):
             _fresh(config, data, "PADA", GridCell(1e308, 0.1, 0.0), seed)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_each_finished_stack_logs_one_info_line(tmp_path, caplog):
+    doc = base_doc()
+    doc["methods"] = ["COM_P", "PADA"]
+    doc["grid"]["learning_rate"] = [0.05, 1e308]
+    config = build_config(doc)
+    with caplog.at_level(logging.INFO, logger="puhda.experiment"):
+        out = run_experiment(config, out_dir=tmp_path / "logged")
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert len(lines) == len(experiment_module._groups(config)) == 2
+    com_p = re.fullmatch(r"stack 1/2: COM_P seeds 0,1, (\d) cells ok, (\d) failed, \d+\.\d\d s",
+                         lines[0])
+    assert com_p and int(com_p[1]) + int(com_p[2]) == 4
+    assert re.fullmatch(r"stack 2/2: PADA seeds 0,1, 2 cells ok, 2 failed, \d+\.\d\d s",
+                        lines[1])
+    files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert files == {"grid.csv", "selection.csv", "eval.csv", "analytics.csv",
+                     "comparison.txt", "run_meta.json"} | {
+        f"{kind}/{method}/seed-{seed}.{ext}" for method in config.methods
+        for seed in config.seeds for kind, ext in (("telemetry", "csv"), ("checkpoints", "json"))}
 
 
 def _run_with_a_dying_worker(tmp_path, monkeypatch, jobs):

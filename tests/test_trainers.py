@@ -7,6 +7,7 @@ the batch order and which player each phase updates.
 
 import csv
 import functools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,16 @@ def train_pu(x_pos, x_unl, config):
 def test_train_config_rejects_bad_values(bad):
     with pytest.raises(ConfigurationError, match=list(bad)[-1]):   # the bad field, named
         TrainConfig(**bad)
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "lam", "eta", "gamma_mmd"])
+def test_train_config_takes_numbers_only_in_its_number_fields(field):
+    for bad in (True, np.True_, "0.5", None, [1.0]):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"{field} must be a number, got {bad!r}")):
+            TrainConfig(**{"learning_rate": 0.1, field: bad})
+    for good in (1, 0.5, np.float32(0.5), np.int64(2)):
+        assert getattr(TrainConfig(**{"learning_rate": 0.1, field: good}), field) == good
 
 
 def test_trace_records_and_reads_back():
@@ -791,6 +802,38 @@ def test_a_stacked_group_equals_its_cells_trained_alone(tiny_data, method):
         assert len({art.rounds_run for art in outcomes}) > 1   # cells stop at different rounds
 
 
+@pytest.mark.parametrize("method", ["COM_P", "DIST", "PADA", "PADA_F", "PADA_S"])
+def test_a_stack_across_seeds_equals_its_cells_trained_alone(tiny_data, method):
+    source, train, val, _ = tiny_data
+    base = TrainConfig(learning_rate=1.0, lam=0.5, eta=0.5, steps=30, batch_size=32,
+                       max_soft_rounds=4, val_patience=1)
+    configs = [replace(base, learning_rate=rate, seed=seed)
+               for rate in (0.02, 0.3) for seed in (0, 3)]
+    outcomes = METHOD_TABLE[method].group(source, train, val, configs)
+    assert len(outcomes) == len(configs)
+    for config, got in zip(configs, outcomes):
+        _same_run(got, _alone(method, source, train, val, config))
+    if method == "PADA_S":   # at learning rate 0.02 the two seeds stop at different rounds
+        assert outcomes[0].rounds_run != outcomes[1].rounds_run
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("method", ["DIST", "PADA", "PADA_F", "PADA_S"])
+def test_a_diverging_cell_fails_alone_in_a_stack_across_seeds(tiny_data, method):
+    source, train, val, _ = tiny_data
+    base = TrainConfig(learning_rate=0.3, lam=0.5, eta=0.5, steps=30, batch_size=32,
+                       max_soft_rounds=3, val_patience=1)
+    configs = [base, replace(base, seed=3), replace(base, learning_rate=1e308, seed=3),
+               replace(base, lam=0.1), replace(base, lam=0.1, seed=3)]
+    outcomes = METHOD_TABLE[method].group(source, train, val, configs)
+    with pytest.raises(InvalidInputError, match="values must be finite") as alone:
+        _alone(method, source, train, val, configs[2])
+    assert type(outcomes[2]) is InvalidInputError
+    assert str(outcomes[2]) == str(alone.value)
+    for i in (0, 1, 3, 4):
+        _same_run(outcomes[i], _alone(method, source, train, val, configs[i]))
+
+
 @pytest.mark.parametrize("method", ["PADA", "PADA_S"])
 def test_each_cell_of_a_stack_owns_its_trace(tiny_data, method):
     source, train, val, _ = tiny_data
@@ -825,8 +868,10 @@ def test_a_diverging_cell_fails_alone_and_its_stack_goes_on(tiny_data, method):
 def test_a_stack_holds_cells_of_one_budget(tiny_data):
     source, train, val, _ = tiny_data
     base = TrainConfig(learning_rate=0.3, steps=3, batch_size=32)
-    with pytest.raises(ConfigurationError, match="differ only in learning_rate, lam and eta"):
+    with pytest.raises(ConfigurationError, match="differ only in learning_rate, lam, eta and seed"):
         METHOD_TABLE["PADA"].group(source, train, val, [base, replace(base, steps=4)])
     with pytest.raises(ConfigurationError, match="one learning rate"):
         METHOD_TABLE["DSFT_P_linear"].group(
             source, train, val, [base, replace(base, learning_rate=0.1)])
+    with pytest.raises(ConfigurationError, match="one learning rate and one seed"):
+        METHOD_TABLE["DSFT_P_linear"].group(source, train, val, [base, replace(base, seed=1)])
