@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -180,14 +182,19 @@ def format_cell(value) -> str:
 
 
 def write_table(path, header, rows) -> None:
-    """Comma-separated rows under ``header``, every cell through
-    :func:`format_cell`; a cell holding a comma, quote or newline is quoted."""
+    """Comma-separated rows under ``header``, every cell through :func:`format_cell`: a
+    row of Python floats and ints is joined as its cells' ``repr`` (never quoted), and the
+    csv writer quotes a cell of any other row holding a comma, quote or newline."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([format_cell(v) for v in row] for row in rows)
+        for row in rows:
+            if {float, int}.issuperset(map(type, row)):
+                fh.write(",".join(map(repr, row)) + "\n")
+            else:
+                writer.writerow([format_cell(v) for v in row])
 
 
 def read_table(path):
@@ -248,7 +255,8 @@ def load_csv(path, schema: FeatureSchema, role: str, positive_value: str = "1") 
     column; the label column is parsed when the schema declares it and the
     file has it (values equal to ``positive_value`` after trimming are
     positive). If the file also carries all of the other domain's specific
-    columns they are loaded into the auxiliary analytics block.
+    columns they are loaded into the auxiliary analytics block. A value cell
+    that is not a finite number is a DataError naming the file, row and column.
     """
     _check_role(role)
     header, rows = read_table(path)
@@ -261,27 +269,59 @@ def load_csv(path, schema: FeatureSchema, role: str, positive_value: str = "1") 
         positions += column_positions(path, header, other_cols)
     label_pos = header.index(schema.label_column) if schema.label_column in header else None
 
-    values = []
-    labels = []
+    values, labels = (_numpy_pass(path, len(header), positions, label_pos, positive_value)
+                      or _row_scan(path, rows, columns, positions, label_pos, positive_value))
+    return DomainMatrix(schema, role, values[:, :schema.c], values[:, schema.c:own], labels=labels,
+                        aux_specific=values[:, own:] if len(columns) > own else None)
+
+
+def _numpy_pass(path, width, positions, label_pos, positive_value):
+    """A domain file's body as ``(values, labels)`` in one ``np.loadtxt`` pass, or None for a
+    file it cannot read as the row scan does (README "Where inputs are validated" lists them)."""
+    converters = {j: (lambda cell: 0.0) for j in range(width) if j not in positions}
+    if label_pos is not None:
+        converters[label_pos] = lambda cell: cell.strip() == positive_value
+    try:
+        with Path(path).open(newline="") as fh:
+            header_line, body_at = fh.readline(), fh.tell()
+            body = iter(lambda: fh.read(1 << 20), "")
+            first = next(body, "")
+            # no data row (loadtxt would warn), the csv reader's quoting, line ends and NUL
+            # (an error before Python 3.11), or a separator NumPy strips and float does not
+            if not first.strip("\n") or any(c in chunk for chunk in chain((header_line, first), body)
+                                            for c in '"\r\x00\x1c\x1d\x1e\x1f'):
+                return None
+            fh.seek(body_at)
+            table = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None,
+                               converters=converters, ndmin=2)
+    except ValueError:  # an unparsed cell, a row of another width, or undecodable text
+        return None
+    if table.shape[1] != width or not np.isfinite(values := table[:, positions]).all():
+        return None
+    return values, None if label_pos is None else table[:, label_pos].astype(np.int8)
+
+
+def _row_scan(path, rows, columns, positions, label_pos, positive_value):
+    """A domain file's body cell by cell through ``float``, as ``(values, labels)``;
+    the first cell it rejects, in file order, is a DataError naming its row and column."""
+    values, labels = [], []
     for i, row in rows:
         try:
-            values.append([float(row[p]) for p in positions])
+            cells = [float(row[p]) for p in positions]
         except ValueError:
-            values.append([parse_float(path, i, c, row[p]) for c, p in zip(columns, positions)])
+            cells = [parse_float(path, i, c, row[p]) for c, p in zip(columns, positions)]
+        if not math.isfinite(sum(cells)):  # a sum that overflows is checked cell by cell too
+            for c, p, value in zip(columns, positions, cells):
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}: row {i}, column {c!r}: {row[p].strip()!r} is not a finite number")
+        values.append(cells)
         if label_pos is not None:
             labels.append(1 if row[label_pos].strip() == positive_value else 0)
-
     if not values:
         raise DataError(f"{path}: no data rows")
-    values = np.array(values, dtype=np.float64)  # frees the row lists before the copies
-    return DomainMatrix(
-        schema,
-        role,
-        values[:, :schema.c],
-        values[:, schema.c:own],
-        labels=np.array(labels, dtype=np.int8) if label_pos is not None else None,
-        aux_specific=values[:, own:] if len(columns) > own else None,
-    )
+    return (np.array(values, dtype=np.float64),
+            np.array(labels, dtype=np.int8) if label_pos is not None else None)
 
 
 # --------------------------------------------------------------------------

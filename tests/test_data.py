@@ -1,5 +1,7 @@
 """Schema, matrix, loading, splitting, aggregation, and generator tests."""
 
+import csv
+import io
 import json
 import re
 from dataclasses import asdict
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from puhda import data
 from puhda.data import (
     ColumnStats,
     DomainMatrix,
@@ -17,6 +20,7 @@ from puhda.data import (
     _draw_blocks,
     _oracle_moments,
     aggregate_ratings,
+    format_cell,
     generate_synthetic,
     load_csv,
     load_domain_matrix,
@@ -241,6 +245,141 @@ class TestLoadCsv:
         assert dm.aux_specific is None
 
 
+# --------------------------------------------------------------------------
+# The NumPy pass and the row scan read the same bits
+
+# name -> (file text, positive_value, whether the NumPy pass takes the file)
+READER_CORPUS = {
+    "plain": ("c0,c1,t0,y\n1.5,2,3,1\n4,5,6,0\n", "1", True),
+    "no final newline": ("c0,c1,t0,y\n1.5,2,3,1\n4,5,6,0", "1", True),
+    "aux columns and an unused numeric column": (
+        "c0,c1,t0,s0,s1,s2,extra,y\n1,2,3,4,5,6,7,1\n8,9,10,11,12,13,14,0\n", "1", True),
+    "quoted cells": ('c0,c1,t0,y\n"1.5",2,"3",1\n4,5,6,"0"\n', "1", False),
+    "doubled quotes in an unused cell": (
+        'c0,c1,t0,note,y\n1,2,3,"say ""hi"", twice",1\n4,5,6,x,0\n', "1", False),
+    "quoted label": ('c0,c1,t0,y\n1,2,3," 1 "\n4,5,6,0\n', "1", False),
+    "a quote inside a number": ('c0,c1,t0,y\n1,2"5,3,1\n', "1", False),
+    "quote in the header": ('"c0",c1,t0,y\n1,2,3,1\n', "1", False),
+    "crlf line ends": ("c0,c1,t0,y\r\n1,2,3,1\r\n4,5,6,0\r\n", "1", False),
+    "lone cr line ends": ("c0,c1,t0,y\r1,2,3,1\r4,5,6,0\r", "1", False),
+    "cr only after the header": ("c0,c1,t0,y\r\n1,2,3,1\n", "1", False),
+    "blank lines": ("c0,c1,t0,y\n\n1,2,3,1\n\n\n4,5,6,0\n\n", "1", True),
+    "whitespace-only lines": ("c0,c1,t0,y\n  \n1,2,3,1\n\t\n4,5,6,0\n", "1", False),
+    "blank row of commas": ("c0,c1,t0,y\n1,2,3,1\n, ,\n", "1", False),
+    "row of empty cells as wide as the header": ("c0,c1,t0,y\n1,2,3,1\n,,,\n", "1", False),
+    "narrow row": ("c0,c1,t0,y\n1,2,3,1\n4,5\n", "1", False),
+    "every row narrow": ("c0,c1,t0,y\n1,2,3\n4,5,6\n", "1", False),
+    "wide row": ("c0,c1,t0,y\n1,2,3,1,9\n4,5,6,0\n", "1", False),
+    "every row wide": ("c0,c1,t0,y\n1,2,3,1,9\n4,5,6,0,9\n", "1", False),
+    "hash in a value cell": ("c0,c1,t0,y\n1,#2,3,1\n", "1", False),
+    "hash in an unused cell": ("c0,c1,t0,note,y\n1,2,3,# x,1\n4,5,6,#,0\n", "1", True),
+    "hash in the label": ("c0,c1,t0,y\n1,2,3,#1\n4,5,6,1\n", "1", True),
+    "underscore digits": ("c0,c1,t0,y\n1_0,2,3,1\n", "1", False),
+    "padded, signed and negative-zero cells": (
+        "c0,c1,t0,y\n 4 ,+1e5,-0.0,1\n\t-.5\t,1E-5 ,+0,0\n", "1", True),
+    "unicode digits": ("c0,c1,t0,y\n\u0661\u0662,2,3,1\n", "1", False),
+    "unicode digit after an ascii one": ("c0,c1,t0,y\n1\u0661,2,3,1\n", "1", False),
+    "unicode spaces around a number": ("c0,c1,t0,y\n\u20031.5\u00a0,2\x85,3\x0c,1\n", "1", True),
+    "separator after a number": ("c0,c1,t0,y\n1,2\x1c,3,1\n", "1", False),
+    "separator in an unused cell": ("c0,c1,t0,note,y\n1,2,3,a\x1fb,1\n", "1", False),
+    "unparseable cell": ("c0,c1,t0,y\n1,2,3,1\n1,oops,3,1\n", "1", False),
+    "empty cell": ("c0,c1,t0,y\n1,,3,1\n", "1", False),
+    "hex cell": ("c0,c1,t0,y\n0x10,2,3,1\n", "1", False),
+    "nul in a cell": ("c0,c1,t0,y\n1,2\x00,3,1\n", "1", False),
+    "nul in an unused cell": ("c0,c1,t0,note,y\n1,2,3,a\x00,1\n", "1", False),
+    "header only": ("c0,c1,t0,y\n", "1", False),
+    "header only, no newline": ("c0,c1,t0,y", "1", False),
+    "header and blank lines": ("c0,c1,t0,y\n\n\n", "1", False),
+    "header and whitespace-only lines": ("c0,c1,t0,y\n \n\t\n", "1", False),
+    "unused non-numeric columns": (
+        "id,c0,c1,note,t0,y\nu1,1,2,hello world,3,1\nu2,4,5,\u00e9t\u00e9,6,0\n", "1", True),
+    "duplicate column name": ("c0,c1,c0,t0,y\n1,2,x,3,1\n", "1", True),
+    "labels with surrounding spaces": ("c0,c1,t0,y\n1,2,3, 1 \n4,5,6,\t0\n7,8,9,11\n", "1", True),
+    "non-default positive value": (
+        "c0,c1,t0,y\n1,2,3, yes \n4,5,6,no\n7,8,9,Yes\n", "yes", True),
+    "positive value never matched": ("c0,c1,t0,y\n1,2,3,1\n", "pos", True),
+    "no label column": ("c0,c1,t0\n1,2,3\n", "1", True),
+    "missing column": ("c0,t0,y\n1,2,1\n", "1", False),
+    "not a finite number": ("c0,c1,t0,y\n1,2,3,1\n\n4,nan,6,0\n", "1", False),
+    "finite cell after an overflowing sum": ("c0,c1,t0,y\n1e308,1e308,1,1\n", "1", True),
+    "bad cell before a non-finite one": ("c0,c1,t0,y\nx,inf,3,1\n", "1", False),
+    "non-finite cell before a bad one": ("c0,c1,t0,y\n1,inf,3,1\n1,x,3,1\n", "1", False),
+    "non-finite cell in an unused column": ("c0,c1,t0,extra,y\n1,2,3,nan,1\n", "1", True),
+}
+
+
+def _outcome(path, positive_value):
+    """What ``load_csv`` gives for a target file: its blocks' bits, or the
+    error it raises."""
+    try:
+        dm = load_csv(path, small_schema(), "target", positive_value)
+    except (DataError, SchemaError, UnicodeDecodeError, csv.Error) as exc:
+        return type(exc).__name__, str(exc)
+    return [None if a is None else (a.dtype.str, a.shape, a.tobytes())
+            for a in (dm.common, dm.specific, dm.aux_specific, dm.labels)]
+
+
+def _read_both(monkeypatch, path, positive_value="1"):
+    """``(whether the NumPy pass took the file, load_csv's outcome, the row
+    scan's outcome)``."""
+    numpy_pass, taken = data._numpy_pass, []
+
+    def spy(*args):
+        result = numpy_pass(*args)
+        taken.append(result is not None)
+        return result
+
+    monkeypatch.setattr(data, "_numpy_pass", spy)
+    loaded = _outcome(path, positive_value)
+    monkeypatch.setattr(data, "_numpy_pass", lambda *args: None)
+    scanned = _outcome(path, positive_value)
+    return any(taken), loaded, scanned
+
+
+class TestReaderEquivalence:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", READER_CORPUS)
+    def test_numpy_pass_and_row_scan_agree(self, tmp_path, monkeypatch, name):
+        text, positive_value, taken = READER_CORPUS[name]
+        path = tmp_path / "d.csv"
+        with path.open("w", newline="") as fh:
+            fh.write(text)
+        took, loaded, scanned = _read_both(monkeypatch, path, positive_value)
+        assert loaded == scanned
+        assert took == taken
+
+    def test_undecodable_bytes_give_the_row_scans_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"c0,c1,t0,y\n1,2,3,1\n4,5,\xff,0\n")
+        took, loaded, scanned = _read_both(monkeypatch, path)
+        assert not took
+        assert loaded == scanned
+        assert loaded[0] == "UnicodeDecodeError"
+
+    def test_accepted_cells_follow_float(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("c0,c1,t0,y\n1_0,\u0661\u0662, 4 ,1\n+1e5,-0.0,1e-320,0\n")
+        dm = load_csv(path, small_schema(), "target")
+        assert dm.common.tolist() == [[10.0, 12.0], [1e5, -0.0]]
+        assert np.signbit(dm.common[1, 1])
+        assert dm.specific.tolist() == [[4.0], [1e-320]]
+
+    @pytest.mark.parametrize("column, cell", [
+        ("c1", "nan"), ("c0", "-Infinity"), ("t0", "inf"), ("t0", "1e400"), ("s2", "-1e999"),
+    ])
+    def test_a_nonfinite_cell_is_rejected_with_its_row_and_column(
+            self, tmp_path, monkeypatch, column, cell):
+        header = ["c0", "c1", "t0", "s0", "s1", "s2", "y"]
+        bad = ["1", "2", "3", "4", "5", "6", "0"]
+        bad[header.index(column)] = cell
+        path = tmp_path / "d.csv"
+        path.write_text(",".join(header) + "\n1,2,3,4,5,6,1\n\n" + ",".join(bad) + "\n")
+        took, loaded, scanned = _read_both(monkeypatch, path)
+        assert loaded == scanned == (
+            "DataError", f"{path}: row 3, column {column!r}: {cell!r} is not a finite number")
+        assert not took
+
+
 class TestMatrixSerialization:
     def test_round_trip_bit_identical(self, tmp_path):
         rng = derive_rng(7, "serialize-test")
@@ -261,6 +400,32 @@ class TestMatrixSerialization:
         assert np.array_equal(back.aux_specific, dm.aux_specific)
         assert np.array_equal(back.labels, dm.labels)
         assert back.schema == dm.schema
+
+    def test_wide_round_trip_is_bit_identical(self, tmp_path, monkeypatch):
+        n, c, s, t = 1000, 40, 30, 30
+        sch = FeatureSchema(tuple(f"c{j}" for j in range(c)), tuple(f"s{j}" for j in range(s)),
+                            tuple(f"t{j}" for j in range(t)), label_column="y")
+        rng = derive_rng(11, "serialize-test")
+        values = rng.integers(0, 2**64, size=(n, c + s + t), dtype=np.uint64).view(np.float64)
+        values[~np.isfinite(values)] = 0.0
+        subnormals = rng.integers(1, 2**52, size=n, dtype=np.uint64).view(np.float64)
+        values[:, 5] = np.where(rng.random(n) < 0.5, subnormals, -subnormals)
+        values[:, 6] = rng.normal(size=n)
+        special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+        values[:len(special), :] = np.array(special)[:, None]
+        dm = DomainMatrix(sch, "target", values[:, :c], values[:, c:c + t],
+                          labels=(rng.random(n) < 0.5).astype(np.int8),
+                          aux_specific=values[:, c + t:])
+        path = tmp_path / "wide.csv"
+        save_domain_matrix(dm, path)
+        took, loaded, scanned = _read_both(monkeypatch, path)
+        assert took
+        assert loaded == scanned
+        back = load_domain_matrix(path)
+        for got, want in [(back.common, dm.common), (back.specific, dm.specific),
+                          (back.aux_specific, dm.aux_specific), (back.labels, dm.labels)]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_round_trip_without_labels_or_aux(self, tmp_path):
         rng = derive_rng(8, "serialize-test")
@@ -709,6 +874,19 @@ class TestTables:
         assert p.read_text() == 'a,b,c\n0.1,,"x,y"\n0.3333333333333333,7,nan\n'
         header, rows = read_table(p)
         assert [parse_float(p, i, "a", row[0]) for i, row in rows] == [0.1, 1 / 3]
+
+    def test_writer_joins_number_rows_as_the_csv_writer_would(self, tmp_path):
+        rows = [(0.1, -0.0, 5e-324, 1.7976931348623157e308, float("inf"), float("nan"), 7, -12),
+                (np.float64(0.5), np.int64(3), True, None, "a,b", 'q"', 2.5),
+                (1, 2.0), (1.5, True), (np.float64(2.5), 3), (None,), (None, 2.0), (), ("",),
+                (10**30, -1e-300)]
+        path = tmp_path / "t.csv"
+        write_table(path, ("a", "b"), rows)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(("a", "b"))
+        writer.writerows([format_cell(v) for v in row] for row in rows)
+        assert path.read_text() == expected.getvalue()
 
 
 def test_only_the_data_module_reads_or_writes_delimited_text():
