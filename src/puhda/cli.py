@@ -55,8 +55,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, with_grid_flags: bool) ->
                             help="comma-separated seed list overriding the config")
         parser.add_argument("--jobs", type=_positive_int, default=1,
                             help="parallel workers for grid stacks: up to 64 of one method's "
-                                 "(cell, seed) runs each, across seeds, one (learning rate, "
-                                 "seed) for DSFT_P_linear; a dead worker fails its whole stack")
+                                 "(cell, seed) runs each, across seeds; a dead worker fails "
+                                 "its whole stack")
 
 
 def build_parser() -> argparse.ArgumentParser:

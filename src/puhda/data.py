@@ -232,12 +232,16 @@ def _table_rows(path: Path):
 
 
 def parse_float(path, row: int, column: str, cell: str) -> float:
-    """``cell`` as a float; otherwise a DataError naming file, row and column."""
+    """``cell`` as a finite float; otherwise a DataError naming file, row and column."""
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise DataError(
             f"{path}: row {row}, column {column!r}: cannot parse {cell.strip()!r}") from None
+    if not math.isfinite(value):
+        raise DataError(
+            f"{path}: row {row}, column {column!r}: {cell.strip()!r} is not a finite number")
+    return value
 
 
 def column_positions(path, header, names) -> list[int]:
@@ -308,13 +312,11 @@ def _row_scan(path, rows, columns, positions, label_pos, positive_value):
     for i, row in rows:
         try:
             cells = [float(row[p]) for p in positions]
+            fast = math.isfinite(sum(cells))   # a sum that overflows is parsed cell by cell too
         except ValueError:
+            fast = False
+        if not fast:
             cells = [parse_float(path, i, c, row[p]) for c, p in zip(columns, positions)]
-        if not math.isfinite(sum(cells)):  # a sum that overflows is checked cell by cell too
-            for c, p, value in zip(columns, positions, cells):
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}: row {i}, column {c!r}: {row[p].strip()!r} is not a finite number")
         values.append(cells)
         if label_pos is not None:
             labels.append(1 if row[label_pos].strip() == positive_value else 0)

@@ -8,9 +8,10 @@ telemetry and checkpoints (nothing is retrained), and evaluates once on the
 held-out test split. A work item is a stack, up to ``STACK_CAP`` (cell, seed)
 runs of one method trained as one stacked run, each seed drawing its own
 batches; stacks can run in parallel, and a dead worker fails its whole stack.
-Results are folded in a fixed (method, cell, seed) order, and every report is
-written with round-trip float formatting and no timestamps, making reruns
-byte-identical; wall times go only to the log, one INFO line per stack.
+Each stack is folded as it arrives, in a fixed (method, cell, seed) order,
+and every report is written with round-trip float formatting and no
+timestamps, making reruns byte-identical; wall times go only to the log, one
+INFO line per stack.
 
 The test split is kept inside a sealed handle that training and selection
 code never receives; it is opened exactly once, after selection.
@@ -450,22 +451,14 @@ STACK_CAP = 64
 
 def _groups(config: ExperimentConfig) -> list[tuple]:
     """The grid's work items, ``(method, ((cell, seed), ...), training)``: each
-    method's cells times seeds in (cell, seed) order, cut per (learning rate,
-    seed) if its stacks hold one rate, then into stacks of at most
-    ``STACK_CAP``. A cell's bits do not depend on its stack mates, so the cut
-    changes wall time and memory, never output."""
+    method's cells times seeds in (cell, seed) order, cut into stacks of at
+    most ``STACK_CAP``. A cell's bits do not depend on its stack mates, so the
+    cut changes wall time and memory, never output."""
     items = []
     for method in config.methods:
-        by_rate = not METHOD_TABLE[method].stacks_learning_rate
-
-        def key(run):
-            return (run[0].learning_rate, run[1]) if by_rate else ()
-
-        runs = sorted(product(grid_cells(method, config.grid), sorted(config.seeds)), key=key)
-        for _, group in groupby(runs, key=key):
-            group = tuple(group)
-            items += [(method, group[i:i + STACK_CAP], config.training)
-                      for i in range(0, len(group), STACK_CAP)]
+        runs = tuple(product(grid_cells(method, config.grid), sorted(config.seeds)))
+        items += [(method, runs[i:i + STACK_CAP], config.training)
+                  for i in range(0, len(runs), STACK_CAP)]
     return items
 
 
@@ -555,13 +548,6 @@ def _logged(items, outputs):
         yield results
 
 
-def _replay(stacks):
-    """Cell results in (method, cell, seed) order from stacks that arrive method
-    by method: one method's stacks are buffered, then replayed."""
-    for _, outputs in groupby(stacks, key=lambda output: output[0][0].method):
-        yield from sorted(chain.from_iterable(outputs), key=lambda o: (o[0].cell, o[0].seed))
-
-
 @dataclass(frozen=True)
 class Selection:
     method: str
@@ -600,9 +586,9 @@ def run_grid(config: ExperimentConfig, data: PreparedData, jobs: int = 1):
 
     Returns every cell result in (method, cell, seed) order, each method's
     selection, and the selected cells' artifacts by (method, seed). Stacks
-    are spread over ``jobs`` processes (never more than there are stacks),
-    and one method's stacks are folded once they have all arrived, so only
-    each method's best cell keeps its artifacts after that.
+    are spread over ``jobs`` processes (never more than there are stacks).
+    Each stack is a slice of that order, so it is folded as it arrives and
+    only each method's best cell keeps its artifacts after that.
     """
     items = _groups(config)
     shared = (data.source, data.train, data.val)
@@ -611,7 +597,7 @@ def run_grid(config: ExperimentConfig, data: PreparedData, jobs: int = 1):
         outputs = (_group_worker(item, shared) for item in items)
     else:
         outputs = _pool_outputs(items, shared, workers)
-    return _select(config, _replay(_logged(items, outputs)))
+    return _select(config, chain.from_iterable(_logged(items, outputs)))
 
 
 def evaluate_on_test(

@@ -654,17 +654,27 @@ def dsft_p_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Ou
 
     Fits the completion maps first (own derived seed), then runs PU training
     on the completed rows under the config seed. The returned trace is the
-    PU stage's. A stack holds cells of one learning rate and one seed, which
-    the fit reads: the maps are fitted once and shared, and the PU stage is
-    stacked.
+    PU stage's. The fit reads the learning rate and the seed, so the maps are
+    fitted once per (learning rate, seed) of the stack, and each fit's cells
+    share them in one stacked PU stage; an error of one fit fails only its
+    cells, as it would fail a stack of one.
     """
-    stack = _Stack(configs)
-    if len({(c.learning_rate, c.seed) for c in stack.configs}) != 1:
-        raise ConfigurationError("a completion-baseline stack holds one learning rate and one seed")
-    fit_config = replace(stack.config, seed=derive_seed(stack.config.seed, "completion-fit"))
-    maps, xs_hat, xt_hat = train_dsft(source, target, fit_config)
-    trace = _pan_stack(stack, xs_hat, xt_hat, stack.rngs())
-    return stack.results("DSFT_P_linear", *trace, shared=maps.models())
+    configs = _Stack(configs).configs   # the whole stack shares one budget
+    fits: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        fits.setdefault((config.learning_rate, config.seed), []).append(i)
+    outcomes: dict[int, Outcome] = {}
+    for cells in fits.values():
+        stack = _Stack(configs[i] for i in cells)
+        try:
+            fit_config = replace(stack.config, seed=derive_seed(stack.config.seed, "completion-fit"))
+            maps, xs_hat, xt_hat = train_dsft(source, target, fit_config)
+            trace = _pan_stack(stack, xs_hat, xt_hat, stack.rngs())
+            fit_outcomes = stack.results("DSFT_P_linear", *trace, shared=maps.models())
+        except PuhdaError as exc:
+            fit_outcomes = [exc] * len(cells)
+        outcomes.update(zip(cells, fit_outcomes))
+    return [outcomes[i] for i in range(len(configs))]
 
 
 def train_dsft_p(
@@ -743,14 +753,12 @@ def _aligned_rows(artifacts: TrainedArtifacts, dm: DomainMatrix) -> np.ndarray:
 @dataclass(frozen=True)
 class Method:
     """One pipeline method: how it trains a stack of cells from
-    ``(source, train, val, configs)``, which rows its classifier scores,
-    whether its grid has an ``eta`` axis, and whether one stack may span
-    learning rates."""
+    ``(source, train, val, configs)``, which rows its classifier scores, and
+    whether its grid has an ``eta`` axis."""
 
     group: Callable[..., list[Outcome]]
     rows: Callable[[TrainedArtifacts, DomainMatrix], np.ndarray]
     searches_eta: bool = False
-    stacks_learning_rate: bool = True
 
 
 # The methods a config can name, in report order. Entries look trainers up by
@@ -760,8 +768,7 @@ METHOD_TABLE = {
     "DIST": Method(lambda s, t, v, cs: dist_group(s, t, cs), lambda art, dm: dm.features()),
     "DSFT_P_linear": Method(lambda s, t, v, cs: dsft_p_group(s, t, cs),
                             lambda art, dm: complete_features(art.models()["psi_s"],
-                                                              art.models()["psi_t"], dm),
-                            stacks_learning_rate=False),
+                                                              art.models()["psi_t"], dm)),
     "PADA": Method(lambda s, t, v, cs: pada_group(s, t, cs), _aligned_rows),
     "PADA_S": Method(lambda s, t, v, cs: pada_s_group(s, t, v, cs), _aligned_rows,
                      searches_eta=True),

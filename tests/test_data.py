@@ -379,6 +379,14 @@ class TestReaderEquivalence:
             "DataError", f"{path}: row 3, column {column!r}: {cell!r} is not a finite number")
         assert not took
 
+    def test_the_first_rejected_cell_in_file_order_is_named(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_text("c0,c1,t0,y\nnan,abc,3,1\n")
+        took, loaded, scanned = _read_both(monkeypatch, path)
+        assert loaded == scanned == (
+            "DataError", f"{path}: row 1, column 'c0': 'nan' is not a finite number")
+        assert not took
+
 
 class TestMatrixSerialization:
     def test_round_trip_bit_identical(self, tmp_path):
@@ -709,9 +717,12 @@ class TestRatingsFiles:
 
     def test_bad_rating_cell(self, tmp_path):
         p = tmp_path / "r.csv"
-        p.write_text("user,item,rating\nu1,A,high\n")
-        with pytest.raises(DataError, match="row 1"):
-            load_ratings_file(p)
+        for cell, problem in (("high", "cannot parse 'high'"),
+                              ("nan", "'nan' is not a finite number"),
+                              ("inf", "'inf' is not a finite number")):
+            p.write_text(f"user,item,rating\nu1,A,{cell}\n")
+            with pytest.raises(DataError, match=re.escape(f"{p}: row 1, column 'rating': {problem}")):
+                load_ratings_file(p)
 
     def test_load_genres(self, tmp_path):
         p = tmp_path / "g.csv"
@@ -867,6 +878,9 @@ class TestTables:
         assert parse_float("f.csv", 3, "x", " 2.5 ") == 2.5
         with pytest.raises(DataError, match=re.escape("f.csv: row 3, column 'x': cannot parse 'n/a'")):
             parse_float("f.csv", 3, "x", " n/a")
+        with pytest.raises(DataError, match=re.escape(
+                "f.csv: row 3, column 'x': '-inf' is not a finite number")):
+            parse_float("f.csv", 3, "x", "-inf ")
 
     def test_writer_round_trips_floats_and_quotes_delimiters(self, tmp_path):
         p = tmp_path / "out" / "t.csv"

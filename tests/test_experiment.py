@@ -370,20 +370,19 @@ def test_stacks_cover_every_run_once_and_hold_at_most_the_cap():
         assert len(runs) == len(set(runs))
         assert set(runs) == {(method, cell, seed) for method in METHODS
                              for cell in grid_cells(method, grid) for seed in config.seeds}
-        for method, stack, _ in items:
+        for _, stack, _ in items:
             assert 1 <= len(stack) <= experiment_module.STACK_CAP == 64
-            if method == "DSFT_P_linear":
-                assert len({(cell.learning_rate, seed) for cell, seed in stack}) == 1
-            else:
-                assert list(stack) == sorted(stack)   # (cell, seed) order
+        for method in METHODS:   # each method's stacks cut its runs in (cell, seed) order
+            runs = [run for m, stack, _ in items if m == method for run in stack]
+            assert runs == sorted(runs)
         stacks = {method: sum(m == method for m, _, _ in items) for method in METHODS}
         cut = [len(stack) for m, stack, _ in items if m == "PADA_S"]
         if grid == GridSpec():
             assert stacks["PADA_S"] == 27   # 567 cells x 3 seeds
-            assert stacks["DSFT_P_linear"] == 7 * 3
+            assert stacks["DSFT_P_linear"] == 3   # 63 cells x 3 seeds
         else:
             assert cut == [64, 17]          # 27 cells x 3 seeds
-            assert stacks == {**{m: 1 for m in METHODS}, "PADA_S": 2, "DSFT_P_linear": 9}
+            assert stacks == {**{m: 1 for m in METHODS}, "PADA_S": 2}
 
 
 def _config_for_selection(grid: GridSpec, seeds=(0, 1)):
@@ -560,6 +559,28 @@ def test_parallel_run_matches_serial_byte_for_byte(run_config, run_dir, tmp_path
     par = run_experiment(run_config, out_dir=tmp_path / "par", jobs=2)
     for rel in sorted(p.relative_to(run_dir) for p in run_dir.rglob("*") if p.is_file()):
         assert (run_dir / rel).read_bytes() == (par / rel).read_bytes(), rel
+
+
+def test_the_stack_cut_never_changes_output(tmp_path, monkeypatch):
+    doc = base_doc()
+    doc["methods"] = list(METHODS)
+    doc["grid"]["lam"] = [0.1, 0.5]
+    config = build_config(doc)
+    outs = []
+    for cap in (1, 5, 64):
+        monkeypatch.setattr(experiment_module, "STACK_CAP", cap)
+        if cap == 5:   # one completion fit's cells land in two stacks
+            fits = [{(cell.learning_rate, seed) for cell, seed in stack}
+                    for method, stack, _ in experiment_module._groups(config)
+                    if method == "DSFT_P_linear"]
+            assert len(fits) == 2 and fits[0] & fits[1]
+        outs.append(run_experiment(config, out_dir=tmp_path / f"cap-{cap}"))
+    files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
+    assert {rel.parts[0] for rel in files} >= {"telemetry", "checkpoints", "run_meta.json"}
+    for out in outs[1:]:
+        assert files == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        for rel in files:
+            assert (outs[0] / rel).read_bytes() == (out / rel).read_bytes(), rel
 
 
 def test_single_class_target_is_rejected_before_training(tmp_path, monkeypatch):
@@ -741,12 +762,13 @@ def test_each_finished_stack_logs_one_info_line(tmp_path, caplog):
 
 
 def _run_with_a_dying_worker(tmp_path, monkeypatch, jobs):
-    """A run whose completion-baseline group at learning rate 0.05 and seed 0
-    kills the worker process that trains it."""
+    """A run in stacks of one whose completion-baseline run at learning rate
+    0.05 and seed 0 kills the worker process that trains it."""
     doc = base_doc()
     doc["methods"] = ["COM_P", "DSFT_P_linear"]
     config = build_config(doc)
     real = experiment_module.train_group
+    monkeypatch.setattr(experiment_module, "STACK_CAP", 1)
 
     def dying(method, source, train, val, configs):
         if method == "DSFT_P_linear" and (configs[0].learning_rate, configs[0].seed) == (0.05, 0):
@@ -930,6 +952,8 @@ GOOD_EVAL = "method,seed,accuracy,auc\nCOM_P,0,0.6,0.6\nDIST,0,0.65,0.6\nPADA_S,
                      "row 1 has 3 cells, header has 4", id="short-eval-row"),
         pytest.param(GOOD_EVAL + "DIST,1,high,0.5\n", None, "eval.csv",
                      "row 4, column 'accuracy': cannot parse 'high'", id="non-numeric-accuracy"),
+        pytest.param(GOOD_EVAL + "DIST,1,nan,0.5\n", None, "eval.csv",
+                     "row 4, column 'accuracy': 'nan' is not a finite number", id="nan-accuracy"),
         pytest.param("method,seed,auc\nCOM_P,0,0.6\n", None, "eval.csv",
                      "missing column 'accuracy'", id="missing-accuracy-column"),
         pytest.param(GOOD_EVAL, "corr_tar_lab,corr_com_lab,r_tar_com,corr_tar_sou\n0.5,0.2\n",

@@ -53,6 +53,8 @@ from puhda.trainers import (
     train_pada_s,
 )
 
+import puhda.trainers as trainers_module
+
 
 def models_equal(a, b) -> bool:
     return np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
@@ -776,14 +778,6 @@ def _same_run(got, want):
     assert got.round_val_accuracy == want.round_val_accuracy
 
 
-def _stacks(method, configs):
-    """The stacks the grid makes of ``configs``: one, or one per learning rate."""
-    if METHOD_TABLE[method].stacks_learning_rate:
-        return [configs]
-    rates = sorted({c.learning_rate for c in configs})
-    return [[c for c in configs if c.learning_rate == rate] for rate in rates]
-
-
 @pytest.mark.parametrize("method", sorted(METHOD_TABLE))
 def test_a_stacked_group_equals_its_cells_trained_alone(tiny_data, method):
     source, train, val, _ = tiny_data
@@ -793,16 +787,16 @@ def test_a_stacked_group_equals_its_cells_trained_alone(tiny_data, method):
     etas = (0.05, 0.5) if entry.searches_eta else (0.0,)
     configs = [replace(base, learning_rate=rate, lam=lam, eta=eta)
                for rate in (0.02, 0.3) for lam in (0.1, 1.0) for eta in etas]
-    for stack in _stacks(method, configs):
-        outcomes = entry.group(source, train, val, stack)
-        assert len(outcomes) == len(stack)
-        for config, got in zip(stack, outcomes):
-            _same_run(got, _alone(method, source, train, val, config))
+    outcomes = entry.group(source, train, val, configs)
+    assert len(outcomes) == len(configs)
+    for config, got in zip(configs, outcomes):
+        _same_run(got, _alone(method, source, train, val, config))
     if method == "PADA_S":
         assert len({art.rounds_run for art in outcomes}) > 1   # cells stop at different rounds
 
 
-@pytest.mark.parametrize("method", ["COM_P", "DIST", "PADA", "PADA_F", "PADA_S"])
+@pytest.mark.parametrize("method", ["COM_P", "DIST", "DSFT_P_linear", "PADA", "PADA_F",
+                                    "PADA_S"])
 def test_a_stack_across_seeds_equals_its_cells_trained_alone(tiny_data, method):
     source, train, val, _ = tiny_data
     base = TrainConfig(learning_rate=1.0, lam=0.5, eta=0.5, steps=30, batch_size=32,
@@ -865,13 +859,36 @@ def test_a_diverging_cell_fails_alone_and_its_stack_goes_on(tiny_data, method):
         _same_run(outcomes[i], _alone(method, source, train, val, configs[i]))
 
 
+def test_a_failed_completion_fit_fails_only_its_cells(tiny_data, monkeypatch):
+    source, train, val, _ = tiny_data
+    base = TrainConfig(learning_rate=1.0, steps=30, batch_size=32)
+    configs = [replace(base, learning_rate=rate, lam=lam, seed=seed)
+               for rate in (0.02, 0.3) for lam in (0.1, 1.0) for seed in (0, 3)]
+    real = trainers_module.train_dsft
+
+    def failing(source, target, config):
+        if config.learning_rate == 0.3:
+            raise ConfigurationError("no completion fit at learning rate 0.3")
+        return real(source, target, config)
+
+    monkeypatch.setattr(trainers_module, "train_dsft", failing)
+    outcomes = METHOD_TABLE["DSFT_P_linear"].group(source, train, val, configs)
+    assert len(outcomes) == len(configs)
+    for config, got in zip(configs, outcomes):
+        if config.learning_rate == 0.3:
+            with pytest.raises(ConfigurationError) as alone:
+                _alone("DSFT_P_linear", source, train, val, config)
+            assert type(got) is ConfigurationError
+            assert str(got) == str(alone.value) == "no completion fit at learning rate 0.3"
+        else:
+            _same_run(got, _alone("DSFT_P_linear", source, train, val, config))
+
+
 def test_a_stack_holds_cells_of_one_budget(tiny_data):
     source, train, val, _ = tiny_data
     base = TrainConfig(learning_rate=0.3, steps=3, batch_size=32)
     with pytest.raises(ConfigurationError, match="differ only in learning_rate, lam, eta and seed"):
         METHOD_TABLE["PADA"].group(source, train, val, [base, replace(base, steps=4)])
-    with pytest.raises(ConfigurationError, match="one learning rate"):
+    with pytest.raises(ConfigurationError, match="differ only in learning_rate, lam, eta and seed"):
         METHOD_TABLE["DSFT_P_linear"].group(
-            source, train, val, [base, replace(base, learning_rate=0.1)])
-    with pytest.raises(ConfigurationError, match="one learning rate and one seed"):
-        METHOD_TABLE["DSFT_P_linear"].group(source, train, val, [base, replace(base, seed=1)])
+            source, train, val, [base, replace(base, learning_rate=0.1, steps=4)])
