@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -53,7 +54,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, InvalidInputError, NonFiniteCells
-from .numerics import _softmax2, prob_pairs, require_finite, softmax2
+from .numerics import _softmax_columns, prob_pairs, require_finite, softmax2
 
 
 def _init_params(rng: np.random.Generator, in_dim: int, out_dim: int):
@@ -226,32 +227,26 @@ class TransformedBatch:
 Batch = Union[RawBatch, TransformedBatch]
 
 
-def _columns(probs: np.ndarray) -> tuple[tuple, tuple]:
-    """``(p0, p1)`` and ``(log p0, log p1)``: the two class columns of clamped
-    pairs (one pair, one cell's ``(n, 2)`` or a stack's ``(K, n, 2)``), each
-    contiguous, so the loss works in pair arithmetic."""
-    columns = (probs.T if probs.ndim < 3 else probs.transpose(2, 0, 1)).copy()
-    return tuple(columns), tuple(np.log(columns))
-
-
-@dataclass(frozen=True)
 class ConstTarget:
-    """A constant probability batch; no gradient flows into it."""
+    """A constant probability batch; no gradient flows into it. ``probs`` are its
+    clamped pairs, ``(2,)``, ``(n, 2)`` or a stack's ``(K, n, 2)``, and ``columns``
+    their class columns ``(p0, p1)`` and logs ``(log p0, log p1)``, which the loss reads."""
 
-    probs: np.ndarray  # (2,), (n, 2) or a stack's (K, n, 2), already clamped
-    columns: tuple = field(init=False, repr=False, compare=False)   # see _columns
+    def __init__(self, probs):
+        self.probs = p = prob_pairs(probs)
+        self.columns = (p[..., 0], p[..., 1]), (np.log(p[..., 0]), np.log(p[..., 1]))
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", prob_pairs(self.probs))
-        object.__setattr__(self, "columns", _columns(self.probs))
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """A teacher's pairs, stacked from its columns on first use."""
+        return np.stack(self.columns[0], axis=-1)
 
     @classmethod
     def _of_logits(cls, logits) -> "ConstTarget":
-        """The softmax pairs of ``logits``, with one finite check on the logits;
-        the pairs are clamped by construction, so ``prob_pairs`` is skipped."""
-        probs = _softmax2(require_finite("teacher logits", logits))[0]
-        target = object.__new__(cls)   # skips __post_init__, which would check the pairs
-        target.__dict__.update(probs=probs, columns=_columns(probs))
+        """The softmax columns of ``logits``, with one finite check on the logits;
+        they are clamped by construction, so ``prob_pairs`` is skipped."""
+        target = object.__new__(cls)   # skips __init__, which would check pairs
+        target.columns = _softmax_columns(require_finite("teacher logits", logits))[:2]
         return target
 
 
@@ -321,9 +316,9 @@ class _Forward:
 
     __slots__ = ("model", "batch", "x_in", "columns", "clamped", "grad")
 
-    def __init__(self, model, batch, x_in, probs, clamped):
+    def __init__(self, model, batch, x_in, probs, logs, clamped):
         self.model, self.batch, self.x_in, self.clamped = model, batch, x_in, clamped
-        self.columns = _columns(probs)
+        self.columns = probs, logs
         self.grad = None
 
 
@@ -355,7 +350,7 @@ def _forward(models: Mapping[str, Model], side: ModelOutput, forwards: dict, ali
         x_in = _model_inputs(models, side.batch, aligned)
         # a non-finite input or transform output leaves every logit of its row non-finite
         z = require_finite(f"logits of {side.model!r}", model(x_in))
-        fwd = _Forward(side.model, side.batch, x_in, *_softmax2(z))
+        fwd = _Forward(side.model, side.batch, x_in, *_softmax_columns(z))
         forwards[key] = fwd
     return fwd
 
@@ -406,9 +401,10 @@ def loss_and_grads(
     forward and transform output runs once per call, keyed by batch
     identity; each forward sums the probability gradients of the sides that
     read it, then runs one softmax Jacobian and one backward product. Term
-    values and the Jacobian work on the two class columns in pair arithmetic;
-    ``dz`` goes back to ``(n, 2)`` rows (``(K, n, 2)`` for a stack) only for
-    the products and batch sums. A non-finite logit raises ``NonFiniteCells``.
+    values and the Jacobian work on the class columns the softmax gives (no
+    pairs are built); ``dz`` becomes ``(n, 2)`` rows (``(K, n, 2)`` for a
+    stack) only for the products and batch sums. A non-finite logit raises
+    ``NonFiniteCells``.
     """
     wrt_set = frozenset(wrt)
     for name in wrt_set:

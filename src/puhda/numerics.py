@@ -6,7 +6,8 @@ A probability pair is a float64 array whose last axis has length 2 and holds
 public operation that makes pairs clamps them into [EPS, 1 - EPS] and
 renormalizes, so the KL terms of ``models`` stay finite for any finite
 logits. Batched inputs are arrays of shape (n, 2), or a stack's (K, n, 2);
-single pairs are shape (2,).
+single pairs are shape (2,). The loss reads class columns, not pairs, from
+``_softmax_columns``; ``softmax2`` stacks the same columns into pairs.
 Every input is checked finite by one function, ``require_finite``: its
 ``NonFiniteCells`` error marks the cells of a stack that hold NaN or infinity,
 so a stacked run can fail those cells alone.
@@ -46,12 +47,16 @@ def clamp_probs(probs) -> np.ndarray:
     p = require_finite("probs", probs)
     if p.shape[-1] != 2:
         raise InvalidInputError(f"probs: last axis must have length 2, got shape {p.shape}")
-    return _clamp(p)
+    return np.stack(_clamp(*p.reshape(-1, 2).T.copy()), axis=-1).reshape(p.shape)
 
 
-def _clamp(p: np.ndarray) -> np.ndarray:
-    q = np.minimum(np.maximum(p, EPS), 1.0 - EPS)   # np.clip, without its call overhead
-    return q / (q[..., :1] + q[..., 1:])   # the pair sum, without a reduction's overhead
+def _clamp(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one clamp, in place on class columns the caller owns: into [EPS, 1 - EPS]
+    and renormalized."""
+    for p in (p0, p1):
+        np.minimum(np.maximum(p, EPS, out=p), 1.0 - EPS, out=p)   # np.clip, without its overhead
+    total = p0 + p1
+    return np.divide(p0, total, out=p0), np.divide(p1, total, out=p1)
 
 
 def prob_pairs(values) -> np.ndarray:
@@ -75,16 +80,22 @@ def softmax2(logits) -> np.ndarray:
     z = require_finite("logits", logits)
     if z.shape[-1] != 2:
         raise InvalidInputError(f"logits: last axis must have length 2, got shape {z.shape}")
-    return _softmax2(z)[0]
+    return np.stack(_softmax_columns(z.reshape(-1, 2))[0], axis=-1).reshape(z.shape)
 
 
-def _softmax2(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one softmax-and-clamp: clamped pairs for finite logits, plus the mask
-    of rows whose raw output left the clamp interval (locally constant rows).
-    Max and sum over the two class columns are plain pair arithmetic."""
-    e = np.exp(z - np.maximum(z[..., :1], z[..., 1:]))
-    p = e / (e[..., :1] + e[..., 1:])
-    return _clamp(p), (p[..., 1] <= EPS) | (p[..., 1] >= 1.0 - EPS)
+def _softmax_columns(z: np.ndarray) -> tuple[tuple, tuple, np.ndarray]:
+    """The one softmax-and-clamp, elementwise on the class columns of finite
+    logits ``(..., n, 2)``, in place on its own temporaries: the clamped
+    ``(p0, p1)``, their logs, and the mask of rows whose raw output left the
+    clamp interval (locally constant rows)."""
+    z0, z1 = z[..., 0], z[..., 1]
+    top = np.maximum(z0, z1)
+    p0, p1 = z0 - top, np.subtract(z1, top, out=top)
+    total = np.exp(p0, out=p0) + np.exp(p1, out=p1)
+    np.divide(p0, total, out=p0)
+    np.divide(p1, total, out=p1)
+    clamped = (p1 <= EPS) | (p1 >= 1.0 - EPS)
+    return _clamp(p0, p1), (np.log(p0), np.log(p1)), clamped   # the logs of the clamped columns
 
 
 def _one_hot(positive: bool) -> np.ndarray:

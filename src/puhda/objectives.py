@@ -80,7 +80,8 @@ def _teacher(teacher_probs, n: int) -> ConstTarget:
     """Teacher pairs as a constant side; a ``ConstTarget`` was checked when made."""
     teacher = (teacher_probs if isinstance(teacher_probs, ConstTarget)
                else ConstTarget(teacher_probs))
-    if teacher.probs.ndim < 2 or teacher.probs.shape[-2] != n:
+    p1 = teacher.columns[0][1]   # the class column, so a teacher's pairs are never stacked
+    if p1.ndim < 1 or p1.shape[-1] != n:
         raise ConfigurationError(
             f"teacher probabilities must cover the batch: expected {n} rows, "
             f"got shape {teacher.probs.shape}"

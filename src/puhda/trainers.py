@@ -40,7 +40,8 @@ arrays, each traced phase fills a ``(steps, K, terms)`` block, and a stacked
 ``(K, n, 2)`` forward serves every cell (see the ``models`` docstring for the
 shapes). Each seed keeps its own generators (derived seeds are derived per
 seed) and draws in the order above; the cells of one seed share ``(n, d)``
-rows, and a stack across seeds gathers each cell's own ``(K, n, d)`` rows.
+rows, and a stack across seeds gathers each cell's own ``(K, n, d)`` rows,
+from its own fit's rows when it draws from a ``(fits, n, d)`` block.
 Each cell ends as its own 2-D models and telemetry (a ``TrainTrace`` owning
 its ``(steps, columns)`` values), or as the error it failed with: a cell whose
 logits or update turn non-finite fails, and ``_Stack.attempt`` replays the
@@ -178,10 +179,11 @@ Outcome = TrainedArtifacts | PuhdaError
 
 
 def _draw(rngs: list[np.random.Generator], x: np.ndarray, batch_size: int) -> np.ndarray:
-    """One batch of ``x``: its rows from one generator, else ``(seeds, n)`` row indices."""
-    if len(rngs) == 1:
-        return x[rngs[0].integers(0, x.shape[0], size=batch_size)]
-    return np.array([rng.integers(0, x.shape[0], size=batch_size) for rng in rngs])
+    """One batch of ``x``, rows ``(n, d)`` or a ``(fits, n, d)`` block: its rows
+    from one generator, else ``(seeds, n)`` row indices."""
+    if len(rngs) == 1 and x.ndim == 2:
+        return x.take(rngs[0].integers(0, x.shape[0], size=batch_size), axis=0)
+    return np.array([rng.integers(0, x.shape[-2], size=batch_size) for rng in rngs])
 
 
 def _check_pair(name_a: str, x_a, name_b: str, x_b) -> tuple[np.ndarray, np.ndarray]:
@@ -246,6 +248,7 @@ class _Stack:
         self.cells = np.arange(len(self.configs))
         self.models: dict[str, Model] = {}
         self.teacher: FrozenTeacher | None = None
+        self.fit_of: np.ndarray | None = None   # each cell's fit, if it draws from blocks
         self._keep(slice(None))
 
     def _keep(self, keep) -> None:
@@ -271,10 +274,13 @@ class _Stack:
 
     def rows(self, matrices, draws) -> list[np.ndarray]:
         """A phase's batches from its ``_draw`` of each matrix: one seed's shared rows
-        as drawn, else each live cell's own ``(K, n, d)`` rows."""
-        if len(self.seeds) == 1:
+        as drawn, else each live cell's own ``(K, n, d)`` rows, its fit's from a block."""
+        if len(self.seeds) == 1 and self.fit_of is None:
             return draws
-        return [x[index[self._seed_at]] for x, index in zip(matrices, draws)]
+        fits = 0 if self.fit_of is None else self.fit_of[self.cells, None]
+        return [x.reshape(-1, x.shape[-1]).take(index.take(self._seed_at, axis=0)
+                                                + fits * x.shape[-2], axis=0)
+                for x, index in zip(matrices, draws)]
 
     def cell_models(self, j) -> dict[str, Model]:
         """Live cell ``j``'s own models."""
@@ -302,12 +308,12 @@ class _Stack:
             self.outcomes[self.cells[j]] = artifacts(self.cells[j], j)
         self._keep(~done)
 
-    def results(self, method: str, columns, values, shared: dict | None = None) -> list[Outcome]:
+    def results(self, method: str, columns, values, shared=None) -> list[Outcome]:
         """Every cell's outcome, the live cells ending with their own slice of
-        ``models`` and of the trace ``values``, plus the ``shared`` slots."""
+        ``models`` and of the trace ``values``, plus cell ``i``'s ``shared[i]`` slots."""
         def artifacts(i, j):
-            slots = self.cell_models(j)
-            return TrainedArtifacts(method, self.configs[i], {**slots, **(shared or {})},
+            slots = {**self.cell_models(j), **(shared[i] if shared else {})}
+            return TrainedArtifacts(method, self.configs[i], slots,
                                     TrainTrace(columns, values[:, i]))
 
         self.finish(np.ones(len(self.cells), dtype=bool), artifacts)
@@ -391,10 +397,9 @@ def _pan_stack(stack: _Stack, x_pos, x_unl, rngs):
     objective on fresh positive and unlabeled batches, then the classifier
     descends its term pair on a fresh unlabeled batch. With ``lam = 0`` the
     classifier's gradient is a zero matrix every step, so its parameters
-    never leave initialization.
+    never leave initialization. The caller checks the rows (``_check_pair``).
     """
-    x_pos, x_unl = _check_pair("positive rows", x_pos, "unlabeled rows", x_unl)
-    stack.models = {name: stack.init(rngs, LinearSoftmaxModel.initialize, x_pos.shape[1])
+    stack.models = {name: stack.init(rngs, LinearSoftmaxModel.initialize, x_pos.shape[-1])
                     for name in ("D", "C")}
     phases = [
         Phase("D", +1, (x_pos, x_unl), lambda bp, bu: pan_terms(bp, bu, stack.lam), trace=""),
@@ -407,7 +412,8 @@ def _com_p_stack(stack: _Stack, source: DomainMatrix, target: DomainMatrix):
     _check_roles(source, target)
     if source.schema.c < 1:
         raise ConfigurationError("the common-features baseline needs at least one common column")
-    return _pan_stack(stack, source.common, target.common, stack.rngs())
+    return _pan_stack(stack, *_check_pair("positive rows", source.common,
+                                          "unlabeled rows", target.common), stack.rngs())
 
 
 def com_p_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Outcome]:
@@ -497,7 +503,8 @@ def pada_s_group(source: DomainMatrix, target: DomainMatrix, val_target: DomainM
     stack = _Stack(configs)
     config = stack.config
 
-    _pan_stack(stack, source.common, target.common, stack.rngs("soft-base"))
+    _pan_stack(stack, *_check_pair("positive rows", source.common, "unlabeled rows", target.common),
+               stack.rngs("soft-base"))
     stack.teacher = frozen_teacher(stack.models, schema.c)
     val_accs = {i: [] for i in stack.cells}
     best_run = {}
@@ -655,26 +662,36 @@ def dsft_p_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Ou
     Fits the completion maps first (own derived seed), then runs PU training
     on the completed rows under the config seed. The returned trace is the
     PU stage's. The fit reads the learning rate and the seed, so the maps are
-    fitted once per (learning rate, seed) of the stack, and each fit's cells
-    share them in one stacked PU stage; an error of one fit fails only its
-    cells, as it would fail a stack of one.
+    fitted once per (learning rate, seed) of the stack into a ``(fits, n, d)``
+    block of completed rows per side, and one stacked PU stage trains every
+    cell on its fit's rows. A fit that raises, or whose rows are not finite,
+    fails only its cells, as it would fail a stack of one.
     """
-    configs = _Stack(configs).configs   # the whole stack shares one budget
-    fits: dict[tuple, list[int]] = {}
-    for i, config in enumerate(configs):
-        fits.setdefault((config.learning_rate, config.seed), []).append(i)
-    outcomes: dict[int, Outcome] = {}
-    for cells in fits.values():
-        stack = _Stack(configs[i] for i in cells)
+    stack = _Stack(configs)   # the whole stack shares one budget
+    fits: dict[tuple, int] = {}   # (learning rate, seed) -> position on the fit axis
+    fit_of = np.array([fits.setdefault((c.learning_rate, c.seed), len(fits))
+                       for c in stack.configs])
+    maps: list = [None] * len(fits)
+    schema = source.schema   # every fit's completed rows, [common | source-spec | target-spec]
+    blocks = [np.empty((len(fits), d.n, schema.c + schema.s + schema.t)) for d in (source, target)]
+    for (rate, seed), f in fits.items():
         try:
-            fit_config = replace(stack.config, seed=derive_seed(stack.config.seed, "completion-fit"))
-            maps, xs_hat, xt_hat = train_dsft(source, target, fit_config)
-            trace = _pan_stack(stack, xs_hat, xt_hat, stack.rngs())
-            fit_outcomes = stack.results("DSFT_P_linear", *trace, shared=maps.models())
+            fit, xs_hat, xt_hat = train_dsft(source, target, replace(
+                stack.config, learning_rate=rate, seed=derive_seed(seed, "completion-fit")))
+            _check_pair("positive rows", xs_hat, "unlabeled rows", xt_hat)
         except PuhdaError as exc:
-            fit_outcomes = [exc] * len(cells)
-        outcomes.update(zip(cells, fit_outcomes))
-    return [outcomes[i] for i in range(len(configs))]
+            for i in np.flatnonzero(fit_of == f):
+                stack.outcomes[i] = exc
+            continue
+        blocks[0][f], blocks[1][f], maps[f] = xs_hat, xt_hat, fit.models()
+        del xs_hat, xt_hat   # only the blocks hold completed rows while the next fit runs
+    stack._keep(np.array([maps[f] is not None for f in fit_of]))
+    if not stack.cells.size:
+        return stack.outcomes
+    stack.fit_of = fit_of if len(fits) > 1 else None   # one fit's rows are shared
+    trace = _pan_stack(stack, *(block if len(fits) > 1 else block[0] for block in blocks),
+                       stack.rngs())
+    return stack.results("DSFT_P_linear", *trace, shared=[maps[f] for f in fit_of])
 
 
 def train_dsft_p(

@@ -92,36 +92,60 @@ def _reduction_softmax2(z):
     return q / q.sum(axis=-1, keepdims=True), (p[..., 1] <= eps) | (p[..., 1] >= 1.0 - eps)
 
 
+def _reduction_columns(z):
+    """``_reduction_softmax2`` as ``_softmax_columns`` returns it: columns, logs, mask."""
+    probs, clamped = _reduction_softmax2(z)
+    columns = probs[..., 0], probs[..., 1]
+    return columns, (np.log(columns[0]), np.log(columns[1])), clamped
+
+
 class TestPairArithmetic:
-    """The pair arithmetic over the two class columns gives the reduction's bits."""
+    """The softmax on the two class columns gives the reduction's bits: the
+    columns, their logs and the clamp mask, and ``softmax2``'s pairs."""
 
     @staticmethod
-    def logits():
-        z = np.random.default_rng(23).normal(scale=20.0, size=(300, 2))
-        z[:4] = [[1e4, -1e4], [-1e4, 1e4], [1e4, 1e4], [-1e4, -9990.0]]
+    def logits(shape=(300, 2)):
+        z = np.random.default_rng(23).normal(scale=20.0, size=shape)
+        z.reshape(-1, 2)[:4] = [[1e4, -1e4], [-1e4, 1e4], [1e4, 1e4], [-1e4, -9990.0]]
         return z
 
-    def test_batch_matches_the_reduction_formula(self):
-        z = self.logits()
-        probs, clamped = numerics._softmax2(z)
-        want_probs, want_clamped = _reduction_softmax2(z)
-        assert clamped.any() and not clamped.all()
-        assert np.array_equal(probs, want_probs)
+    @staticmethod
+    def assert_columns_match(z):
+        """``_softmax_columns(z)`` against the reduction; returns the clamp mask."""
+        (probs, logs, clamped), (want_probs, want_logs, want_clamped) = (
+            numerics._softmax_columns(z), _reduction_columns(z))
+        for got, want in zip(probs + logs, want_probs + want_logs):
+            assert got.shape == z.shape[:-1]
+            assert np.array_equal(got, want)
         assert np.array_equal(clamped, want_clamped)
+        assert np.array_equal(numerics.softmax2(z), _reduction_softmax2(z)[0])
+        return clamped
+
+    def test_batch_matches_the_reduction_formula(self):
+        clamped = self.assert_columns_match(self.logits())
+        assert clamped.any() and not clamped.all()
+
+    @pytest.mark.parametrize("shape", [(4, 75, 2), (64, 128, 2), (1024, 2)])
+    def test_stacks_and_long_batches_match_the_reduction_formula(self, shape):
+        clamped = self.assert_columns_match(self.logits(shape))
+        assert clamped.any() and not clamped.all()
 
     def test_single_pairs_match_the_reduction_formula(self):
         for row in self.logits():
-            probs, clamped = numerics._softmax2(row)
+            assert self.assert_columns_match(row[None]).shape == (1,)
+            probs = numerics.softmax2(row)
             want_probs, want_clamped = _reduction_softmax2(row)
             assert probs.shape == (2,)
             assert np.array_equal(probs, want_probs)
-            assert clamped == want_clamped
+            assert numerics._softmax_columns(row[None])[2][0] == want_clamped
 
     def test_clamp_matches_the_reduction_formula(self):
         p = np.random.default_rng(29).uniform(0.0, 1.0, size=(300, 2))
         p[:2] = [[0.0, 1.0], [1.0, 1e-9]]
         q = np.minimum(np.maximum(p, numerics.EPS), 1.0 - numerics.EPS)
         assert np.array_equal(numerics.clamp_probs(p), q / q.sum(axis=-1, keepdims=True))
+        assert np.array_equal(numerics.clamp_probs(p[0]), q[0] / q[0].sum())
+        assert np.array_equal(p[:2], [[0.0, 1.0], [1.0, 1e-9]])   # the input is left as it was
 
 
 class TestKl2:

@@ -884,6 +884,71 @@ def test_a_failed_completion_fit_fails_only_its_cells(tiny_data, monkeypatch):
             _same_run(got, _alone("DSFT_P_linear", source, train, val, config))
 
 
+def _completion_grid():
+    """Two learning rates x two ``lam`` x two seeds: eight cells over four fits."""
+    base = TrainConfig(learning_rate=1.0, steps=30, batch_size=32)
+    return [replace(base, learning_rate=rate, lam=lam, seed=seed)
+            for rate in (0.02, 0.3) for lam in (0.1, 1.0) for seed in (0, 3)]
+
+
+def test_a_completion_stack_fits_once_per_rate_and_seed_and_trains_one_pu_stage(
+        tiny_data, monkeypatch):
+    source, train, val, _ = tiny_data
+    configs = _completion_grid()
+    fits, stages = [], []
+    real_fit, real_stage = trainers_module.train_dsft, trainers_module._pan_stack
+
+    def counted_fit(source, target, config):
+        fits.append((config.learning_rate, config.seed))
+        return real_fit(source, target, config)
+
+    def counted_stage(stack, *args):
+        stages.append(stack.cells.tolist())
+        return real_stage(stack, *args)
+
+    monkeypatch.setattr(trainers_module, "train_dsft", counted_fit)
+    monkeypatch.setattr(trainers_module, "_pan_stack", counted_stage)
+    outcomes = METHOD_TABLE["DSFT_P_linear"].group(source, train, val, configs)
+    assert sorted(fits) == sorted((rate, derive_seed(seed, "completion-fit"))
+                                  for rate in (0.02, 0.3) for seed in (0, 3))
+    assert stages == [list(range(len(configs)))]
+    for config, got in zip(configs, outcomes):
+        twin = outcomes[configs.index(replace(config, lam=1.0 if config.lam == 0.1 else 0.1))]
+        assert got.models()["psi_s"] is twin.models()["psi_s"]   # the cells of a fit share its maps
+
+
+def test_a_fit_with_non_finite_rows_fails_only_its_cells(tiny_data, monkeypatch):
+    source, train, val, _ = tiny_data
+    configs = _completion_grid()
+    real = trainers_module.train_dsft
+    # (learning rate, seed) -> the side of the completed rows that gets an inf
+    broken = {(0.3, 0): 0, (0.02, 3): 1}
+    broken = {(rate, derive_seed(seed, "completion-fit")): side
+              for (rate, seed), side in broken.items()}
+
+    def non_finite(source, target, config):
+        fit, *rows = real(source, target, config)
+        side = broken.get((config.learning_rate, config.seed))
+        if side is not None:
+            rows[side] = rows[side].copy()
+            rows[side][5, 2] = np.inf
+        return (fit, *rows)
+
+    monkeypatch.setattr(trainers_module, "train_dsft", non_finite)
+    outcomes = METHOD_TABLE["DSFT_P_linear"].group(source, train, val, configs)
+    texts = {(0.3, 0): "positive rows: values must be finite",
+             (0.02, 3): "unlabeled rows: values must be finite"}
+    for config, got in zip(configs, outcomes):
+        text = texts.get((config.learning_rate, config.seed))
+        if text is None:
+            _same_run(got, _alone("DSFT_P_linear", source, train, val, config))
+            continue
+        with pytest.raises(InvalidInputError) as alone:
+            _alone("DSFT_P_linear", source, train, val, config)
+        assert type(got) is type(alone.value)
+        assert str(got) == str(alone.value) == text
+
+
 def test_a_stack_holds_cells_of_one_budget(tiny_data):
     source, train, val, _ = tiny_data
     base = TrainConfig(learning_rate=0.3, steps=3, batch_size=32)
