@@ -26,7 +26,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError, InvalidInputError, SchemaError
-from .numerics import derive_rng, require_finite
+from .numerics import (
+    NonNegativeFloat,
+    NonNegativeInt,
+    OpenUnitFloat,
+    PositiveFloat,
+    PositiveInt,
+    UnitFloat,
+    check_fields,
+    derive_rng,
+    require_finite,
+)
 
 ROLES = ("source", "target")
 
@@ -384,19 +394,16 @@ def load_domain_matrix(path) -> DomainMatrix:
 class SplitSpec:
     """Deterministic train/val/test fractions; stratified when labels exist."""
 
-    train: float
-    val: float
-    test: float
-    seed: int = 0
+    train: PositiveFloat
+    val: PositiveFloat
+    test: PositiveFloat
+    seed: NonNegativeInt = 0
 
     def __post_init__(self):
-        fracs = (self.train, self.val, self.test)
-        if any(f <= 0 for f in fracs):
-            raise ConfigurationError(f"split fractions must be positive, got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ConfigurationError(f"split fractions must sum to 1, got {sum(fracs)}")
-        if self.seed < 0:
-            raise ConfigurationError("split.seed: must be >= 0")
+        check_fields(self)
+        total = self.train + self.val + self.test
+        if abs(total - 1.0) > 1e-9:
+            raise ConfigurationError(f"split fractions must sum to 1, got {total}")
 
 
 def split(dm: DomainMatrix, spec: SplitSpec) -> tuple[DomainMatrix, DomainMatrix, DomainMatrix]:
@@ -591,35 +598,23 @@ class SyntheticSpec:
     side can explain. ``noise_scale`` adds per-feature Gaussian noise.
     """
 
-    c: int
-    s: int
-    t: int
-    n_source: int
-    n_target: int
-    positive_ratio: float = 0.5
+    c: PositiveInt
+    s: PositiveInt
+    t: PositiveInt
+    n_source: PositiveInt
+    n_target: PositiveInt
+    positive_ratio: OpenUnitFloat = 0.5
     signal_common: float = 0.5
     signal_source: float = 1.0
     signal_target: float = 1.0
-    coupling: float = 0.9
-    noise_scale: float = 0.5
-    seed: int = 0
-    latent_noise_dim: int = 3
+    coupling: UnitFloat = 0.9
+    noise_scale: NonNegativeFloat = 0.5
+    seed: NonNegativeInt = 0
+    latent_noise_dim: NonNegativeInt = 3   # 0: no latent noise
     label_separation: float = 1.0
 
     def __post_init__(self):
-        if min(self.c, self.s, self.t) < 1:
-            raise ConfigurationError("c, s, t must all be >= 1")
-        if self.n_source < 1 or self.n_target < 1:
-            raise ConfigurationError("domain sizes must be >= 1")
-        if not 0.0 < self.positive_ratio < 1.0:
-            raise ConfigurationError("positive_ratio must be in (0, 1)")
-        if not 0.0 <= self.coupling <= 1.0:
-            raise ConfigurationError("coupling must be in [0, 1]")
-        if self.noise_scale < 0:
-            raise ConfigurationError("noise_scale must be >= 0")
-        for name in ("seed", "latent_noise_dim"):   # latent_noise_dim 0: no latent noise
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"dataset.synthetic.{name}: must be >= 0")
+        check_fields(self)
         n_pos = round(self.positive_ratio * self.n_target)
         if n_pos < 10 or self.n_target - n_pos < 10:
             raise ConfigurationError(

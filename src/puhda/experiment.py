@@ -13,6 +13,10 @@ and every report is written with round-trip float formatting and no
 timestamps, making reruns byte-identical; wall times go only to the log, one
 INFO line per stack.
 
+A config is checked as it loads, by the sections' own field annotations (a
+number by its kind, ``numerics.check_number``); a rejection names the field
+by its config path, such as ``dataset.synthetic.common``.
+
 The test split is kept inside a sealed handle that training and selection
 code never receives; it is opened exactly once, after selection.
 """
@@ -21,10 +25,10 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from functools import partial
 from itertools import chain, groupby, product
 from pathlib import Path
 from typing import NewType, get_args, get_type_hints
@@ -62,6 +66,15 @@ from .metrics import (
     improvement_metrics,
 )
 from .models import save_checkpoint
+from .numerics import (
+    NUMBER_KINDS,
+    NonNegativeFloat,
+    NonNegativeInt,
+    PositiveFloat,
+    PositiveInt,
+    check_fields,
+    check_number,
+)
 from .trainers import (
     GRID_LEARNING_RATE,
     GRID_WEIGHT,
@@ -94,20 +107,6 @@ def _reject_unknown(mapping: dict, allowed, where: str) -> None:
         raise ConfigurationError(f"{where}: unknown field {unknown[0]!r}")
 
 
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{where}: expected a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigurationError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{where}: expected an integer, got {value!r}")
-    return value
-
-
 def _string(value, where: str, what: str = "a string") -> str:
     if not isinstance(value, str):
         raise ConfigurationError(f"{where}: expected {what}, got {value!r}")
@@ -125,10 +124,12 @@ LabelValue = NewType("LabelValue", str)
 # The output directory.
 Directory = NewType("Directory", Path)
 
-# Value rule per annotated field type, and what a list of each is called.
-_SCALARS = {int: _integer, float: _number, str: _string, LabelValue: _label_value,
+# Value rule per annotated field type (a number kind's is ``check_number``), and
+# what a list of each base type is called.
+_SCALARS = {str: _string, LabelValue: _label_value,
             Path: lambda value, where: Path(_string(value, where)),
-            Directory: lambda value, where: Path(_string(value, where, "a directory path"))}
+            Directory: lambda value, where: Path(_string(value, where, "a directory path")),
+            **{kind: partial(check_number, kind) for kind in NUMBER_KINDS}}
 _LISTS = {int: "list of integers", float: "non-empty list of numbers", str: "list of names"}
 # Config-grammar names that differ from the dataclass field names.
 _GRAMMAR_NAMES = {"c": "common", "s": "source_specific", "t": "target_specific",
@@ -145,8 +146,9 @@ def _value(hint, value, where: str):
     if rest == [type(None)]:   # ``item | None``; a null value never gets here
         return _value(item, value, where)
     # ``tuple[item, ...]``, from a list; a number axis may not be empty
-    if not isinstance(value, list) or (item is float and not value):
-        raise ConfigurationError(f"{where}: expected a {_LISTS[item]}")
+    base = getattr(item, "__supertype__", item)
+    if not isinstance(value, list) or (base is float and not value):
+        raise ConfigurationError(f"{where}: expected a {_LISTS[base]}")
     return tuple(_value(item, v, where) for v in value)
 
 
@@ -230,19 +232,13 @@ _SCALARS[Dataset] = _dataset
 class GridSpec:
     """Hyperparameter axes; the defaults are the full published grids."""
 
-    learning_rate: tuple[float, ...] = GRID_LEARNING_RATE
-    lam: tuple[float, ...] = GRID_WEIGHT
-    eta: tuple[float, ...] = GRID_WEIGHT
+    learning_rate: tuple[PositiveFloat, ...] = GRID_LEARNING_RATE
+    lam: tuple[NonNegativeFloat, ...] = GRID_WEIGHT
+    eta: tuple[NonNegativeFloat, ...] = GRID_WEIGHT
 
     def __post_init__(self):
-        for name, axis in (("learning_rate", self.learning_rate),
-                           ("lam", self.lam), ("eta", self.eta)):
-            if not axis:
-                raise ConfigurationError(f"grid.{name}: axis is empty")
-            if any(v <= 0 for v in axis) and name == "learning_rate":
-                raise ConfigurationError(f"grid.{name}: values must be positive")
-            if any(v < 0 for v in axis):
-                raise ConfigurationError(f"grid.{name}: values must be >= 0")
+        check_fields(self)
+        for name, axis in vars(self).items():
             if len(set(axis)) != len(axis):
                 raise ConfigurationError(f"grid.{name}: duplicate entries")
 
@@ -251,24 +247,16 @@ class GridSpec:
 class TrainingSpec:
     """Fixed per-run budget shared by every grid cell."""
 
-    steps: int = 5000
-    batch_size: int = 128
-    max_soft_rounds: int = 5
-    val_patience: int = 1
-    gamma_mmd: float = 1.0
-    probe_learning_rate: float = 0.05
-    probe_steps: int = 2000
+    steps: PositiveInt = 5000
+    batch_size: PositiveInt = 128
+    max_soft_rounds: PositiveInt = 5
+    val_patience: PositiveInt = 1
+    gamma_mmd: NonNegativeFloat = 1.0
+    probe_learning_rate: PositiveFloat = 0.05
+    probe_steps: PositiveInt = 2000
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1 or self.probe_steps < 1:
-            raise ConfigurationError("training: steps and batch sizes must be >= 1")
-        for name in ("max_soft_rounds", "val_patience"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"training.{name}: must be >= 1")
-        if self.gamma_mmd < 0:
-            raise ConfigurationError("training.gamma_mmd: must be >= 0")
-        if self.probe_learning_rate <= 0:
-            raise ConfigurationError("training.probe_learning_rate: must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -277,13 +265,14 @@ class ExperimentConfig:
 
     dataset: Dataset
     methods: tuple[str, ...]
-    seeds: tuple[int, ...] = (0, 1, 2)
+    seeds: tuple[NonNegativeInt, ...] = (0, 1, 2)
     split_spec: SplitSpec = SplitSpec(train=0.6, val=0.2, test=0.2, seed=0)
     grid: GridSpec = GridSpec()
     training: TrainingSpec = TrainingSpec()
     output: Directory | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if not self.methods:
             raise ConfigurationError("methods: the list is empty")
         for m in self.methods:
@@ -295,8 +284,6 @@ class ExperimentConfig:
             raise ConfigurationError("methods: duplicate entries")
         if not self.seeds:
             raise ConfigurationError("seeds: the list is empty")
-        if any(s < 0 for s in self.seeds):
-            raise ConfigurationError("seeds: values must be >= 0")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("seeds: duplicate entries")
 

@@ -44,6 +44,7 @@ for the rest.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -80,8 +81,10 @@ class _Linear:
     """What the two affine pieces share: the parameter check, the one affine map
     ``self(x) = x @ weights + bias`` with its width check (callers check finiteness),
     and its updates. The parameters are one cell's or a stack's (see the module
-    docstring). ``outputs`` fixes the output width of a kind that has one,
-    ``shapes`` says what the check wants and ``kind`` names the piece."""
+    docstring); no array is written in place (an update rebinds them), so
+    ``copy.copy(model)`` is a snapshot. ``outputs`` fixes the output width of a
+    kind that has one, ``shapes`` says what the check wants and ``kind`` names
+    the piece."""
 
     outputs = None
     shapes = "linear transform: need weights (in, out) and bias (out,)"
@@ -117,9 +120,6 @@ class _Linear:
             bad = ~(np.isfinite(weights).all(axis=(-2, -1)) & np.isfinite(bias).all(axis=-1))
             raise NonFiniteCells("parameter update produced non-finite values", bad)
         self.weights, self.bias = weights, bias
-
-    def copy(self):
-        return type(self)(self.weights.copy(), self.bias.copy())
 
     @classmethod
     def stack(cls, models, cells):
@@ -276,8 +276,8 @@ class FrozenTeacher:
 
 def frozen_teacher(models: Mapping[str, Model], n_common: int) -> FrozenTeacher:
     """The teacher of frozen copies of ``models["C"]`` and, if bound, ``models["F"]``."""
-    transform = models["F"].copy() if "F" in models else None
-    return FrozenTeacher(models["C"].copy(), transform, n_common)
+    transform = copy.copy(models["F"]) if "F" in models else None
+    return FrozenTeacher(copy.copy(models["C"]), transform, n_common)
 
 
 @dataclass(frozen=True)

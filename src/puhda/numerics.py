@@ -1,5 +1,6 @@
 """Numeric primitives: stable two-class softmax, probability-pair clamping and
-validation, the finite check, and seeded random generators.
+validation, the finite check, the range rule of every config number, and
+seeded random generators.
 
 A probability pair is a float64 array whose last axis has length 2 and holds
 (p0, p1), the negative/fake and positive/real class probabilities. Every
@@ -12,6 +13,12 @@ Every input is checked finite by one function, ``require_finite``: its
 ``NonFiniteCells`` error marks the cells of a stack that hold NaN or infinity,
 so a stacked run can fail those cells alone.
 
+Config numbers: each number field of a config section or of ``TrainConfig``
+is annotated with a kind from ``NUMBER_KINDS`` (``int``, ``float`` or a
+ranged kind), and ``check_number`` is the one rule for every kind. The loader
+runs it under the field's config path, ``check_fields`` (from each
+``__post_init__``) under the field's name: ``where: must be >= 1, got 0``.
+
 Reproducibility: all randomness flows through numpy Generators created by
 `make_rng` / `derive_rng`, and reductions use numpy's deterministic summation
 (a fixed reduction order for fixed shapes), so identical seeds give
@@ -21,10 +28,14 @@ bit-identical results on the same platform.
 from __future__ import annotations
 
 import hashlib
+import math
+import sys
+from functools import cache
+from typing import NewType, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import InvalidInputError, NonFiniteCells
+from .errors import ConfigurationError, InvalidInputError, NonFiniteCells
 
 # Probabilities are clamped into [EPS, 1 - EPS] before any log is taken.
 EPS = 1e-7
@@ -40,14 +51,6 @@ def require_finite(name: str, values) -> np.ndarray:
         bad = ~np.isfinite(arr).all(axis=tuple(range(1 if arr.ndim > 2 else 0, arr.ndim)))
         raise NonFiniteCells(f"{name}: values must be finite", bad)
     return arr
-
-
-def clamp_probs(probs) -> np.ndarray:
-    """Clamp probabilities to [EPS, 1 - EPS] and renormalize along the last axis."""
-    p = require_finite("probs", probs)
-    if p.shape[-1] != 2:
-        raise InvalidInputError(f"probs: last axis must have length 2, got shape {p.shape}")
-    return np.stack(_clamp(*p.reshape(-1, 2).T.copy()), axis=-1).reshape(p.shape)
 
 
 def _clamp(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,8 +102,8 @@ def _softmax_columns(z: np.ndarray) -> tuple[tuple, tuple, np.ndarray]:
 
 
 def _one_hot(positive: bool) -> np.ndarray:
-    raw = np.array([0.0, 1.0]) if positive else np.array([1.0, 0.0])
-    out = clamp_probs(raw)
+    p0, p1 = (0.0, 1.0) if positive else (1.0, 0.0)
+    out = np.concatenate(_clamp(np.array([p0]), np.array([p1])))
     out.setflags(write=False)
     return out
 
@@ -108,6 +111,63 @@ def _one_hot(positive: bool) -> np.ndarray:
 # One-hot targets, stored clamped so they are valid KL arguments.
 P1 = _one_hot(True)   # real / positive
 P0 = _one_hot(False)  # fake / negative
+
+
+PositiveInt = NewType("PositiveInt", int)              # integer >= 1
+NonNegativeInt = NewType("NonNegativeInt", int)        # integer >= 0
+PositiveFloat = NewType("PositiveFloat", float)        # number > 0
+NonNegativeFloat = NewType("NonNegativeFloat", float)  # number >= 0
+OpenUnitFloat = NewType("OpenUnitFloat", float)        # number in (0, 1)
+UnitFloat = NewType("UnitFloat", float)                # number in [0, 1]
+
+# Every number kind: its base type, its range test and how the range reads.
+NUMBER_KINDS = {
+    int: (int, None, ""), float: (float, None, ""),
+    PositiveInt: (int, lambda v: v >= 1, ">= 1"),
+    NonNegativeInt: (int, lambda v: v >= 0, ">= 0"),
+    PositiveFloat: (float, lambda v: v > 0, "> 0"),
+    NonNegativeFloat: (float, lambda v: v >= 0, ">= 0"),
+    OpenUnitFloat: (float, lambda v: 0 < v < 1, "in (0, 1)"),
+    UnitFloat: (float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
+
+
+def check_number(kind, value, where: str):
+    """``value`` if it is a number of ``kind``, a float kind's as a float; else a
+    ``ConfigurationError`` naming ``where``."""
+    base, in_range, text = NUMBER_KINDS[kind]
+    if base is int:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigurationError(f"{where}: expected an integer, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, (int, float, np.number)):
+        raise ConfigurationError(f"{where}: expected a number, got {value!r}")
+    elif (isinstance(value, int) and abs(value) > sys.float_info.max  # past every float
+          or not math.isfinite(value)):
+        raise ConfigurationError(f"{where}: expected a finite number, got {value!r}")
+    if in_range is not None and not in_range(value):
+        raise ConfigurationError(f"{where}: must be {text}, got {value!r}")
+    return value if base is int else float(value)
+
+
+@cache
+def _number_fields(cls) -> tuple:
+    """``(field, kind, whether a tuple of it)`` for each number field of a
+    dataclass, its annotations resolved once per class."""
+    table = []
+    for name, hint in get_type_hints(cls).items():
+        many = get_origin(hint) is tuple
+        if (kind := get_args(hint)[0] if many else hint) in NUMBER_KINDS:
+            table.append((name, kind, many))
+    return tuple(table)
+
+
+def check_fields(obj) -> None:
+    """``check_number`` on every number field of a dataclass instance, under the
+    field's name; a tuple field item by item."""
+    for name, kind, many in _number_fields(type(obj)):
+        value = getattr(obj, name)
+        for item in value if many else (value,):
+            check_number(kind, item, name)
 
 
 def make_rng(seed: int) -> np.random.Generator:

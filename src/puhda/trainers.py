@@ -52,6 +52,7 @@ stack of one carries no cell axis, so it runs on one cell's arrays.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -68,7 +69,16 @@ from .models import (
     frozen_teacher,
     loss_and_grads,
 )
-from .numerics import derive_seed, make_rng, require_finite
+from .numerics import (
+    NonNegativeFloat,
+    NonNegativeInt,
+    PositiveFloat,
+    PositiveInt,
+    check_fields,
+    derive_seed,
+    make_rng,
+    require_finite,
+)
 from .objectives import (
     CompletionBlocks,
     aligned_classifier_terms,
@@ -97,34 +107,18 @@ class TrainConfig:
     validation accuracy fails to improve ``val_patience`` rounds in a row.
     """
 
-    learning_rate: float
-    lam: float = 0.0
-    eta: float = 0.0
-    steps: int = 5000
-    batch_size: int = 128
-    seed: int = 0
-    max_soft_rounds: int = 5
-    val_patience: int = 1
-    gamma_mmd: float = 1.0
+    learning_rate: PositiveFloat
+    lam: NonNegativeFloat = 0.0
+    eta: NonNegativeFloat = 0.0
+    steps: PositiveInt = 5000
+    batch_size: PositiveInt = 128
+    seed: NonNegativeInt = 0
+    max_soft_rounds: PositiveInt = 5
+    val_patience: PositiveInt = 1
+    gamma_mmd: NonNegativeFloat = 1.0
 
     def __post_init__(self):
-        for name in ("learning_rate", "lam", "eta", "gamma_mmd"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.number)):
-                raise ConfigurationError(f"{name} must be a number, got {value!r}")
-            if not np.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.lam < 0 or self.eta < 0 or self.gamma_mmd < 0:
-            raise ConfigurationError("lam, eta, gamma_mmd must be >= 0")
-        for name, least in (("steps", 1), ("batch_size", 1), ("seed", 0),
-                            ("max_soft_rounds", 1), ("val_patience", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+        check_fields(self)
 
 
 class TrainTrace:
@@ -621,8 +615,7 @@ def train_dsft(
     for step in range(config.steps):
         taken = 0.0
         for _ in range(40):
-            cand_s = psi_s.copy()
-            cand_t = psi_t.copy()
+            cand_s, cand_t = copy.copy(psi_s), copy.copy(psi_t)
             try:
                 cand_s.apply_step(res.grads["psi_s"], -step_size)
                 cand_t.apply_step(res.grads["psi_t"], -step_size)

@@ -510,9 +510,9 @@ class TestSplit:
         )
 
     def test_fraction_validation(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="^split fractions must sum to 1"):
             SplitSpec(0.5, 0.5, 0.2)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"^test: must be > 0, got 0\.0$"):
             SplitSpec(0.8, 0.2, 0.0)
 
     def test_partition_covers_all_rows_once(self):
@@ -756,13 +756,14 @@ def bench_spec(**overrides):
 
 class TestSyntheticSpec:
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"^c: must be >= 1, got 0$"):
             bench_spec(c=0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError,
+                           match=r"^positive_ratio: must be in \(0, 1\), got 1\.5$"):
             bench_spec(positive_ratio=1.5)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"^coupling: must be in \[0, 1\], got 1\.1$"):
             bench_spec(coupling=1.1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="leaves a class under 10 samples"):
             bench_spec(n_target=12)  # leaves a class under 10 rows
 
 

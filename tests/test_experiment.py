@@ -151,7 +151,7 @@ def _set(doc, path, value):
         (("methods",), ["COM_P", "PAN"], "unknown method 'PAN'"),
         (("methods",), ["COM_P", "COM_P"], "methods: duplicate entries"),
         (("seeds",), 3, "seeds: expected a list"),
-        (("seeds",), [-1], "seeds: values must be >= 0"),
+        (("seeds",), [-1], "seeds: must be >= 0, got -1"),
         (("seeds",), [1, 1], "seeds: duplicate entries"),
         (("seeds",), [], "seeds: the list is empty"),
         (("dataset", "kind"), "parquet", "expected synthetic, csv, or ratings"),
@@ -160,9 +160,9 @@ def _set(doc, path, value):
         (("dataset", "synthetic", "warp"), 3, "dataset.synthetic: unknown field 'warp'"),
         (("dataset", "synthetic", "common"), "two", "dataset.synthetic.common"),
         (("grid", "learning_rate"), [], "grid.learning_rate: expected a non-empty list"),
-        (("grid", "learning_rate"), [-0.1], "grid.learning_rate: values must be positive"),
+        (("grid", "learning_rate"), [-0.1], "grid.learning_rate: must be > 0, got -0.1"),
         (("grid", "mu"), [0.1], "grid: unknown field 'mu'"),
-        (("training", "steps"), 0, "training: steps and batch sizes must be >= 1"),
+        (("training", "steps"), 0, "training.steps: must be >= 1, got 0"),
         (("training", "momentum"), 0.9, "training: unknown field 'momentum'"),
         (("split", "test"), ..., "split: missing field 'test'"),
         (("output",), 7, "output: expected a directory path"),
@@ -190,6 +190,32 @@ def _set(doc, path, value):
          "grid.learning_rate: expected a finite number, got inf"),
         (("training", "gamma_mmd"), float("nan"),
          "training.gamma_mmd: expected a finite number, got nan"),
+        # one value just outside the range of each number field, named at load
+        (("dataset", "synthetic", "common"), 0, "dataset.synthetic.common: must be >= 1, got 0"),
+        (("dataset", "synthetic", "source_specific"), 0,
+         "dataset.synthetic.source_specific: must be >= 1, got 0"),
+        (("dataset", "synthetic", "target_specific"), 0,
+         "dataset.synthetic.target_specific: must be >= 1, got 0"),
+        (("dataset", "synthetic", "n_source"), 0,
+         "dataset.synthetic.n_source: must be >= 1, got 0"),
+        (("dataset", "synthetic", "n_target"), 0,
+         "dataset.synthetic.n_target: must be >= 1, got 0"),
+        (("dataset", "synthetic", "positive_ratio"), 1,
+         "dataset.synthetic.positive_ratio: must be in (0, 1), got 1"),
+        (("dataset", "synthetic", "coupling"), 1.5,
+         "dataset.synthetic.coupling: must be in [0, 1], got 1.5"),
+        (("dataset", "synthetic", "noise_scale"), -0.1,
+         "dataset.synthetic.noise_scale: must be >= 0, got -0.1"),
+        (("split", "train"), 0, "split.train: must be > 0, got 0"),
+        (("split", "val"), 0.0, "split.val: must be > 0, got 0.0"),
+        (("split", "test"), -0.2, "split.test: must be > 0, got -0.2"),
+        (("grid", "lam"), [0.1, -0.1], "grid.lam: must be >= 0, got -0.1"),
+        (("grid", "eta"), [-0.01], "grid.eta: must be >= 0, got -0.01"),
+        (("training", "batch_size"), 0, "training.batch_size: must be >= 1, got 0"),
+        (("training", "probe_learning_rate"), 0,
+         "training.probe_learning_rate: must be > 0, got 0"),
+        (("training", "probe_steps"), 0, "training.probe_steps: must be >= 1, got 0"),
+        (("training", "steps"), 2.0, "training.steps: expected an integer, got 2.0"),
     ],
 )
 def test_build_config_rejects_bad_documents(path, value, message):
@@ -1260,6 +1286,13 @@ def test_cli_seeds_flag_narrows_the_run(config_file, tmp_path, capsys):
                  "--seeds", "1"]) == 0
     rows = read_table(out / "eval.csv")
     assert {row["seed"] for row in rows} == {"1"}
+
+
+def test_cli_seeds_flag_goes_through_the_config_checks(config_file, tmp_path, capsys):
+    assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "exp"),
+                 "--seeds", "0,-1"]) == 2
+    assert "error: seeds: must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
 
 
 def test_cli_analyze_and_overrides(run_dir, tmp_path, capsys):

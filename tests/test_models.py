@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from pathlib import Path
@@ -193,7 +194,7 @@ class TestLossAndGrads:
                 lr = 1e-3
                 ok = False
                 for _ in range(40):
-                    trial = {k: m.copy() for k, m in models.items()}
+                    trial = {k: copy.copy(m) for k, m in models.items()}
                     trial[name].apply_step(res.grads[name], -lr)
                     after = loss_and_grads(trial, _rebind(terms)).value
                     if after <= before + 1e-15:

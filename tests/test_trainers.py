@@ -105,7 +105,7 @@ def train_pu(x_pos, x_unl, config):
     ],
 )
 def test_train_config_rejects_bad_values(bad):
-    with pytest.raises(ConfigurationError, match=list(bad)[-1]):   # the bad field, named
+    with pytest.raises(ConfigurationError, match=f"^{list(bad)[-1]}: "):   # the bad field alone
         TrainConfig(**bad)
 
 
@@ -113,7 +113,7 @@ def test_train_config_rejects_bad_values(bad):
 def test_train_config_takes_numbers_only_in_its_number_fields(field):
     for bad in (True, np.True_, "0.5", None, [1.0]):
         with pytest.raises(ConfigurationError,
-                           match=re.escape(f"{field} must be a number, got {bad!r}")):
+                           match=re.escape(f"{field}: expected a number, got {bad!r}")):
             TrainConfig(**{"learning_rate": 0.1, field: bad})
     for good in (1, 0.5, np.float32(0.5), np.int64(2)):
         assert getattr(TrainConfig(**{"learning_rate": 0.1, field: good}), field) == good
