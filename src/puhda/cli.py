@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .errors import PuhdaError
 from .experiment import (
+    STACK_CAP,
     ablate_experiment,
     aggregate_files,
     analyze_experiment,
@@ -30,13 +31,10 @@ from .experiment import (
 
 def _seed_list(text: str) -> tuple[int, ...]:
     try:
-        seeds = tuple(int(part) for part in text.split(",") if part.strip() != "")
+        return tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
-    if not seeds:
-        raise argparse.ArgumentTypeError("the seed list is empty")
-    return seeds
 
 
 def _positive_int(text: str) -> int:
@@ -54,9 +52,9 @@ def _add_common_flags(parser: argparse.ArgumentParser, with_grid_flags: bool) ->
         parser.add_argument("--seeds", type=_seed_list, default=None,
                             help="comma-separated seed list overriding the config")
         parser.add_argument("--jobs", type=_positive_int, default=1,
-                            help="parallel workers for grid stacks: up to 64 of one method's "
-                                 "(cell, seed) runs each, across seeds; a dead worker fails "
-                                 "its whole stack")
+                            help=f"parallel workers for grid stacks: up to {STACK_CAP} of one "
+                                 "method's (cell, seed) runs each, across seeds; a dead worker "
+                                 "fails its whole stack")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -615,7 +615,10 @@ class SyntheticSpec:
 
     def __post_init__(self):
         check_fields(self)
-        n_pos = round(self.positive_ratio * self.n_target)
+        try:
+            n_pos = round(self.positive_ratio * self.n_target)
+        except OverflowError:   # an integer past every float
+            raise ConfigurationError(f"n_target: too large, got {self.n_target!r}") from None
         if n_pos < 10 or self.n_target - n_pos < 10:
             raise ConfigurationError(
                 f"positive_ratio {self.positive_ratio} with n_target {self.n_target} "

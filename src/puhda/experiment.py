@@ -27,6 +27,7 @@ import json
 import logging
 import os
 import time
+from collections import deque
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import partial
 from itertools import chain, groupby, product
@@ -79,6 +80,7 @@ from .trainers import (
     GRID_LEARNING_RATE,
     GRID_WEIGHT,
     METHOD_TABLE,
+    RunBudget,
     TrainConfig,
     TrainedArtifacts,
     align_features,
@@ -244,19 +246,11 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class TrainingSpec:
-    """Fixed per-run budget shared by every grid cell."""
+class TrainingSpec(RunBudget):
+    """The run budget every grid cell shares, plus the ablation probe's settings."""
 
-    steps: PositiveInt = 5000
-    batch_size: PositiveInt = 128
-    max_soft_rounds: PositiveInt = 5
-    val_patience: PositiveInt = 1
-    gamma_mmd: NonNegativeFloat = 1.0
     probe_learning_rate: PositiveFloat = 0.05
     probe_steps: PositiveInt = 2000
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -411,17 +405,8 @@ def grid_cells(method: str, grid: GridSpec) -> list[GridCell]:
 
 
 def _cell_config(cell: GridCell, seed: int, training: TrainingSpec) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=cell.learning_rate,
-        lam=cell.lam,
-        eta=cell.eta,
-        steps=training.steps,
-        batch_size=training.batch_size,
-        seed=seed,
-        max_soft_rounds=training.max_soft_rounds,
-        val_patience=training.val_patience,
-        gamma_mmd=training.gamma_mmd,
-    )
+    return TrainConfig(learning_rate=cell.learning_rate, lam=cell.lam, eta=cell.eta, seed=seed,
+                       **dict(training.budget))
 
 
 def train_group(method: str, source: DomainMatrix, train: DomainMatrix, val: DomainMatrix,
@@ -517,10 +502,10 @@ def _pool_outputs(items, shared: tuple, workers: int):
                         for cell, seed in runs], time.perf_counter() - start
 
     with pool(workers) as many:
-        futures = [many.submit(_group_worker, item) for item in items]
-        for item, future in zip(items, futures):
-            try:
-                output = future.result()
+        futures = deque(many.submit(_group_worker, item) for item in items)
+        for item in items:
+            try:   # a read future is dropped, so only the fold keeps a stack's artifacts
+                output = futures.popleft().result()
             except BrokenProcessPool:
                 output = alone(item)
             yield output

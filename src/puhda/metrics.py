@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, UndefinedMetricError
-from .numerics import derive_rng, require_finite
+from .numerics import check_pair, derive_rng, require_finite
 
 logger = logging.getLogger(__name__)
 
@@ -175,16 +175,9 @@ def discrimination_accuracy(
     """
     from .trainers import train_discriminator  # local import breaks the module cycle
 
-    src = require_finite("source features", source_features)
-    pos = require_finite("positive-target features", target_pos_features)
-    neg = require_finite("negative-target features", target_neg_features)
-    for name, x in (("source", src), ("positive-target", pos), ("negative-target", neg)):
-        if x.ndim != 2 or x.shape[0] == 0:
-            raise InvalidInputError(f"{name} features must be a non-empty matrix")
-        if x.shape[1] != src.shape[1]:
-            raise InvalidInputError(
-                f"{name} features have {x.shape[1]} columns, source has {src.shape[1]}"
-            )
+    src, pos = check_pair("source features", source_features,
+                          "positive-target features", target_pos_features)
+    _, neg = check_pair("source features", src, "negative-target features", target_neg_features)
 
     def holdout(x, tag):
         rng = derive_rng(split_spec.seed, "discrimination-split", tag)

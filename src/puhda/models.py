@@ -495,6 +495,10 @@ def load_checkpoint(path) -> tuple[str, dict[str, Model]]:
     unknown = sorted(set(params) - set(_SLOT_KINDS))
     if unknown:
         raise InvalidInputError(f"{path}: unknown model slot {unknown[0]!r}")
+    for name, (weights, _) in params.items():
+        if weights.ndim != 2:   # a stack's (K, in, out) is many models, not one
+            raise InvalidInputError(f"{path}: slot {name!r}: weights must be one model's "
+                                    f"2-D matrix, got shape {weights.shape}")
     try:
         return method, {name: _SLOT_KINDS[name](*p) for name, p in params.items()}
     except InvalidInputError as exc:

@@ -11,7 +11,8 @@ single pairs are shape (2,). The loss reads class columns, not pairs, from
 ``_softmax_columns``; ``softmax2`` stacks the same columns into pairs.
 Every input is checked finite by one function, ``require_finite``: its
 ``NonFiniteCells`` error marks the cells of a stack that hold NaN or infinity,
-so a stacked run can fail those cells alone.
+so a stacked run can fail those cells alone. Two matrices that must share
+their columns are checked as a pair by one function, ``check_pair``.
 
 Config numbers: each number field of a config section or of ``TrainConfig``
 is annotated with a kind from ``NUMBER_KINDS`` (``int``, ``float`` or a
@@ -51,6 +52,19 @@ def require_finite(name: str, values) -> np.ndarray:
         bad = ~np.isfinite(arr).all(axis=tuple(range(1 if arr.ndim > 2 else 0, arr.ndim)))
         raise NonFiniteCells(f"{name}: values must be finite", bad)
     return arr
+
+
+def check_pair(name_a: str, x_a, name_b: str, x_b) -> tuple[np.ndarray, np.ndarray]:
+    """Two non-empty finite 2-D matrices with the same column count."""
+    x_a, x_b = require_finite(name_a, x_a), require_finite(name_b, x_b)
+    for name, x in ((name_a, x_a), (name_b, x_b)):
+        if x.ndim != 2 or x.shape[0] == 0:
+            raise InvalidInputError(f"{name} must be a non-empty 2-D matrix, got shape {x.shape}")
+    if x_a.shape[1] != x_b.shape[1]:
+        raise InvalidInputError(
+            f"column mismatch: {name_a} have {x_a.shape[1]} columns, {name_b} {x_b.shape[1]}"
+        )
+    return x_a, x_b
 
 
 def _clamp(p0: np.ndarray, p1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,9 +12,10 @@ exchanging a pair's components:
     V = -mean KL(P1, D(x_p)) - mean KL(P0, D(x_u))
         + lam * (mean KL(D(x_u), C(x_u)) - mean KL(D(x_u), swap(C(x_u))))
 
-The heterogeneous variant replaces ``x_p`` with source rows and ``x_u`` with
-aligned target rows ``[t_common ; F(x_target)]``. The soft-label variant adds
-a teacher pair with weight ``eta``:
+The heterogeneous variant (:func:`pada_terms`) replaces ``x_p`` with source
+rows and ``x_u`` with aligned target rows ``[t_common ; F(x_target)]``. Given
+a teacher's outputs, the same builder adds the soft-label teacher pair with
+weight ``eta``:
 
     + eta * (mean KL(C0, C(x_hat)) - mean KL(C0, swap(C(x_hat))))
 
@@ -24,7 +25,8 @@ whole-sum formulation without changing any argmin or argmax.
 
 The reconstruction-plus-MMD loss for the naive feature-completion baseline is
 a separate closed-form objective with its own analytic gradients: one fit
-checks its data once as :class:`CompletionBlocks`, and :func:`dsft_loss`
+checks its data once as :class:`CompletionBlocks` (the two common blocks as
+one pair, ``numerics.check_pair``), and :func:`dsft_loss`
 evaluates the loss of two maps on them.
 """
 
@@ -44,7 +46,7 @@ from .models import (
     RawBatch,
     TransformedBatch,
 )
-from .numerics import P0, P1, require_finite
+from .numerics import P0, P1, check_pair, require_finite
 
 # The one-hot targets, validated once when the module loads.
 _REAL = ConstTarget(P1)
@@ -90,6 +92,9 @@ def _teacher(teacher_probs, n: int) -> ConstTarget:
 
 
 def _teacher_pair(teacher_probs, batch: TransformedBatch, eta: float) -> list[KLTerm]:
+    """The frozen-teacher pair on an aligned batch; none without a teacher."""
+    if teacher_probs is None:
+        return []
     n_t = _rows(batch)
     teacher = _teacher(teacher_probs, n_t)
     return [
@@ -130,10 +135,7 @@ def aligned_classifier_terms(
     the same batch, which is the soft-label classifier's whole surface.
     """
     tgt = TransformedBatch(batch_target, n_common)
-    terms = _classifier_pair(tgt, lam)
-    if teacher_probs is not None:
-        terms.extend(_teacher_pair(teacher_probs, tgt, eta))
-    return terms
+    return _classifier_pair(tgt, lam) + _teacher_pair(teacher_probs, tgt, eta)
 
 
 def pada_terms(
@@ -141,31 +143,20 @@ def pada_terms(
     batch_target: np.ndarray,
     n_common: int,
     lam: float,
+    *,
+    teacher_probs: np.ndarray | ConstTarget | None = None,
+    eta: float = 0.0,
 ) -> list[KLTerm]:
     """Heterogeneous objective: source rows vs aligned target rows.
 
     Target rows are laid out ``[common | target-specific]``; the first
     ``n_common`` columns pass through and the transform F fills the
     source-specific slots, so D and C operate in the source feature space.
-    """
-    bs = RawBatch(batch_source)
-    return _pu_terms(bs, TransformedBatch(batch_target, n_common), lam)
 
-
-def pada_s_terms(
-    batch_source: np.ndarray,
-    batch_target: np.ndarray,
-    n_common: int,
-    lam: float,
-    eta: float,
-    teacher_probs: np.ndarray | ConstTarget,
-) -> list[KLTerm]:
-    """Soft-label objective: the heterogeneous terms plus a frozen-teacher pair.
-
-    ``teacher_probs`` are the base classifier's outputs on the target batch,
-    as pairs or as a ``ConstTarget``. They enter as constants, which is what
-    keeps the teacher frozen; with ``eta = 0`` the result is bit-identical in
-    value and gradients to :func:`pada_terms`.
+    With ``teacher_probs`` (a teacher's outputs on the target batch, as pairs
+    or a ``ConstTarget``) the frozen-teacher pair, weight ``eta``, follows the
+    four PU terms: the soft-label objective. The teacher enters as a constant,
+    which keeps it frozen; ``eta = 0`` gives the plain value and gradients.
     """
     bs = RawBatch(batch_source)
     tgt = TransformedBatch(batch_target, n_common)
@@ -211,19 +202,14 @@ class CompletionBlocks:
 
     def __init__(self, source_common, source_specific, target_common, target_specific,
                  gamma_mmd: float):
-        self.s_c = require_finite("source common", source_common)
+        self.s_c, self.t_c = check_pair("source common", source_common,
+                                        "target common", target_common)
         self.s_s = require_finite("source specific", source_specific)
-        self.t_c = require_finite("target common", target_common)
         self.t_t = require_finite("target specific", target_specific)
         if gamma_mmd < 0:
             raise InvalidInputError("gamma_mmd must be >= 0")
         if self.s_c.shape[0] != self.s_s.shape[0] or self.t_c.shape[0] != self.t_t.shape[0]:
             raise InvalidInputError("row counts differ between common and specific blocks")
-        if self.s_c.shape[0] == 0 or self.t_c.shape[0] == 0:
-            raise InvalidInputError("dsft_loss needs non-empty domains")
-        if self.s_c.shape[1] != self.t_c.shape[1]:
-            raise InvalidInputError(
-                f"common column mismatch: source {self.s_c.shape[1]}, target {self.t_c.shape[1]}")
         self.gamma_mmd = gamma_mmd
         self.mean_s_c, self.mean_t_c = self.s_c.mean(axis=0), self.t_c.mean(axis=0)
         self.mean_s_s, self.mean_t_t = self.s_s.mean(axis=0), self.t_t.mean(axis=0)

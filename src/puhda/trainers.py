@@ -33,12 +33,12 @@ backtracking step size, so its loss trace never increases. Every trainer
 returns its models in one dict keyed by checkpoint slot name.
 
 The cell axis. A method's group trainer (``pada_group`` and its siblings in
-``METHOD_TABLE``) trains K configs that differ only in ``learning_rate``,
-``lam``, ``eta`` and ``seed`` as one stack: every model holds weights
-``(K, in, out)`` and bias ``(K, out)``, the per-cell scalars are ``(K,)``
-arrays, each traced phase fills a ``(steps, K, terms)`` block, and a stacked
-``(K, n, 2)`` forward serves every cell (see the ``models`` docstring for the
-shapes). Each seed keeps its own generators (derived seeds are derived per
+``METHOD_TABLE``) trains K configs of one ``RunBudget``, which differ only
+in ``learning_rate``, ``lam``, ``eta`` and ``seed``, as one stack: every
+model holds weights ``(K, in, out)`` and bias ``(K, out)``, the per-cell
+scalars are ``(K,)`` arrays, each traced phase fills a ``(steps, K, terms)``
+block, and a stacked ``(K, n, 2)`` forward serves every cell (see the
+``models`` docstring for the shapes). Each seed keeps its own generators (derived seeds are derived per
 seed) and draws in the order above; the cells of one seed share ``(n, d)``
 rows, and a stack across seeds gathers each cell's own ``(K, n, d)`` rows,
 from its own fit's rows when it draws from a ``(fits, n, d)`` block.
@@ -53,7 +53,7 @@ stack of one carries no cell axis, so it runs on one cell's arrays.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -75,9 +75,9 @@ from .numerics import (
     PositiveFloat,
     PositiveInt,
     check_fields,
+    check_pair,
     derive_seed,
     make_rng,
-    require_finite,
 )
 from .objectives import (
     CompletionBlocks,
@@ -86,7 +86,6 @@ from .objectives import (
     distillation_terms,
     domain_adv_terms,
     dsft_loss,
-    pada_s_terms,
     pada_terms,
     pan_terms,
     supervised_terms,
@@ -97,28 +96,39 @@ GRID_WEIGHT = (1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0)
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Hyperparameters shared by every trainer.
+class RunBudget:
+    """The per-run budget, the same for every cell of a stack.
 
-    ``lam`` weights the classifier term pair, ``eta`` the frozen-teacher pair
-    (soft-label rounds only), ``gamma_mmd`` the mean-alignment part of the
-    completion fit. ``steps`` is the per-run step budget; soft-label training
-    runs up to ``max_soft_rounds`` such budgets and stops early once
-    validation accuracy fails to improve ``val_patience`` rounds in a row.
+    ``steps`` is the step budget of one run; soft-label training runs up to
+    ``max_soft_rounds`` such budgets and stops early once validation accuracy
+    fails to improve ``val_patience`` rounds in a row. ``gamma_mmd`` weights
+    the mean-alignment part of the completion fit.
     """
 
-    learning_rate: PositiveFloat
-    lam: NonNegativeFloat = 0.0
-    eta: NonNegativeFloat = 0.0
     steps: PositiveInt = 5000
     batch_size: PositiveInt = 128
-    seed: NonNegativeInt = 0
     max_soft_rounds: PositiveInt = 5
     val_patience: PositiveInt = 1
     gamma_mmd: NonNegativeFloat = 1.0
 
     def __post_init__(self):
         check_fields(self)
+
+    @property
+    def budget(self) -> tuple:
+        """The budget's ``(field, value)`` pairs."""
+        return tuple((f.name, getattr(self, f.name)) for f in fields(RunBudget))
+
+
+@dataclass(frozen=True, kw_only=True)
+class TrainConfig(RunBudget):
+    """One run: the budget plus what the cells of a stack may vary. ``lam`` weights
+    the classifier term pair, ``eta`` the frozen-teacher pair (soft-label rounds)."""
+
+    learning_rate: PositiveFloat
+    lam: NonNegativeFloat = 0.0
+    eta: NonNegativeFloat = 0.0
+    seed: NonNegativeInt = 0
 
 
 class TrainTrace:
@@ -180,19 +190,6 @@ def _draw(rngs: list[np.random.Generator], x: np.ndarray, batch_size: int) -> np
     return np.array([rng.integers(0, x.shape[-2], size=batch_size) for rng in rngs])
 
 
-def _check_pair(name_a: str, x_a, name_b: str, x_b) -> tuple[np.ndarray, np.ndarray]:
-    """Two non-empty finite 2-D matrices with the same column count."""
-    x_a, x_b = require_finite(name_a, x_a), require_finite(name_b, x_b)
-    for name, x in ((name_a, x_a), (name_b, x_b)):
-        if x.ndim != 2 or x.shape[0] == 0:
-            raise InvalidInputError(f"{name} must be a non-empty 2-D matrix, got shape {x.shape}")
-    if x_a.shape[1] != x_b.shape[1]:
-        raise InvalidInputError(
-            f"column mismatch: {name_a} have {x_a.shape[1]} columns, {name_b} {x_b.shape[1]}"
-        )
-    return x_a, x_b
-
-
 def _check_roles(source: DomainMatrix, target: DomainMatrix) -> None:
     if source.role != "source" or target.role != "target":
         raise ConfigurationError(
@@ -230,8 +227,7 @@ class _Stack:
 
     def __init__(self, configs):
         self.configs = tuple(configs)
-        if len({replace(c, learning_rate=1.0, lam=0.0, eta=0.0, seed=0)
-                for c in self.configs}) != 1:
+        if len({c.budget for c in self.configs}) != 1:
             raise ConfigurationError(
                 "the cells of a stack may differ only in learning_rate, lam, eta and seed")
         self.config = self.configs[0]   # the shared budget and round rules
@@ -391,7 +387,7 @@ def _pan_stack(stack: _Stack, x_pos, x_unl, rngs):
     objective on fresh positive and unlabeled batches, then the classifier
     descends its term pair on a fresh unlabeled batch. With ``lam = 0`` the
     classifier's gradient is a zero matrix every step, so its parameters
-    never leave initialization. The caller checks the rows (``_check_pair``).
+    never leave initialization. The caller checks the rows (``check_pair``).
     """
     stack.models = {name: stack.init(rngs, LinearSoftmaxModel.initialize, x_pos.shape[-1])
                     for name in ("D", "C")}
@@ -406,8 +402,8 @@ def _com_p_stack(stack: _Stack, source: DomainMatrix, target: DomainMatrix):
     _check_roles(source, target)
     if source.schema.c < 1:
         raise ConfigurationError("the common-features baseline needs at least one common column")
-    return _pan_stack(stack, *_check_pair("positive rows", source.common,
-                                          "unlabeled rows", target.common), stack.rngs())
+    return _pan_stack(stack, *check_pair("positive rows", source.common,
+                                         "unlabeled rows", target.common), stack.rngs())
 
 
 def com_p_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Outcome]:
@@ -424,8 +420,8 @@ def train_com_p(source: DomainMatrix, target: DomainMatrix, config: TrainConfig)
 # Heterogeneous training
 
 
-def _pada_loop(stack: _Stack, x_s, x_t, n_common, s_dim, rngs, taught=False):
-    """One full joint run; with ``taught`` the stack's teacher adds its pair (weight eta).
+def _pada_loop(stack: _Stack, x_s, x_t, n_common, s_dim, rngs):
+    """One full joint run; a stack with a teacher adds its pair (weight eta).
 
     Random sequence per run: initialize D, C, F in that order, then per step
     draw source+target batches for the D phase, source+target batches for the
@@ -436,20 +432,17 @@ def _pada_loop(stack: _Stack, x_s, x_t, n_common, s_dim, rngs, taught=False):
                     for name in ("D", "C")}
     stack.models["F"] = stack.init(rngs, LinearTransform.initialize, x_t.shape[1], s_dim)
 
-    def full_terms(bs, bt):
-        if not taught:
-            return pada_terms(bs, bt, n_common, stack.lam)
-        return pada_s_terms(bs, bt, n_common, stack.lam, stack.eta, stack.teacher(bt))
+    def teacher(bt):
+        return None if stack.teacher is None else stack.teacher(bt)
 
-    def c_terms(bt):
-        probs = stack.teacher(bt) if taught else None
-        return aligned_classifier_terms(bt, n_common, stack.lam, teacher_probs=probs,
-                                        eta=stack.eta)
+    def full_terms(bs, bt):
+        return pada_terms(bs, bt, n_common, stack.lam, teacher_probs=teacher(bt), eta=stack.eta)
 
     phases = [
         Phase("D", +1, (x_s, x_t), full_terms, trace=""),
         Phase("F", -1, (x_s, x_t), full_terms),
-        Phase("C", -1, (x_t,), c_terms),
+        Phase("C", -1, (x_t,), lambda bt: aligned_classifier_terms(
+            bt, n_common, stack.lam, teacher_probs=teacher(bt), eta=stack.eta)),
     ]
     return _run_phases(stack, phases, rngs)
 
@@ -497,7 +490,7 @@ def pada_s_group(source: DomainMatrix, target: DomainMatrix, val_target: DomainM
     stack = _Stack(configs)
     config = stack.config
 
-    _pan_stack(stack, *_check_pair("positive rows", source.common, "unlabeled rows", target.common),
+    _pan_stack(stack, *check_pair("positive rows", source.common, "unlabeled rows", target.common),
                stack.rngs("soft-base"))
     stack.teacher = frozen_teacher(stack.models, schema.c)
     val_accs = {i: [] for i in stack.cells}
@@ -509,7 +502,7 @@ def pada_s_group(source: DomainMatrix, target: DomainMatrix, val_target: DomainM
 
     for round_idx in range(1, config.max_soft_rounds + 1):
         rngs = stack.rngs() if round_idx == 1 else stack.rngs("soft-round", round_idx)
-        columns, values = _pada_loop(stack, x_s, x_t, schema.c, schema.s, rngs, taught=True)
+        columns, values = _pada_loop(stack, x_s, x_t, schema.c, schema.s, rngs)
         accs = _val_accuracies(stack, val_target)
         stop = np.zeros(len(stack.cells), dtype=bool)
         for j, acc in enumerate(accs):
@@ -671,7 +664,7 @@ def dsft_p_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Ou
         try:
             fit, xs_hat, xt_hat = train_dsft(source, target, replace(
                 stack.config, learning_rate=rate, seed=derive_seed(seed, "completion-fit")))
-            _check_pair("positive rows", xs_hat, "unlabeled rows", xt_hat)
+            check_pair("positive rows", xs_hat, "unlabeled rows", xt_hat)
         except PuhdaError as exc:
             for i in np.flatnonzero(fit_of == f):
                 stack.outcomes[i] = exc
@@ -739,7 +732,7 @@ def train_dist(
 def train_discriminator(x_a, x_b, config: TrainConfig) -> TrainedArtifacts:
     """Plain supervised two-class probe: rows of ``x_a`` are the positive
     class. Used for the post-hoc domain-separability diagnostics."""
-    x_a, x_b = _check_pair("class-a rows", x_a, "class-b rows", x_b)
+    x_a, x_b = check_pair("class-a rows", x_a, "class-b rows", x_b)
     stack = _Stack((config,))
     rngs = stack.rngs()
     stack.models = {"D": stack.init(rngs, LinearSoftmaxModel.initialize, x_a.shape[1])}

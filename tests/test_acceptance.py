@@ -45,7 +45,6 @@ from puhda.objectives import (
     CompletionBlocks,
     domain_adv_terms,
     dsft_loss,
-    pada_s_terms,
     pada_terms,
     pan_terms,
 )
@@ -136,7 +135,8 @@ def _gradient_instances(rng):
                 "F": transform(c + t, s)}
 
     yield "joint", hetero_models(), lambda: pada_terms(bs, bt, c, lam)
-    yield "soft", hetero_models(), lambda: pada_s_terms(bs, bt, c, lam, eta, teacher)
+    yield "soft", hetero_models(), lambda: pada_terms(bs, bt, c, lam,
+                                                      teacher_probs=teacher, eta=eta)
     yield "domain", {"Df": softmax_model(c + s), "F": transform(c + t, s)}, (
         lambda: domain_adv_terms(bs, bt, c))
 

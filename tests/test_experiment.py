@@ -1,10 +1,12 @@
 """End-to-end tests for the experiment pipeline and its command line."""
 
 import csv
+import gc
 import json
 import logging
 import os
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -216,6 +218,8 @@ def _set(doc, path, value):
          "training.probe_learning_rate: must be > 0, got 0"),
         (("training", "probe_steps"), 0, "training.probe_steps: must be >= 1, got 0"),
         (("training", "steps"), 2.0, "training.steps: expected an integer, got 2.0"),
+        pytest.param(("dataset", "synthetic", "n_target"), 10 ** 399,
+                     f"n_target: too large, got {10 ** 399}", id="n_target-of-400-digits"),
     ],
 )
 def test_build_config_rejects_bad_documents(path, value, message):
@@ -823,6 +827,25 @@ def test_a_dead_worker_fails_only_its_group(tmp_path, monkeypatch):
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
 
 
+def test_the_pool_keeps_no_stack_the_fold_has_read(monkeypatch):
+    """At --jobs 2, a stack's artifacts live only until the fold has read it."""
+    doc = base_doc()
+    doc["methods"] = ["PADA"]
+    doc["grid"]["lam"] = [0.1, 0.2, 0.3, 0.4]
+    doc["training"]["steps"] = 5
+    config = build_config(doc)
+    monkeypatch.setattr(experiment_module, "STACK_CAP", 2)   # 8 stacks of 2 runs
+    data = prepare_data(config)
+    items = experiment_module._groups(config)
+    read = []
+    for results, _ in experiment_module._pool_outputs(
+            items, (data.source, data.train, data.val), 2):
+        gc.collect()
+        assert [ref for ref in read if ref() is not None] == []
+        read += [weakref.ref(art) for _, art in results]
+    assert len(items) == 8 and len(read) == 16
+
+
 def _count_trained_cells(monkeypatch) -> list[tuple]:
     """Record every (method, learning_rate, lam, eta, seed) that gets trained."""
     calls = []
@@ -1292,6 +1315,10 @@ def test_cli_seeds_flag_goes_through_the_config_checks(config_file, tmp_path, ca
     assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "exp"),
                  "--seeds", "0,-1"]) == 2
     assert "error: seeds: must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
+    assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "exp"),
+                 "--seeds", ","]) == 2
+    assert "error: seeds: the list is empty" in capsys.readouterr().err
     assert not (tmp_path / "exp").exists()
 
 

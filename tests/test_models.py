@@ -311,6 +311,14 @@ class TestCheckpoints:
         with pytest.raises(InvalidInputError, match=re.escape(str(path))):
             load_checkpoint(path)
 
+    def test_rejects_a_stacked_model(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        stack = LinearSoftmaxModel(np.ones((3, 4, 2)), np.zeros((3, 2)))
+        save_checkpoint(path, "PADA", {"C": stack})
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"{path}: slot 'C': weights must be one model's 2-D matrix, got shape (3, 4, 2)")):
+            load_checkpoint(path)
+
 
 def test_only_the_models_module_reads_model_parameters():
     src = Path(__file__).resolve().parents[1] / "src" / "puhda"

@@ -9,7 +9,6 @@ from puhda.objectives import (
     distillation_terms,
     domain_adv_terms,
     dsft_loss,
-    pada_s_terms,
     pada_terms,
     pan_terms,
     supervised_terms,
@@ -188,7 +187,7 @@ class TestPadaSTerms:
         names = ("C", "D", "F")
         plain = loss_and_grads(models, pada_terms(bs, bt, c, 0.4), wrt=names)
         soft = loss_and_grads(
-            models, pada_s_terms(bs, bt, c, 0.4, eta=0.0, teacher_probs=teacher), wrt=names
+            models, pada_terms(bs, bt, c, 0.4, eta=0.0, teacher_probs=teacher), wrt=names
         )
         assert plain.value == soft.value
         for nm in names:
@@ -201,7 +200,7 @@ class TestPadaSTerms:
         models = _models(rng, c, s, t)
         bt = rng.normal(size=(6, c + t))
         teacher = np.full((6, 2), 0.5)
-        terms = pada_s_terms(rng.normal(size=(4, c + s)), bt, c, 0.3, eta=0.7, teacher_probs=teacher)
+        terms = pada_terms(rng.normal(size=(4, c + s)), bt, c, 0.3, eta=0.7, teacher_probs=teacher)
         res = loss_and_grads(models, terms, wrt=("C", "F"))
         assert res.term_values[4] + res.term_values[5] == 0.0
         plain = loss_and_grads(models, terms[:4], wrt=("C", "F"))
@@ -211,7 +210,7 @@ class TestPadaSTerms:
     def test_teacher_row_mismatch_is_configuration_error(self):
         rng = np.random.default_rng(32)
         with pytest.raises(ConfigurationError):
-            pada_s_terms(
+            pada_terms(
                 rng.normal(size=(3, 4)),
                 rng.normal(size=(5, 4)),
                 2,
@@ -229,7 +228,7 @@ class TestPadaSTerms:
             t = int(rng.integers(1, 4))
             n_t = int(rng.integers(1, 5))
             models = _models(rng, c, s, t)
-            terms = pada_s_terms(
+            terms = pada_terms(
                 rng.normal(size=(int(rng.integers(1, 5)), c + s)),
                 rng.normal(size=(n_t, c + t)),
                 c,
@@ -369,6 +368,9 @@ class TestMmd2:
         with pytest.raises(InvalidInputError):
             CompletionBlocks(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((2, 4)),
                              np.zeros((2, 1)), 1.0)
+        with pytest.raises(InvalidInputError, match="target common must be a non-empty 2-D"):
+            CompletionBlocks(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros(2),
+                             np.zeros((2, 1)), 1.0)
 
 
 class TestDsftLoss:
@@ -483,7 +485,7 @@ class TestHotPath:
         rng = np.random.default_rng(71)
         c, s, t = 2, 3, 2
         models = _models(rng, c, s, t)
-        terms = pada_s_terms(rng.normal(size=(6, c + s)), rng.normal(size=(5, c + t)), c, 0.4,
+        terms = pada_terms(rng.normal(size=(6, c + s)), rng.normal(size=(5, c + t)), c, 0.4,
                              eta=0.2, teacher_probs=numerics.softmax2(rng.normal(size=(5, 2))))
         counts = self._counted(models)
         loss_and_grads(models, terms, wrt=("F",))

@@ -32,7 +32,6 @@ from puhda.objectives import (
     aligned_classifier_terms,
     classifier_terms,
     domain_adv_terms,
-    pada_s_terms,
     pada_terms,
     pan_terms,
 )
@@ -416,12 +415,12 @@ def test_pada_s_single_step_matches_manual_replay(tiny_data):
         return x[rng.integers(0, x.shape[0], size=cfg.batch_size)]
 
     bs, bt = draw(x_s), draw(x_t)
-    terms_d = pada_s_terms(bs, bt, schema.c, cfg.lam, cfg.eta, teacher(bt))
+    terms_d = pada_terms(bs, bt, schema.c, cfg.lam, teacher_probs=teacher(bt), eta=cfg.eta)
     res_d = loss_and_grads(models, terms_d, wrt=("D",))
     d.apply_step(res_d.grads["D"], cfg.learning_rate)
 
     bs2, bt2 = draw(x_s), draw(x_t)
-    terms_f = pada_s_terms(bs2, bt2, schema.c, cfg.lam, cfg.eta, teacher(bt2))
+    terms_f = pada_terms(bs2, bt2, schema.c, cfg.lam, teacher_probs=teacher(bt2), eta=cfg.eta)
     res_f = loss_and_grads(models, terms_f, wrt=("F",))
     f.apply_step(res_f.grads["F"], -cfg.learning_rate)
 
@@ -730,7 +729,8 @@ def test_term_values_match_the_reduction_formula(tiny_data):
     models = {name: LinearSoftmaxModel.initialize(x_s.shape[1], rng) for name in ("D", "C")}
     models["F"] = LinearTransform.initialize(x_t.shape[1], source.schema.s, rng)
     teacher_probs = softmax2(rng.normal(scale=3.0, size=(64, 2)))
-    terms = pada_s_terms(x_s[:64], x_t[:64], source.schema.c, 0.3, 0.2, teacher_probs)
+    terms = pada_terms(x_s[:64], x_t[:64], source.schema.c, 0.3,
+                       teacher_probs=teacher_probs, eta=0.2)
     res = loss_and_grads(models, terms, wrt=("D", "C", "F"))
     for term, got in zip(terms, res.term_values):
         (a, log_a), (_, log_b) = _side_pairs(models, term.left), _side_pairs(models, term.right)
