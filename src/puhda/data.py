@@ -585,6 +585,11 @@ def aggregate_ratings(
 # Synthetic benchmark generator
 
 
+# No float64 array holds more elements than this (its byte count must fit
+# np.intp), so a larger size field is rejected before anything is allocated.
+_MAX_ARRAY_SIZE = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Controls for the synthetic two-domain benchmark.
@@ -615,10 +620,10 @@ class SyntheticSpec:
 
     def __post_init__(self):
         check_fields(self)
-        try:
-            n_pos = round(self.positive_ratio * self.n_target)
-        except OverflowError:   # an integer past every float
-            raise ConfigurationError(f"n_target: too large, got {self.n_target!r}") from None
+        for name in ("c", "s", "t", "n_source", "n_target", "latent_noise_dim"):
+            if getattr(self, name) > _MAX_ARRAY_SIZE:
+                raise ConfigurationError(f"{name}: too large, got {getattr(self, name)!r}")
+        n_pos = round(self.positive_ratio * self.n_target)
         if n_pos < 10 or self.n_target - n_pos < 10:
             raise ConfigurationError(
                 f"positive_ratio {self.positive_ratio} with n_target {self.n_target} "

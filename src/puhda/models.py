@@ -14,11 +14,23 @@ probability batch or a model applied to a batch. A batch is either raw
 features (``RawBatch``) or target rows ``[common | specific]`` that a model
 reads as ``[common ; F(rows)]`` (``TransformedBatch(rows, n_common)``): the
 first ``n_common`` columns untouched, next to the transform's output on the
-whole rows. :func:`frozen_teacher` reads target batches the same way for
-soft labels. :func:`loss_and_grads` evaluates the sum of terms and returns
-hand-derived gradients for the requested models, with the chain rule flowing
-through softmax, clamping, swapping, concatenation, and the transform, and
-``GradientBundle.add`` as the one gradient product. No autodiff is involved.
+whole rows. :func:`frozen_teacher` reads target rows the same way for soft
+labels, once for every row a run draws from. :func:`loss_and_grads`
+evaluates the sum of terms and returns hand-derived gradients for the
+requested models, with the chain rule flowing through softmax, clamping,
+swapping, concatenation, and the transform, and ``GradientBundle.add`` as
+the one gradient product. No autodiff is involved.
+
+Planned evaluation. A ``LossPlan`` holds a term list and resolves, once per
+kind of call, which forwards, alignments, logs and gradients the call needs.
+A trainer builds each phase's terms once and, every step, binds the drawn
+rows into its batches (``bind``, which checks them as the constructors do)
+and a teacher's labels into its constant side (``FrozenTeacher.gather``).
+An untraced call (``values=False``) computes only what its gradients read:
+no term values, no forward or alignment that only such values read, logs
+only where a gradient reads the log ratio, and clamp masks only where a
+gradient flows. Each piece it skips adds nothing to a gradient, so the
+gradients keep their bits.
 
 Gradient notes. For ``p = softmax(z)`` strictly inside the clamp interval the
 Jacobian gives ``dL/dz_j = p_j * (g_j - sum_k g_k p_k)`` where ``g = dL/dp``;
@@ -47,7 +59,6 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -194,90 +205,146 @@ Model = Union[LinearSoftmaxModel, LinearTransform]
 # Loss terms
 
 
-@dataclass(frozen=True)
 class RawBatch:
-    """Feature rows fed to a softmax model unchanged."""
+    """Feature rows fed to a softmax model unchanged. ``bind`` checks new rows
+    and holds them, so the terms built on a batch serve every step."""
 
-    x: np.ndarray  # (n, d), or a stack's per-cell (K, n, d)
+    def __init__(self, x):
+        self.bind(x)
 
-    def __post_init__(self):
-        x = require_finite("batch", self.x)
+    def bind(self, x) -> None:
+        x = require_finite("batch", x)
         if x.ndim not in (2, 3) or x.shape[-2] < 1:
             raise InvalidInputError(f"batch must be non-empty and 2-D or 3-D, got shape {x.shape}")
-        object.__setattr__(self, "x", x)
+        self.x = x   # (n, d), or a stack's per-cell (K, n, d)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.x
 
 
-@dataclass(frozen=True)
 class TransformedBatch:
     """Target rows ``[common | specific]`` read as ``[common ; F(rows)]``: the
-    first ``n_common`` columns pass through and the transform maps whole rows."""
+    first ``n_common`` columns pass through and the transform maps whole rows.
+    ``bind`` checks new rows and holds them, as ``RawBatch.bind`` does."""
 
-    rows: np.ndarray  # (n, in_dim of the transform) or (K, n, in_dim), n_common < in_dim
-    n_common: int
-    transform = "F"   # the slot of the transform, not a field
+    transform = "F"   # the slot of the transform
 
-    def __post_init__(self):
-        rows = require_finite("target batch", self.rows)
+    def __init__(self, rows, n_common: int):
+        self.n_common = n_common
+        self.bind(rows)
+
+    def bind(self, rows) -> None:
+        rows = require_finite("target batch", rows)
         if rows.ndim not in (2, 3) or rows.shape[-2] < 1 or rows.shape[-1] <= self.n_common:
             raise InvalidInputError(f"target batch must be non-empty and 2-D or 3-D with more than "
                                     f"{self.n_common} columns, got shape {rows.shape}")
-        object.__setattr__(self, "rows", rows)
+        self.rows = rows   # (n, in_dim of the transform) or (K, n, in_dim), n_common < in_dim
 
 
 Batch = Union[RawBatch, TransformedBatch]
 
 
 class ConstTarget:
-    """A constant probability batch; no gradient flows into it. ``probs`` are its
-    clamped pairs, ``(2,)``, ``(n, 2)`` or a stack's ``(K, n, 2)``, and ``columns``
-    their class columns ``(p0, p1)`` and logs ``(log p0, log p1)``, which the loss reads."""
+    """A constant probability batch; no gradient flows into it. ``columns`` are
+    the class columns ``(p0, p1)`` of its clamped pairs and their logs
+    ``(log p0, log p1)``, which the loss reads; ``probs`` stacks the pairs,
+    ``(2,)``, ``(n, 2)`` or a stack's ``(K, n, 2)``."""
 
     def __init__(self, probs):
-        self.probs = p = prob_pairs(probs)
+        p = prob_pairs(probs)
         self.columns = (p[..., 0], p[..., 1]), (np.log(p[..., 0]), np.log(p[..., 1]))
 
-    @cached_property
+    @property
     def probs(self) -> np.ndarray:
-        """A teacher's pairs, stacked from its columns on first use."""
         return np.stack(self.columns[0], axis=-1)
 
-    @classmethod
-    def _of_logits(cls, logits) -> "ConstTarget":
-        """The softmax columns of ``logits``, with one finite check on the logits;
-        they are clamped by construction, so ``prob_pairs`` is skipped."""
-        target = object.__new__(cls)   # skips __init__, which would check pairs
-        target.columns = _softmax_columns(require_finite("teacher logits", logits))[:2]
-        return target
+
+# Rows a teacher labels at a time: as many as a large batch, so that building
+# its table takes no more memory than a training step does.
+_TABLE_ROWS = 1024
 
 
 class FrozenTeacher:
-    """Soft labels for target batches from a frozen classifier and, when there is
-    one, a frozen transform (one cell's or a stack's): the classifier scores a
-    batch's common columns, or its rows aligned by the transform. The affine
-    steps are the loss's own, and one finite check on the logits covers the
-    batch too."""
+    """Soft labels for target rows from a frozen classifier and, when there is
+    one, a frozen transform (one cell's or a stack's): the classifier scores
+    the rows' common columns, or the rows aligned by the transform, with the
+    loss's own affine steps and softmax.
+
+    ``teacher(batch)`` labels one batch, with one finite check on its logits.
+    Given ``rows`` (every target row a run draws from), the teacher labels
+    them all once into ``table``, the class columns and their logs stacked
+    ``(4, n)``, or ``(4, K, n)`` for a stack, ``_TABLE_ROWS`` rows at a time,
+    and :meth:`gather` reads a batch's labels from it at the batch's row
+    positions. These are the labels of the batch forward as long as a matmul
+    gives each row the same bits whatever other rows it holds, which the
+    tests check. A row whose logits are not finite fails a cell only when the
+    cell's batch draws it, with the batch forward's error.
+    """
 
     def __init__(self, classifier: LinearSoftmaxModel, transform: LinearTransform | None,
-                 n_common: int):
+                 n_common: int, rows: np.ndarray | None = None):
         self.classifier, self.transform, self.n_common = classifier, transform, n_common
+        self.table = self.bad_rows = None
+        if rows is not None:
+            self.table = np.empty((4,) + classifier.weights.shape[:-2] + (len(rows),))
+            finite = np.empty(self.table.shape[1:], dtype=bool)
+            for start in range(0, len(rows), _TABLE_ROWS):
+                part = slice(start, start + _TABLE_ROWS)
+                z = self._logits(rows[part])
+                finite[..., part] = ok = np.isfinite(z).all(axis=-1)
+                probs, logs, _ = _softmax_columns(np.where(ok[..., None], z, 0.0), clamped=False)
+                self.table[:, ..., part] = probs + logs
+            if not finite.all():
+                self.bad_rows = ~finite
+
+    def _logits(self, rows: np.ndarray) -> np.ndarray:
+        if self.transform is None:
+            return self.classifier(rows[..., :self.n_common])
+        return self.classifier(self.transform.align(rows, self.n_common))
 
     def __call__(self, batch_target: np.ndarray) -> ConstTarget:
-        if self.transform is None:
-            x = batch_target[..., :self.n_common]
-        else:
-            x = self.transform.align(batch_target, self.n_common)
-        return ConstTarget._of_logits(self.classifier(x))
+        target = object.__new__(ConstTarget)   # skips __init__: the columns are clamped already
+        probs, logs, _ = _softmax_columns(
+            require_finite("teacher logits", self._logits(batch_target)), clamped=False)
+        target.columns = probs, logs
+        return target
+
+    def gather(self, index: np.ndarray, into: ConstTarget | None = None) -> ConstTarget:
+        """The labels of the rows at ``index``, positions ``(b,)`` that every
+        cell shares or each cell's own ``(K, b)``, as a constant side, written
+        into ``into`` when given. A cell whose logits are not finite on one of
+        those rows raises ``NonFiniteCells``."""
+        table, bad = self.table, self.bad_rows
+        if index.ndim > 1:   # each cell's own rows: positions in the flattened cell axis
+            index = index + np.arange(index.shape[0])[:, None] * table.shape[-1]
+            table = table.reshape(4, -1)
+            bad = None if bad is None else bad.reshape(-1)
+        if bad is not None:
+            cells = bad.take(index, axis=-1).any(axis=-1)
+            if cells.any():
+                raise NonFiniteCells("teacher logits: values must be finite", cells)
+        g = table.take(index, axis=-1)
+        target = object.__new__(ConstTarget) if into is None else into
+        target.columns = (g[0], g[1]), (g[2], g[3])
+        return target
 
     def take(self, cells) -> "FrozenTeacher":
-        """The teacher of the given cells of a stack."""
+        """The teacher of the given cells of a stack, its table included."""
         transform = None if self.transform is None else self.transform.take(cells)
-        return FrozenTeacher(self.classifier.take(cells), transform, self.n_common)
+        taken = FrozenTeacher(self.classifier.take(cells), transform, self.n_common)
+        if self.table is not None:
+            taken.table = self.table[:, cells]
+            taken.bad_rows = None if self.bad_rows is None else self.bad_rows[cells]
+        return taken
 
 
-def frozen_teacher(models: Mapping[str, Model], n_common: int) -> FrozenTeacher:
-    """The teacher of frozen copies of ``models["C"]`` and, if bound, ``models["F"]``."""
+def frozen_teacher(models: Mapping[str, Model], n_common: int,
+                   rows: np.ndarray | None = None) -> FrozenTeacher:
+    """The teacher of frozen copies of ``models["C"]`` and, if bound,
+    ``models["F"]``, with its table over ``rows`` when given."""
     transform = copy.copy(models["F"]) if "F" in models else None
-    return FrozenTeacher(copy.copy(models["C"]), transform, n_common)
+    return FrozenTeacher(copy.copy(models["C"]), transform, n_common, rows)
 
 
 @dataclass(frozen=True)
@@ -305,21 +372,100 @@ class KLTerm:
 
 @dataclass
 class LossResult:
-    value: float | np.ndarray  # a number, or one per cell (K,)
-    term_values: np.ndarray    # weighted contribution of each term, in order: (T,) or (K, T)
+    value: float | np.ndarray | None   # a number, or one per cell (K,); None untraced
+    term_values: np.ndarray | None     # each term's weighted value, in order: (T,) or (K, T)
     grads: dict[str, GradientBundle] = field(default_factory=dict)
 
 
+class LossPlan:
+    """A term list whose structure is resolved once for each (wanted
+    gradients, values or not) it is evaluated with, so a caller that rebinds
+    its batches (``bind``) and constants (``FrozenTeacher.gather``) between
+    evaluations pays for its structure once. Iterating it gives the terms."""
+
+    def __init__(self, terms: Sequence[KLTerm]):
+        self.terms = tuple(terms)
+        self._schedules: dict = {}
+
+    def __iter__(self):
+        return iter(self.terms)
+
+    def schedule(self, wrt: tuple, values: bool) -> "_Schedule":
+        key = (wrt, values)
+        schedule = self._schedules.get(key)
+        if schedule is None:
+            schedule = self._schedules[key] = _Schedule(self.terms, frozenset(wrt), values)
+        return schedule
+
+
+class _Schedule:
+    """What one kind of evaluation computes, in order.
+
+    ``forwards`` lists each distinct (model, batch) forward that some kept
+    term reads, in the order of first reference over all terms, as ``(slot,
+    model, batch, logits label, logs wanted, gradient wanted)``. A term is
+    kept when its value is wanted or a gradient flows through one of its
+    sides; ``terms`` lists them as ``(term, left, right, grad left, grad
+    right, weight column)`` with each side ``(constant or None, forward slot,
+    swapped)``. A forward's logs are taken when a kept term's value or
+    left-side gradient reads the log ratio, and its clamp mask when a
+    gradient flows through it.
+    """
+
+    def __init__(self, terms, wrt: frozenset, values: bool):
+        self.wrt = wrt
+        slots: dict = {}   # (model, id(batch)) -> forward slot
+        specs = []         # (model, batch) per slot
+
+        def side(s):
+            if isinstance(s, ConstTarget):
+                return s, None, False
+            key = (s.model, id(s.batch))
+            if key not in slots:
+                slots[key] = len(specs)
+                specs.append((s.model, s.batch))
+            return None, slots[key], s.swapped
+
+        sides = [(side(term.left), side(term.right)) for term in terms]
+        grad = [model in wrt or (isinstance(batch, TransformedBatch) and batch.transform in wrt)
+                for model, batch in specs]
+        read, logs = [False] * len(specs), [False] * len(specs)
+        self.terms = []
+        for term, (a, b) in zip(terms, sides):
+            grad_a, grad_b = a[1] is not None and grad[a[1]], b[1] is not None and grad[b[1]]
+            if not (values or grad_a or grad_b):
+                continue
+            for slot in (a[1], b[1]):
+                if slot is not None:
+                    read[slot] = True
+                    logs[slot] = logs[slot] or values or grad_a
+            weight = np.asarray(term.weight)[..., None] if grad_a or grad_b else None
+            self.terms.append((term, a, b, grad_a, grad_b, weight))   # weight broadcasts over rows
+        self.forwards = [(slot, model, batch, f"logits of {model!r}", logs[slot], grad[slot])
+                         for slot, (model, batch) in enumerate(specs) if read[slot]]
+        self.slots = len(specs)
+
+
 class _Forward:
-    """One distinct (model, batch) forward of a call, shared by every side that
-    reads it, swapped or not; ``grad`` sums dL/dprobs over those sides, per class."""
+    """One forward of a call: its input rows, class columns, logs (or None) and
+    clamp mask (or None), and ``grad``, dL/dprobs per class summed over the
+    sides that read it."""
 
-    __slots__ = ("model", "batch", "x_in", "columns", "clamped", "grad")
+    __slots__ = ("x_in", "probs", "logs", "clamped", "grad")
 
-    def __init__(self, model, batch, x_in, probs, logs, clamped):
-        self.model, self.batch, self.x_in, self.clamped = model, batch, x_in, clamped
-        self.columns = probs, logs
+    def __init__(self, x_in, probs, logs, clamped):
+        self.x_in, self.probs, self.logs, self.clamped = x_in, probs, logs, clamped
         self.grad = None
+
+    def columns(self, swapped: bool):
+        if swapped:
+            return self.probs[::-1], None if self.logs is None else self.logs[::-1]
+        return self.probs, self.logs
+
+    def add_grad(self, swapped: bool, g0: np.ndarray, g1: np.ndarray) -> None:
+        if swapped:
+            g0, g1 = g1, g0
+        self.grad = (g0, g1) if self.grad is None else (self.grad[0] + g0, self.grad[1] + g1)
 
 
 def _bound(models: Mapping[str, Model], name: str, kind: type, what: str):
@@ -342,45 +488,16 @@ def _model_inputs(models: Mapping[str, Model], batch: Batch, aligned: dict) -> n
     return x_in
 
 
-def _forward(models: Mapping[str, Model], side: ModelOutput, forwards: dict, aligned: dict):
-    key = (side.model, id(side.batch))
-    fwd = forwards.get(key)
-    if fwd is None:
-        model = _bound(models, side.model, LinearSoftmaxModel, "two-class head")
-        x_in = _model_inputs(models, side.batch, aligned)
-        # a non-finite input or transform output leaves every logit of its row non-finite
-        z = require_finite(f"logits of {side.model!r}", model(x_in))
-        fwd = _Forward(side.model, side.batch, x_in, *_softmax_columns(z))
-        forwards[key] = fwd
-    return fwd
-
-
-def _side_columns(models, side: Side, forwards: dict, aligned: dict):
-    """Effective ((p0, p1), (log p0, log p1), forward or None for constants) of one side."""
-    if isinstance(side, ConstTarget):
-        return (*side.columns, None)
-    fwd = _forward(models, side, forwards, aligned)
-    probs, logs = fwd.columns
-    if side.swapped:
-        return probs[::-1], logs[::-1], fwd
-    return probs, logs, fwd
-
-
-def _needs_grad(fwd: _Forward, wrt: frozenset[str]) -> bool:
-    batch = fwd.batch
-    return fwd.model in wrt or (isinstance(batch, TransformedBatch) and batch.transform in wrt)
-
-
-def _add_grad(fwd: _Forward, side: ModelOutput, g0: np.ndarray, g1: np.ndarray) -> None:
-    if side.swapped:
-        g0, g1 = g1, g0
-    fwd.grad = (g0, g1) if fwd.grad is None else (fwd.grad[0] + g0, fwd.grad[1] + g1)
+def _side_columns(side, forwards: list):
+    const, slot, swapped = side
+    return const.columns if const is not None else forwards[slot].columns(swapped)
 
 
 def loss_and_grads(
     models: Mapping[str, Model],
-    terms: Sequence[KLTerm],
+    terms: Sequence[KLTerm] | LossPlan,
     wrt: Sequence[str] = (),
+    values: bool = True,
 ) -> LossResult:
     """Evaluate a weighted KL-term objective with analytic gradients.
 
@@ -389,10 +506,12 @@ def loss_and_grads(
     models : mapping of name to model; every name referenced by a term must
         be bound here. Either every model is one cell's or every model is a
         stack of the same K cells (see the module docstring).
-    terms : the objective, as emitted by the ``objectives`` module.
+    terms : the objective, as emitted by the ``objectives`` module, or a
+        ``LossPlan`` of it, whose structure is resolved once.
     wrt : names whose gradients are wanted. Gradients chain through a
         transform whenever its name appears here, even if it only occurs
         inside another model's input batch.
+    values : whether the value and term values are wanted (a traced step).
 
     Returns
     -------
@@ -405,38 +524,51 @@ def loss_and_grads(
     pairs are built); ``dz`` becomes ``(n, 2)`` rows (``(K, n, 2)`` for a
     stack) only for the products and batch sums. A non-finite logit raises
     ``NonFiniteCells``.
+
+    Without ``values`` (an untraced step) the value and term values are
+    None and only what the gradients read is computed: a term no gradient
+    flows through, and a forward or alignment only such terms read, are
+    skipped (their logits are not checked either), logs are taken only where
+    a gradient reads the log ratio, and clamp masks only where a gradient
+    flows. The gradients keep their bits: each skipped piece added nothing.
     """
-    wrt_set = frozenset(wrt)
-    for name in wrt_set:
+    plan = terms if isinstance(terms, LossPlan) else LossPlan(terms)
+    schedule = plan.schedule(tuple(wrt), values)
+    for name in schedule.wrt:
         if name not in models:
             raise ConfigurationError(f"gradient requested for unbound model {name!r}")
     grads = {name: GradientBundle(np.zeros_like(models[name].weights),
-                                  np.zeros_like(models[name].bias)) for name in wrt_set}
-    forwards: dict = {}
+                                  np.zeros_like(models[name].bias)) for name in schedule.wrt}
+    forwards: list = [None] * schedule.slots
     aligned: dict = {}
+    for slot, name, batch, label, logs, grad in schedule.forwards:
+        model = _bound(models, name, LinearSoftmaxModel, "two-class head")
+        x_in = _model_inputs(models, batch, aligned)
+        # a non-finite input or transform output leaves every logit of its row non-finite
+        z = require_finite(label, model(x_in))
+        forwards[slot] = _Forward(x_in, *_softmax_columns(z, logs, grad))
     total = 0.0
-    values = []
-    for term in terms:
-        (a0, a1), (log_a0, log_a1), fwd_a = _side_columns(models, term.left, forwards, aligned)
-        (b0, b1), (log_b0, log_b1), fwd_b = _side_columns(models, term.right, forwards, aligned)
-        ratio0, ratio1 = log_a0 - log_b0, log_a1 - log_b1
-        value = term.weight * (a0 * ratio0 + a1 * ratio1).sum(axis=-1)
-        values.append(value)
-        total = total + value
-        grad_a = fwd_a is not None and _needs_grad(fwd_a, wrt_set)
-        grad_b = fwd_b is not None and _needs_grad(fwd_b, wrt_set)
-        if grad_a or grad_b:
-            w = np.asarray(term.weight)[..., None]   # broadcasts over a cell's rows
+    term_values = []
+    for term, a, b, grad_a, grad_b, w in schedule.terms:
+        (a0, a1), log_a = _side_columns(a, forwards)
+        (b0, b1), log_b = _side_columns(b, forwards)
+        if values or grad_a:
+            ratio0, ratio1 = log_a[0] - log_b[0], log_a[1] - log_b[1]
+        if values:
+            value = term.weight * (a0 * ratio0 + a1 * ratio1).sum(axis=-1)
+            term_values.append(value)
+            total = total + value
         if grad_a:
-            _add_grad(fwd_a, term.left, w * (ratio0 + 1.0), w * (ratio1 + 1.0))
+            forwards[a[1]].add_grad(a[2], w * (ratio0 + 1.0), w * (ratio1 + 1.0))
         if grad_b:
-            _add_grad(fwd_b, term.right, w * (-(a0 / b0)), w * (-(a1 / b1)))
+            forwards[b[1]].add_grad(b[2], w * (-(a0 / b0)), w * (-(a1 / b1)))
 
     d_aligned: dict = {}   # id(batch) -> (batch, dL/d transform output)
-    for fwd in forwards.values():
-        if fwd.grad is None:
+    for slot, name, batch, _, _, grad in schedule.forwards:
+        fwd = forwards[slot]
+        if not grad or fwd.grad is None:
             continue
-        (p0, p1), _ = fwd.columns
+        p0, p1 = fwd.probs
         g0, g1 = fwd.grad
         s = g0 * p0 + g1 * p1
         dz = np.empty(s.shape + (2,))
@@ -444,16 +576,17 @@ def loss_and_grads(
         dz[..., 1] = p1 * (g1 - s)
         if fwd.clamped.any():
             dz[fwd.clamped] = 0.0
-        if fwd.model in wrt_set:
-            grads[fwd.model].add(fwd.x_in, dz)
-        batch = fwd.batch
-        if isinstance(batch, TransformedBatch) and batch.transform in wrt_set:
-            d_out = dz @ models[fwd.model].weights[..., batch.n_common:, :].swapaxes(-1, -2)
+        if name in schedule.wrt:
+            grads[name].add(fwd.x_in, dz)
+        if isinstance(batch, TransformedBatch) and batch.transform in schedule.wrt:
+            d_out = dz @ models[name].weights[..., batch.n_common:, :].swapaxes(-1, -2)
             prev = d_aligned.get(id(batch))
             d_aligned[id(batch)] = (batch, d_out if prev is None else prev[1] + d_out)
     for batch, d_out in d_aligned.values():
         grads[batch.transform].add(batch.rows, d_out)
-    return LossResult(value=total, term_values=np.array(values).T, grads=grads)
+    if not values:
+        return LossResult(value=None, term_values=None, grads=grads)
+    return LossResult(value=total, term_values=np.array(term_values).T, grads=grads)
 
 
 # --------------------------------------------------------------------------

@@ -97,22 +97,25 @@ def softmax2(logits) -> np.ndarray:
     z = require_finite("logits", logits)
     if z.shape[-1] != 2:
         raise InvalidInputError(f"logits: last axis must have length 2, got shape {z.shape}")
-    return np.stack(_softmax_columns(z.reshape(-1, 2))[0], axis=-1).reshape(z.shape)
+    probs, _, _ = _softmax_columns(z.reshape(-1, 2), logs=False, clamped=False)
+    return np.stack(probs, axis=-1).reshape(z.shape)
 
 
-def _softmax_columns(z: np.ndarray) -> tuple[tuple, tuple, np.ndarray]:
+def _softmax_columns(z: np.ndarray, logs: bool = True, clamped: bool = True) -> tuple:
     """The one softmax-and-clamp, elementwise on the class columns of finite
     logits ``(..., n, 2)``, in place on its own temporaries: the clamped
     ``(p0, p1)``, their logs, and the mask of rows whose raw output left the
-    clamp interval (locally constant rows)."""
+    clamp interval (locally constant rows). The logs and the mask are None
+    when not asked for."""
     z0, z1 = z[..., 0], z[..., 1]
     top = np.maximum(z0, z1)
     p0, p1 = z0 - top, np.subtract(z1, top, out=top)
     total = np.exp(p0, out=p0) + np.exp(p1, out=p1)
     np.divide(p0, total, out=p0)
     np.divide(p1, total, out=p1)
-    clamped = (p1 <= EPS) | (p1 >= 1.0 - EPS)
-    return _clamp(p0, p1), (np.log(p0), np.log(p1)), clamped   # the logs of the clamped columns
+    mask = (p1 <= EPS) | (p1 >= 1.0 - EPS) if clamped else None
+    p0, p1 = _clamp(p0, p1)
+    return (p0, p1), (np.log(p0), np.log(p1)) if logs else None, mask   # logs of the clamped columns
 
 
 def _one_hot(positive: bool) -> np.ndarray:

@@ -54,7 +54,7 @@ _FAKE = ConstTarget(P0)
 
 
 def _rows(batch) -> int:
-    return (batch.x if isinstance(batch, RawBatch) else batch.rows).shape[-2]
+    return batch.rows.shape[-2]
 
 
 def _real_fake(model: str, real, fake, names: tuple[str, str]) -> list[KLTerm]:

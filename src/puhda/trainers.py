@@ -12,6 +12,16 @@ randomness, so a rerun with identical inputs and config reproduces every
 parameter bit-for-bit. Each step records one telemetry row from the phases
 marked as traced, in columns named after their terms.
 
+The per-step work. A phase builds its term list once per stack, on the
+first batches it plays, and plans its loss once (``models.LossPlan``); it
+builds them again only when a cell leaves the stack. Every step then binds
+its drawn rows into those terms, checked as the batch constructors check
+them, and makes one ``loss_and_grads`` call. An untraced phase asks for its
+gradient alone, so no term value is computed for it. A frozen teacher
+(``PADA_S`` rounds, ``DIST``) labels every target training row once, when
+it is made, and each step gathers its batch's labels from that table by row
+position (``models.FrozenTeacher``).
+
 The phases per step:
 
 * PU-only: discriminator ascends the full objective on fresh positive and
@@ -38,10 +48,11 @@ in ``learning_rate``, ``lam``, ``eta`` and ``seed``, as one stack: every
 model holds weights ``(K, in, out)`` and bias ``(K, out)``, the per-cell
 scalars are ``(K,)`` arrays, each traced phase fills a ``(steps, K, terms)``
 block, and a stacked ``(K, n, 2)`` forward serves every cell (see the
-``models`` docstring for the shapes). Each seed keeps its own generators (derived seeds are derived per
-seed) and draws in the order above; the cells of one seed share ``(n, d)``
-rows, and a stack across seeds gathers each cell's own ``(K, n, d)`` rows,
-from its own fit's rows when it draws from a ``(fits, n, d)`` block.
+``models`` docstring for the shapes). Each seed keeps its own generators
+(derived seeds are derived per seed) and draws in the order above; the
+cells of one seed share ``(n, d)`` rows, and a stack across seeds gathers
+each cell's own ``(K, n, d)`` rows, from its own fit's rows when it draws
+from a ``(fits, n, d)`` block.
 Each cell ends as its own 2-D models and telemetry (a ``TrainTrace`` owning
 its ``(steps, columns)`` values), or as the error it failed with: a cell whose
 logits or update turn non-finite fails, and ``_Stack.attempt`` replays the
@@ -65,7 +76,9 @@ from .models import (
     FrozenTeacher,
     LinearSoftmaxModel,
     LinearTransform,
+    LossPlan,
     Model,
+    ModelOutput,
     frozen_teacher,
     loss_and_grads,
 )
@@ -183,10 +196,10 @@ Outcome = TrainedArtifacts | PuhdaError
 
 
 def _draw(rngs: list[np.random.Generator], x: np.ndarray, batch_size: int) -> np.ndarray:
-    """One batch of ``x``, rows ``(n, d)`` or a ``(fits, n, d)`` block: its rows
-    from one generator, else ``(seeds, n)`` row indices."""
-    if len(rngs) == 1 and x.ndim == 2:
-        return x.take(rngs[0].integers(0, x.shape[0], size=batch_size), axis=0)
+    """The row positions of one batch of ``x``, rows ``(n, d)`` or a ``(fits, n, d)``
+    block: ``(batch,)`` from one generator, else ``(seeds, batch)``."""
+    if len(rngs) == 1:
+        return rngs[0].integers(0, x.shape[-2], size=batch_size)
     return np.array([rng.integers(0, x.shape[-2], size=batch_size) for rng in rngs])
 
 
@@ -218,11 +231,13 @@ class _Stack:
     seed (``_draw``) that :meth:`rows` gathers for the live cells. ``cells``
     holds the group positions of the live cells; the per-cell scalars
     (``learning_rate``, ``lam``, ``eta``, each ``(K,)``), ``models`` and
-    ``teacher`` follow it. A cell leaves by failing (:meth:`attempt`) or by
-    finishing (:meth:`finish`), and ``outcomes`` keeps what it left with. A
-    stack of one carries no cell axis (``stacked`` is False): its models are
-    one cell's and its scalars numbers, so it runs on the arrays an unstacked
-    run would, and it ends when its cell leaves.
+    ``teacher`` follow it, and the phases' terms (``moves``) are dropped, to
+    be built again for the cells left. A cell leaves by failing
+    (:meth:`attempt`) or by finishing (:meth:`finish`), and ``outcomes``
+    keeps what it left with. A stack of one carries no cell axis
+    (``stacked`` is False): its models are one cell's and its scalars
+    numbers, so it runs on the arrays an unstacked run would, and it ends
+    when its cell leaves.
     """
 
     def __init__(self, configs):
@@ -238,11 +253,13 @@ class _Stack:
         self.cells = np.arange(len(self.configs))
         self.models: dict[str, Model] = {}
         self.teacher: FrozenTeacher | None = None
+        self.moves: dict = {}   # phase position -> _Move, for the live cells
         self.fit_of: np.ndarray | None = None   # each cell's fit, if it draws from blocks
         self._keep(slice(None))
 
     def _keep(self, keep) -> None:
         self.cells = self.cells[keep]
+        self.moves = {}
         self._seed_at = self._seed_of[self.cells]   # each live cell's seed position
         if self.stacked:
             self.models = {name: model.take(keep) for name, model in self.models.items()}
@@ -262,15 +279,20 @@ class _Stack:
         per_seed = [initialize(*dims, rng) for rng in rngs]
         return type(per_seed[0]).stack(per_seed, self._seed_at) if self.stacked else per_seed[0]
 
-    def rows(self, matrices, draws) -> list[np.ndarray]:
-        """A phase's batches from its ``_draw`` of each matrix: one seed's shared rows
-        as drawn, else each live cell's own ``(K, n, d)`` rows, its fit's from a block."""
-        if len(self.seeds) == 1 and self.fit_of is None:
-            return draws
-        fits = 0 if self.fit_of is None else self.fit_of[self.cells, None]
-        return [x.reshape(-1, x.shape[-1]).take(index.take(self._seed_at, axis=0)
-                                                + fits * x.shape[-2], axis=0)
-                for x, index in zip(matrices, draws)]
+    def index(self, draw: np.ndarray) -> np.ndarray:
+        """A ``_draw`` as the live cells' row positions: one seed's ``(n,)``, which
+        every cell shares, else each cell's own ``(K, n)``."""
+        return draw if draw.ndim == 1 else draw.take(self._seed_at, axis=0)
+
+    def rows(self, matrices, index) -> list[np.ndarray]:
+        """A phase's batches at the live cells' row positions (one :meth:`index` per
+        matrix): shared ``(n, d)`` rows, else each cell's own ``(K, n, d)``, its
+        fit's from a ``(fits, n, d)`` block."""
+        if self.fit_of is None:
+            return [x.take(i, axis=0) for x, i in zip(matrices, index)]
+        fits = self.fit_of[self.cells, None]
+        return [x.reshape(-1, x.shape[-1]).take(i + fits * x.shape[-2], axis=0)
+                for x, i in zip(matrices, index)]
 
     def cell_models(self, j) -> dict[str, Model]:
         """Live cell ``j``'s own models."""
@@ -323,9 +345,11 @@ class Phase(NamedTuple):
 
     ``player`` steps by ``sign * learning_rate`` (+1 ascends, -1 descends)
     along the gradient of ``terms(*batches)``, with one batch drawn from each
-    matrix of ``draws`` in order. A phase with a ``trace`` prefix adds its
-    value and term values to the step's telemetry row, under the columns
-    ``prefix + "value"`` and its term names.
+    matrix of ``draws`` in order; when the stack has a teacher, ``terms`` also
+    takes ``teacher_probs``, the teacher's labels of the last batch. A phase
+    with a ``trace`` prefix adds its value and term values to the step's
+    telemetry row, under the columns ``prefix + "value"`` and its term names;
+    an untraced phase computes only its gradient.
     """
 
     player: str
@@ -335,17 +359,49 @@ class Phase(NamedTuple):
     trace: str | None = None
 
 
-def _play(stack: _Stack, phase: Phase, draws):
+class _Move:
+    """A phase's terms for the live cells of a stack: built once, by the phase's
+    builder on the first batches it plays, and planned once (``LossPlan``);
+    every later step binds its batches, checked as the builder checks them,
+    and the teacher's labels into them. A builder keeps the rows it is given
+    (``require_finite`` passes a float64 array through), so the batch that
+    holds each drawn matrix is found by identity."""
+
+    def __init__(self, stack: _Stack, phase: Phase, rows, index):
+        self.labels = None if stack.teacher is None else stack.teacher.gather(index)
+        terms = (phase.terms(*rows) if self.labels is None
+                 else phase.terms(*rows, teacher_probs=self.labels))
+        self.loss = LossPlan(terms)
+        position = {id(r): i for i, r in enumerate(rows)}
+        batches = {id(side.batch): side.batch for term in terms for side in (term.left, term.right)
+                   if isinstance(side, ModelOutput)}
+        self.batches = [(batch, position[id(batch.rows)]) for batch in batches.values()]
+
+    def bind(self, stack: _Stack, rows, index) -> None:
+        if self.labels is not None:
+            stack.teacher.gather(index, into=self.labels)
+        for batch, i in self.batches:
+            batch.bind(rows[i])
+
+
+def _play(stack: _Stack, key: int, phase: Phase, draws):
     """One phase on drawn batches (a ``_draw`` per matrix) for every live cell:
-    its terms and loss, or None once no cell is left. Cells whose loss or
-    update is not finite fail, and the phase replays on the same batches,
-    gathered again, for the rest."""
+    its planned terms and loss, or None once no cell is left. Cells whose
+    loss or update is not finite fail, and the phase replays on the same
+    batches, gathered again, for the rest, with its terms built again."""
     def play():
-        terms = phase.terms(*stack.rows(phase.draws, draws))
-        res = loss_and_grads(stack.models, terms, wrt=(phase.player,))
+        index = [stack.index(draw) for draw in draws]
+        rows = stack.rows(phase.draws, index)
+        move = stack.moves.get(key)
+        if move is None:
+            move = stack.moves[key] = _Move(stack, phase, rows, index[-1])
+        else:
+            move.bind(stack, rows, index[-1])
+        res = loss_and_grads(stack.models, move.loss, wrt=(phase.player,),
+                             values=phase.trace is not None)
         stack.models[phase.player].apply_step(res.grads[phase.player],
                                               phase.sign * stack.learning_rate)
-        return terms, res
+        return move.loss.terms, res
 
     return stack.attempt(play)
 
@@ -358,11 +414,12 @@ def _run_phases(stack: _Stack, phases: list[Phase], rngs: list[np.random.Generat
     steps = stack.config.steps
     columns: list[str] = []
     blocks: list[np.ndarray] = []   # one per traced phase: (steps, cells, 1 + terms)
+    stack.moves = {}
     for step in range(steps):
         traced = 0
-        for phase in phases:
-            played = _play(stack, phase, [_draw(rngs, x, stack.config.batch_size)
-                                          for x in phase.draws])
+        for key, phase in enumerate(phases):
+            played = _play(stack, key, phase, [_draw(rngs, x, stack.config.batch_size)
+                                               for x in phase.draws])
             if played is None:
                 return columns, None
             terms, res = played
@@ -432,17 +489,17 @@ def _pada_loop(stack: _Stack, x_s, x_t, n_common, s_dim, rngs):
                     for name in ("D", "C")}
     stack.models["F"] = stack.init(rngs, LinearTransform.initialize, x_t.shape[1], s_dim)
 
-    def teacher(bt):
-        return None if stack.teacher is None else stack.teacher(bt)
+    def full_terms(bs, bt, teacher_probs=None):
+        return pada_terms(bs, bt, n_common, stack.lam, teacher_probs=teacher_probs, eta=stack.eta)
 
-    def full_terms(bs, bt):
-        return pada_terms(bs, bt, n_common, stack.lam, teacher_probs=teacher(bt), eta=stack.eta)
+    def classifier_pair(bt, teacher_probs=None):
+        return aligned_classifier_terms(bt, n_common, stack.lam, teacher_probs=teacher_probs,
+                                        eta=stack.eta)
 
     phases = [
         Phase("D", +1, (x_s, x_t), full_terms, trace=""),
         Phase("F", -1, (x_s, x_t), full_terms),
-        Phase("C", -1, (x_t,), lambda bt: aligned_classifier_terms(
-            bt, n_common, stack.lam, teacher_probs=teacher(bt), eta=stack.eta)),
+        Phase("C", -1, (x_t,), classifier_pair),
     ]
     return _run_phases(stack, phases, rngs)
 
@@ -492,7 +549,7 @@ def pada_s_group(source: DomainMatrix, target: DomainMatrix, val_target: DomainM
 
     _pan_stack(stack, *check_pair("positive rows", source.common, "unlabeled rows", target.common),
                stack.rngs("soft-base"))
-    stack.teacher = frozen_teacher(stack.models, schema.c)
+    stack.teacher = frozen_teacher(stack.models, schema.c, x_t)
     val_accs = {i: [] for i in stack.cells}
     best_run = {}
 
@@ -516,7 +573,7 @@ def pada_s_group(source: DomainMatrix, target: DomainMatrix, val_target: DomainM
         stack.finish(stop, artifacts)
         if not stack.cells.size:
             break
-        stack.teacher = frozen_teacher(stack.models, schema.c)
+        stack.teacher = frozen_teacher(stack.models, schema.c, x_t)
     stack.finish(np.ones(len(stack.cells), dtype=bool), artifacts)
     return stack.outcomes
 
@@ -705,12 +762,12 @@ def _dist_stack(stack: _Stack, target: DomainMatrix, base_classifier: LinearSoft
         raise ConfigurationError(
             f"teacher expects {base_classifier.input_dim} columns, schema has {n_common} common"
         )
-    stack.teacher = frozen_teacher({"C": base_classifier}, n_common)
     x_t = target.features()
+    stack.teacher = frozen_teacher({"C": base_classifier}, n_common, x_t)
     rngs = stack.rngs()
     stack.models = {"C": stack.init(rngs, LinearSoftmaxModel.initialize, x_t.shape[1])}
-    phases = [Phase("C", -1, (x_t,), lambda bt: distillation_terms(stack.teacher(bt), bt),
-                    trace="")]
+    phases = [Phase("C", -1, (x_t,),
+                    lambda bt, teacher_probs: distillation_terms(teacher_probs, bt), trace="")]
     return _run_phases(stack, phases, rngs)
 
 

@@ -17,6 +17,7 @@ from puhda.data import (
     FeatureSchema,
     SplitSpec,
     SyntheticSpec,
+    _MAX_ARRAY_SIZE,
     _draw_blocks,
     _oracle_moments,
     aggregate_ratings,
@@ -765,6 +766,13 @@ class TestSyntheticSpec:
             bench_spec(coupling=1.1)
         with pytest.raises(ConfigurationError, match="leaves a class under 10 samples"):
             bench_spec(n_target=12)  # leaves a class under 10 rows
+
+    @pytest.mark.parametrize("field", ["c", "s", "t", "n_source", "n_target", "latent_noise_dim"])
+    @pytest.mark.parametrize("size", [_MAX_ARRAY_SIZE + 1, 10 ** 399], ids=["past-bound", "400-digits"])
+    def test_a_size_too_large_for_any_array_is_rejected_before_anything_is_drawn(self, field, size):
+        # both sizes are past the bound, so the spec is rejected before generate_synthetic runs
+        with pytest.raises(ConfigurationError, match=rf"^{field}: too large, got {size}$"):
+            bench_spec(**{field: size})
 
 
 class TestGenerateSynthetic:

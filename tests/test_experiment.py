@@ -220,6 +220,8 @@ def _set(doc, path, value):
         (("training", "steps"), 2.0, "training.steps: expected an integer, got 2.0"),
         pytest.param(("dataset", "synthetic", "n_target"), 10 ** 399,
                      f"n_target: too large, got {10 ** 399}", id="n_target-of-400-digits"),
+        pytest.param(("dataset", "synthetic", "n_source"), 10 ** 399,
+                     f"n_source: too large, got {10 ** 399}", id="n_source-of-400-digits"),
     ],
 )
 def test_build_config_rejects_bad_documents(path, value, message):
@@ -1038,6 +1040,18 @@ def test_run_with_a_missing_data_file_is_an_error_not_a_traceback(
     path.write_text(yaml.safe_dump({"dataset": dataset, "methods": ["COM_P"]}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"error: {missing}: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["n_source", "n_target"])
+def test_run_with_a_size_too_large_for_any_array_is_an_error_not_a_traceback(
+        tmp_path, capsys, field):
+    doc = base_doc()
+    doc["dataset"]["synthetic"][field] = 10 ** 399
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {field}: too large, got {10 ** 399}\n"
 
 
 def test_override_file_header_is_optional(tmp_path):

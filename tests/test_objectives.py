@@ -3,9 +3,18 @@ import pytest
 
 from puhda import numerics
 from puhda.errors import ConfigurationError, InvalidInputError
-from puhda.models import LinearSoftmaxModel, LinearTransform, loss_and_grads
+from puhda.models import (
+    ConstTarget,
+    LinearSoftmaxModel,
+    LinearTransform,
+    LossPlan,
+    ModelOutput,
+    loss_and_grads,
+)
 from puhda.objectives import (
     CompletionBlocks,
+    aligned_classifier_terms,
+    classifier_terms,
     distillation_terms,
     domain_adv_terms,
     dsft_loss,
@@ -492,6 +501,16 @@ class TestHotPath:
         # three forwards, one transform, and one product back through D and C each
         assert counts == {"D": 3, "C": 2, "F": 1}
 
+    def test_an_untraced_move_skips_the_forward_no_gradient_reads(self):
+        rng = np.random.default_rng(71)
+        c, s, t = 2, 3, 2
+        models = _models(rng, c, s, t)
+        terms = pada_terms(rng.normal(size=(6, c + s)), rng.normal(size=(5, c + t)), c, 0.4)
+        counts = self._counted(models)
+        loss_and_grads(models, terms, wrt=("F",), values=False)
+        # D on source rows reads no F: only the aligned forwards and their products run
+        assert counts == {"D": 2, "C": 2, "F": 1}
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_overflowing_transform_is_rejected(self):
@@ -514,3 +533,91 @@ class TestHotPath:
         for first, second in ((bad, good), (good, bad)):
             with pytest.raises(InvalidInputError, match="finite"):
                 build(first, second)
+
+
+# --------------------------------------------------------------------------
+# Untraced evaluation: only what the gradients read
+
+
+def _objectives(rng, cells):
+    """Every builder's terms on one random draw, with the players its gradients
+    reach: one cell's models and rows, or a stack of ``cells`` models whose cells
+    hold their seed's rows, the first half from one seed and the rest from another."""
+    c, s, t, n = 2, 3, 3, 7
+    cell = () if cells == 1 else (cells,)
+    seed_of = [0] if cells == 1 else [0] * (cells // 2) + [1] * (cells - cells // 2)
+
+    def head():   # wide weights, so that some rows sit at the probability clamp
+        return LinearSoftmaxModel(rng.normal(scale=3.0, size=cell + (c + s, 2)),
+                                  rng.normal(size=cell + (2,)))
+
+    def rows(width):
+        per_seed = rng.normal(size=(2, n, width))
+        return per_seed[0] if cells == 1 else per_seed[seed_of]
+
+    models = {"C": head(), "D": head(), "Df": head(),
+              "F": LinearTransform(rng.normal(size=cell + (c + t, s)), rng.normal(size=cell + (s,)))}
+    bs, bu, bt = rows(c + s), rows(c + s), rows(c + t)
+    lam, eta = 0.4, 0.3
+    if cells > 1:
+        lam, eta = np.linspace(0.1, 1.0, cells), np.linspace(0.9, 0.2, cells)
+    teacher = numerics.softmax2(rng.normal(scale=3.0, size=cell + (n, 2)))
+    return models, {
+        "pan": (pan_terms(bs, bu, lam), ("D", "C")),
+        "pada": (pada_terms(bs, bt, c, lam), ("D", "C", "F")),
+        "pada_teacher": (pada_terms(bs, bt, c, lam, teacher_probs=teacher, eta=eta),
+                         ("D", "C", "F")),
+        "domain_adv": (domain_adv_terms(bs, bt, c), ("Df", "F")),
+        "classifier_pair": (classifier_terms(bu, lam), ("C", "D")),
+        "aligned_classifier_pair": (aligned_classifier_terms(bt, c, lam), ("C", "D", "F")),
+        "aligned_classifier_pair_teacher": (
+            aligned_classifier_terms(bt, c, lam, teacher_probs=teacher, eta=eta), ("C", "D", "F")),
+        "distill": (distillation_terms(teacher, bt), ("C",)),
+        "supervised": (supervised_terms(bs, bu), ("D",)),
+    }
+
+
+class TestUntracedEvaluation:
+    @pytest.mark.parametrize("cells", [1, 4])
+    @pytest.mark.parametrize("seed", [80, 81, 82])
+    def test_untraced_gradients_equal_traced_ones_bit_for_bit(self, cells, seed):
+        models, objectives = _objectives(np.random.default_rng(seed), cells)
+        for name, (terms, players) in objectives.items():
+            for wrt in [(p,) for p in players] + [players]:
+                traced = loss_and_grads(models, terms, wrt=wrt)
+                untraced = loss_and_grads(models, terms, wrt=wrt, values=False)
+                assert untraced.value is None and untraced.term_values is None
+                assert set(untraced.grads) == set(wrt)
+                for p in wrt:
+                    assert (untraced.grads[p].d_weights.tobytes()
+                            == traced.grads[p].d_weights.tobytes()), (name, wrt, p)
+                    assert (untraced.grads[p].d_bias.tobytes()
+                            == traced.grads[p].d_bias.tobytes()), (name, wrt, p)
+
+    def test_the_stacked_draws_hit_the_clamp(self):
+        """The draws above exercise the clamp mask of the Jacobian."""
+        models, objectives = _objectives(np.random.default_rng(80), 4)
+        p1 = models["C"].classify(objectives["pan"][0][0].right.batch.x)[..., 1]
+        assert ((p1 <= numerics.EPS) | (p1 >= 1.0 - numerics.EPS)).any()
+
+    @pytest.mark.parametrize("cells", [1, 4])
+    def test_a_plan_rebound_to_new_rows_equals_terms_built_on_them(self, cells):
+        rng = np.random.default_rng(83)
+        models, first = _objectives(rng, cells)
+        _, second = _objectives(rng, cells)
+        for name, (terms, players) in first.items():
+            plan = LossPlan(terms)
+            loss_and_grads(models, plan, wrt=players)   # resolved on the first rows
+            fresh, _ = second[name]
+            for term, new in zip(terms, fresh):
+                for side, new_side in ((term.left, new.left), (term.right, new.right)):
+                    if isinstance(side, ModelOutput):
+                        side.batch.bind(new_side.batch.rows)
+                    elif side is not new_side and isinstance(new_side, ConstTarget):
+                        side.columns = new_side.columns
+            for values in (True, False):
+                got = loss_and_grads(models, plan, wrt=players, values=values)
+                want = loss_and_grads(models, fresh, wrt=players, values=values)
+                assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
+                for p in players:
+                    assert got.grads[p].d_weights.tobytes() == want.grads[p].d_weights.tobytes()

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from puhda.data import DomainMatrix, FeatureSchema
-from puhda.errors import ConfigurationError, InvalidInputError, SchemaError
+from puhda.errors import ConfigurationError, InvalidInputError, NonFiniteCells, SchemaError
 from puhda.metrics import accuracy
 from puhda.models import (
     _SLOT_KINDS,
@@ -52,6 +52,7 @@ from puhda.trainers import (
     train_pada_s,
 )
 
+import puhda.models as models_module
 import puhda.trainers as trainers_module
 
 
@@ -957,3 +958,146 @@ def test_a_stack_holds_cells_of_one_budget(tiny_data):
     with pytest.raises(ConfigurationError, match="differ only in learning_rate, lam, eta and seed"):
         METHOD_TABLE["DSFT_P_linear"].group(
             source, train, val, [base, replace(base, learning_rate=0.1, steps=4)])
+
+
+# --------------------------------------------------------------------------
+# Planned moves and the teacher table
+
+
+@pytest.mark.parametrize("cells", [1, 4])
+def test_each_pada_move_computes_only_what_its_update_and_trace_read(tiny_data, monkeypatch,
+                                                                     cells):
+    """D's traced move runs its three softmax forwards, the untraced F and C moves
+    two each and no term values, and each phase builds its terms once per stack."""
+    source, train, val, _ = tiny_data
+    forwards = [0]
+    moves = []
+    builds = {"pada_terms": 0, "aligned_classifier_terms": 0}
+    real_softmax, real_loss = models_module._softmax_columns, trainers_module.loss_and_grads
+
+    def counted_softmax(*args, **kwargs):
+        forwards[0] += 1
+        return real_softmax(*args, **kwargs)
+
+    def counted_loss(models, terms, wrt=(), values=True):
+        before = forwards[0]
+        res = real_loss(models, terms, wrt=wrt, values=values)
+        moves.append((wrt, forwards[0] - before, res.value is None and res.term_values is None))
+        return res
+
+    def counted_builder(name):
+        real = getattr(trainers_module, name)
+
+        def build(*args, **kwargs):
+            builds[name] += 1
+            return real(*args, **kwargs)
+        return build
+
+    monkeypatch.setattr(models_module, "_softmax_columns", counted_softmax)
+    monkeypatch.setattr(trainers_module, "loss_and_grads", counted_loss)
+    for name in builds:
+        monkeypatch.setattr(trainers_module, name, counted_builder(name))
+    base = TrainConfig(learning_rate=0.02, lam=0.1, steps=4, batch_size=32)
+    configs = [replace(base, lam=lam, seed=seed) for lam in (0.1, 1.0) for seed in (0, 3)][:cells]
+    outcomes = METHOD_TABLE["PADA"].group(source, train, val, configs)
+    assert all(not isinstance(art, Exception) for art in outcomes)
+    assert moves == [(("D",), 3, False), (("F",), 2, True), (("C",), 2, True)] * 4
+    assert builds == {"pada_terms": 2, "aligned_classifier_terms": 1}
+
+
+def _same_labels(got: ConstTarget, want: ConstTarget) -> None:
+    for a, b in zip(got.columns[0] + got.columns[1], want.columns[0] + want.columns[1]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("with_transform", [False, True], ids=["DIST", "PADA_S"])
+def test_the_teacher_table_gathers_the_batch_forward_bit_for_bit(bench_data, with_transform):
+    """At the benchmark's 2,400 target rows and batch 128: one cell, a stack whose
+    cells share one seed's rows or hold their own, and the stack after a cell left."""
+    source, train, _, _ = bench_data
+    c, x_t = train.schema.c, train.features()
+    rng = make_rng(9)
+    width = c + source.schema.s if with_transform else c
+    heads = [LinearSoftmaxModel.initialize(width, rng) for _ in range(4)]
+    maps = [LinearTransform.initialize(x_t.shape[1], source.schema.s, rng) for _ in range(4)]
+
+    def teacher(cells):
+        models = {"C": heads[0] if cells is None else LinearSoftmaxModel.stack(heads, cells)}
+        if with_transform:
+            models["F"] = maps[0] if cells is None else LinearTransform.stack(maps, cells)
+        return frozen_teacher(models, c, x_t)
+
+    def index(*shape):
+        return rng.integers(0, len(x_t), size=shape + (128,))
+
+    one, stack = teacher(None), teacher(np.arange(4))
+    left = stack.take(np.array([True, False, True, True]))
+    for t, idx in ((one, index()), (stack, index()), (stack, index(4)), (left, index()),
+                   (left, index(3))):
+        _same_labels(t.gather(idx), t(x_t.take(idx, axis=0)))
+    into = one.gather(index())
+    idx = index()
+    assert one.gather(idx, into=into) is into
+    _same_labels(into, one(x_t.take(idx, axis=0)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_a_teacher_row_with_non_finite_logits_fails_only_the_cells_that_draw_it(tiny_data):
+    _, train, _, _ = tiny_data
+    c, x_t = train.schema.c, train.features()
+    weights = np.zeros((2, c, 2))
+    weights[1, 0, 0] = 1e308   # cell 1 overflows on rows with a large first column
+    teacher = frozen_teacher({"C": LinearSoftmaxModel(weights, np.zeros((2, 2)))}, c, x_t)
+    big = np.flatnonzero(np.abs(x_t[:, 0]) > 2.0)
+    small = np.flatnonzero(np.abs(x_t[:, 0]) < 1.0)
+    _same_labels(teacher.gather(small[:8]), teacher(x_t[small[:8]]))
+    rows = np.concatenate([small[:4], big[:1]])
+    with pytest.raises(InvalidInputError) as batch:
+        teacher(x_t[rows])
+    with pytest.raises(InvalidInputError) as gathered:
+        teacher.gather(rows)
+    assert str(gathered.value) == str(batch.value) == "teacher logits: values must be finite"
+    assert gathered.value.cells.tolist() == batch.value.cells.tolist() == [False, True]
+    # each cell's own rows: the row fails cell 1 when it draws it, and no cell otherwise
+    with pytest.raises(InvalidInputError) as own:
+        teacher.gather(np.stack([small[:5], rows]))
+    assert own.value.cells.tolist() == [False, True]
+    own_rows = np.stack([rows, small[:5]])
+    _same_labels(teacher.gather(own_rows), teacher(x_t[own_rows]))
+
+
+@pytest.mark.parametrize("method", ["DIST", "PADA_S"])
+@pytest.mark.parametrize("case", ["alone", "across_seeds", "a_cell_leaves"])
+def test_every_step_reads_the_teacher_labels_of_its_batch(tiny_data, monkeypatch, method, case):
+    """Each gather during training equals the teacher's forward on the drawn rows,
+    also after a cell fails mid-run and the stack takes the teacher of the rest."""
+    source, train, val, _ = tiny_data
+    x_t = train.features()
+    base = TrainConfig(learning_rate=0.3, lam=0.5, eta=0.5, steps=6, batch_size=32,
+                       max_soft_rounds=2)
+    configs = {"alone": [base],
+               "across_seeds": [base, replace(base, seed=3), replace(base, lam=0.1, seed=3)],
+               "a_cell_leaves": [base, replace(base, seed=3), replace(base, lam=0.1)]}[case]
+    real_gather, real_step = models_module.FrozenTeacher.gather, LinearSoftmaxModel.apply_step
+    cells_seen = []
+
+    def checked_gather(self, index, into=None):
+        got = real_gather(self, index, into)
+        _same_labels(got, self(x_t.take(index, axis=0)))
+        cells_seen.append(self.classifier.weights.shape[:-2])
+        return got
+
+    def failing_step(self, grads, scale):   # the second cell fails once the teacher has run
+        if case == "a_cell_leaves" and len(cells_seen) >= 5 and self.weights.shape[:-2] == (3,):
+            raise NonFiniteCells("forced", np.array([False, True, False]))
+        return real_step(self, grads, scale)
+
+    monkeypatch.setattr(models_module.FrozenTeacher, "gather", checked_gather)
+    monkeypatch.setattr(LinearSoftmaxModel, "apply_step", failing_step)
+    outcomes = METHOD_TABLE[method].group(source, train, val, configs)
+    assert cells_seen
+    if case == "a_cell_leaves":
+        assert str(outcomes[1]) == "forced"
+        assert (3,) in cells_seen and cells_seen[-1] == (2,)
+    else:
+        assert not any(isinstance(art, Exception) for art in outcomes)
