@@ -331,11 +331,15 @@ class SealedMatrix:
 
 @dataclass
 class PreparedData:
+    """The standardized splits, plus the analytics row of the whole target
+    matrix (``ANALYTICS_HEADER``), computed before anything trains so that
+    data it cannot describe stops a run at once."""
+
     source: DomainMatrix
     train: DomainMatrix
     val: DomainMatrix
     sealed_test: SealedMatrix
-    target_full: DomainMatrix
+    analytics: tuple
 
 
 def load_domains(config: ExperimentConfig) -> tuple[DomainMatrix, DomainMatrix]:
@@ -368,11 +372,11 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
         raise ConfigurationError(
             f"the test split holds only class {int(test.labels[0])}; "
             "test evaluation needs both classes")
+    fa = correlation_analytics(target)
+    analytics = (fa.corr_tar_lab, fa.corr_com_lab, fa.r_tar_com, fa.corr_tar_sou)
     source, train, val, test = standardize_splits(source, train, val, test)
-    return PreparedData(
-        source=source, train=train, val=val,
-        sealed_test=SealedMatrix(test), target_full=target,
-    )
+    return PreparedData(source=source, train=train, val=val, sealed_test=SealedMatrix(test),
+                        analytics=analytics)
 
 
 # --------------------------------------------------------------------------
@@ -616,11 +620,6 @@ def _write_checkpoint(path: Path, artifacts: TrainedArtifacts) -> None:
     save_checkpoint(path, artifacts.method, artifacts.models())
 
 
-def _analytics_row(data: PreparedData) -> tuple:
-    fa = correlation_analytics(data.target_full)
-    return (fa.corr_tar_lab, fa.corr_com_lab, fa.r_tar_com, fa.corr_tar_sou)
-
-
 ANALYTICS_HEADER = ("corr_tar_lab", "corr_com_lab", "r_tar_com", "corr_tar_sou")
 
 
@@ -656,7 +655,7 @@ def _write_standard_reports(
          for seed, acc, auc_val in zip(
              config.seeds, reports[m].seed_accuracies, reports[m].seed_aucs)],
     )
-    write_table(out / "analytics.csv", ANALYTICS_HEADER, [_analytics_row(data)])
+    write_table(out / "analytics.csv", ANALYTICS_HEADER, [data.analytics])
 
     comparison_rows = []
     for m in config.methods:

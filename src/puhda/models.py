@@ -23,9 +23,10 @@ the one gradient product. No autodiff is involved.
 
 Planned evaluation. A ``LossPlan`` holds a term list and resolves, once per
 kind of call, which forwards, alignments, logs and gradients the call needs.
-A trainer builds each phase's terms once and, every step, binds the drawn
-rows into its batches (``bind``, which checks them as the constructors do)
-and a teacher's labels into its constant side (``FrozenTeacher.gather``).
+A trainer makes each phase's batches and terms once and, every step, fills
+the drawn rows into its batches' ``rows`` (rows of checked matrices, so not
+checked again) and a teacher's labels into its constant side
+(``FrozenTeacher.gather``).
 An untraced call (``values=False``) computes only what its gradients read:
 no term values, no forward or alignment that only such values read, logs
 only where a gradient reads the log ratio, and clamp masks only where a
@@ -206,39 +207,31 @@ Model = Union[LinearSoftmaxModel, LinearTransform]
 
 
 class RawBatch:
-    """Feature rows fed to a softmax model unchanged. ``bind`` checks new rows
-    and holds them, so the terms built on a batch serve every step."""
+    """Feature rows fed to a softmax model unchanged, checked when the batch is
+    made. A trainer reuses the batch for later steps by setting ``rows`` to rows
+    gathered from a matrix that was checked when it entered."""
 
-    def __init__(self, x):
-        self.bind(x)
-
-    def bind(self, x) -> None:
-        x = require_finite("batch", x)
-        if x.ndim not in (2, 3) or x.shape[-2] < 1:
-            raise InvalidInputError(f"batch must be non-empty and 2-D or 3-D, got shape {x.shape}")
-        self.x = x   # (n, d), or a stack's per-cell (K, n, d)
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.x
+    def __init__(self, rows):
+        rows = require_finite("batch", rows)
+        if rows.ndim not in (2, 3) or rows.shape[-2] < 1:
+            raise InvalidInputError(
+                f"batch must be non-empty and 2-D or 3-D, got shape {rows.shape}")
+        self.rows = rows   # (n, d), or a stack's per-cell (K, n, d)
 
 
 class TransformedBatch:
     """Target rows ``[common | specific]`` read as ``[common ; F(rows)]``: the
     first ``n_common`` columns pass through and the transform maps whole rows.
-    ``bind`` checks new rows and holds them, as ``RawBatch.bind`` does."""
+    Checked when made and reused as ``RawBatch`` is."""
 
     transform = "F"   # the slot of the transform
 
     def __init__(self, rows, n_common: int):
-        self.n_common = n_common
-        self.bind(rows)
-
-    def bind(self, rows) -> None:
         rows = require_finite("target batch", rows)
-        if rows.ndim not in (2, 3) or rows.shape[-2] < 1 or rows.shape[-1] <= self.n_common:
+        if rows.ndim not in (2, 3) or rows.shape[-2] < 1 or rows.shape[-1] <= n_common:
             raise InvalidInputError(f"target batch must be non-empty and 2-D or 3-D with more than "
-                                    f"{self.n_common} columns, got shape {rows.shape}")
+                                    f"{n_common} columns, got shape {rows.shape}")
+        self.n_common = n_common
         self.rows = rows   # (n, in_dim of the transform) or (K, n, in_dim), n_common < in_dim
 
 
@@ -271,32 +264,29 @@ class FrozenTeacher:
     the rows' common columns, or the rows aligned by the transform, with the
     loss's own affine steps and softmax.
 
-    ``teacher(batch)`` labels one batch, with one finite check on its logits.
-    Given ``rows`` (every target row a run draws from), the teacher labels
-    them all once into ``table``, the class columns and their logs stacked
-    ``(4, n)``, or ``(4, K, n)`` for a stack, ``_TABLE_ROWS`` rows at a time,
-    and :meth:`gather` reads a batch's labels from it at the batch's row
-    positions. These are the labels of the batch forward as long as a matmul
-    gives each row the same bits whatever other rows it holds, which the
-    tests check. A row whose logits are not finite fails a cell only when the
-    cell's batch draws it, with the batch forward's error.
+    The teacher labels ``rows`` (every target row a run draws from) once into
+    ``table``, the class columns and their logs stacked ``(4, n)``, or
+    ``(4, K, n)`` for a stack, ``_TABLE_ROWS`` rows at a time, and
+    :meth:`gather` reads a batch's labels from it at the batch's row
+    positions. These are the labels of the batch forward, ``teacher(batch)``
+    with one finite check on its logits, as long as a matmul gives each row
+    the same bits whatever other rows it holds, which the tests check. A row
+    whose logits are not finite fails a cell only when the cell's batch draws
+    it, with the batch forward's error.
     """
 
     def __init__(self, classifier: LinearSoftmaxModel, transform: LinearTransform | None,
-                 n_common: int, rows: np.ndarray | None = None):
+                 n_common: int, rows: np.ndarray):
         self.classifier, self.transform, self.n_common = classifier, transform, n_common
-        self.table = self.bad_rows = None
-        if rows is not None:
-            self.table = np.empty((4,) + classifier.weights.shape[:-2] + (len(rows),))
-            finite = np.empty(self.table.shape[1:], dtype=bool)
-            for start in range(0, len(rows), _TABLE_ROWS):
-                part = slice(start, start + _TABLE_ROWS)
-                z = self._logits(rows[part])
-                finite[..., part] = ok = np.isfinite(z).all(axis=-1)
-                probs, logs, _ = _softmax_columns(np.where(ok[..., None], z, 0.0), clamped=False)
-                self.table[:, ..., part] = probs + logs
-            if not finite.all():
-                self.bad_rows = ~finite
+        self.table = np.empty((4,) + classifier.weights.shape[:-2] + (len(rows),))
+        finite = np.empty(self.table.shape[1:], dtype=bool)
+        for start in range(0, len(rows), _TABLE_ROWS):
+            part = slice(start, start + _TABLE_ROWS)
+            z = self._logits(rows[part])
+            finite[..., part] = ok = np.isfinite(z).all(axis=-1)
+            probs, logs, _ = _softmax_columns(np.where(ok[..., None], z, 0.0), clamped=False)
+            self.table[:, ..., part] = probs + logs
+        self.bad_rows = None if finite.all() else ~finite
 
     def _logits(self, rows: np.ndarray) -> np.ndarray:
         if self.transform is None:
@@ -331,18 +321,17 @@ class FrozenTeacher:
 
     def take(self, cells) -> "FrozenTeacher":
         """The teacher of the given cells of a stack, its table included."""
-        transform = None if self.transform is None else self.transform.take(cells)
-        taken = FrozenTeacher(self.classifier.take(cells), transform, self.n_common)
-        if self.table is not None:
-            taken.table = self.table[:, cells]
-            taken.bad_rows = None if self.bad_rows is None else self.bad_rows[cells]
+        taken = copy.copy(self)
+        taken.classifier = self.classifier.take(cells)
+        taken.transform = None if self.transform is None else self.transform.take(cells)
+        taken.table = self.table[:, cells]
+        taken.bad_rows = None if self.bad_rows is None else self.bad_rows[cells]
         return taken
 
 
-def frozen_teacher(models: Mapping[str, Model], n_common: int,
-                   rows: np.ndarray | None = None) -> FrozenTeacher:
+def frozen_teacher(models: Mapping[str, Model], n_common: int, rows: np.ndarray) -> FrozenTeacher:
     """The teacher of frozen copies of ``models["C"]`` and, if bound,
-    ``models["F"]``, with its table over ``rows`` when given."""
+    ``models["F"]``, with its table over ``rows``."""
     transform = copy.copy(models["F"]) if "F" in models else None
     return FrozenTeacher(copy.copy(models["C"]), transform, n_common, rows)
 
@@ -379,8 +368,8 @@ class LossResult:
 
 class LossPlan:
     """A term list whose structure is resolved once for each (wanted
-    gradients, values or not) it is evaluated with, so a caller that rebinds
-    its batches (``bind``) and constants (``FrozenTeacher.gather``) between
+    gradients, values or not) it is evaluated with, so a caller that refills
+    its batches' ``rows`` and its constants (``FrozenTeacher.gather``) between
     evaluations pays for its structure once. Iterating it gives the terms."""
 
     def __init__(self, terms: Sequence[KLTerm]):
@@ -480,7 +469,7 @@ def _bound(models: Mapping[str, Model], name: str, kind: type, what: str):
 def _model_inputs(models: Mapping[str, Model], batch: Batch, aligned: dict) -> np.ndarray:
     """The rows a model reads; a transform runs once per batch in a call."""
     if isinstance(batch, RawBatch):
-        return batch.x
+        return batch.rows
     x_in = aligned.get(id(batch))
     if x_in is None:
         t = _bound(models, batch.transform, LinearTransform, "transform")

@@ -1,23 +1,25 @@
 """Objective assembly for every training method.
 
 All adversarial objectives are built as lists of :class:`~puhda.models.KLTerm`
-over mini-batches and share one value convention: the term list spells out the
-quantity V that the discriminator maximizes and the classifier (and
-transformer, when present) minimizes. Trainers pick the sign per player.
+over batches (``models.RawBatch`` or ``models.TransformedBatch``, checked
+when the caller makes them) and share one value convention: the term list
+spells out the quantity V that the discriminator maximizes and the
+classifier (and transformer, when present) minimizes. Trainers pick the sign
+per player.
 
-The adversarial PU objective over positives ``x_p`` and unlabeled ``x_u``,
-with ``KL`` the divergence between two-class probability pairs and ``swap``
-exchanging a pair's components:
+The adversarial PU objective (:func:`pu_terms`) over positives ``real`` and
+unlabeled rows ``unl``, with ``KL`` the divergence between two-class
+probability pairs and ``swap`` exchanging a pair's components:
 
-    V = -mean KL(P1, D(x_p)) - mean KL(P0, D(x_u))
-        + lam * (mean KL(D(x_u), C(x_u)) - mean KL(D(x_u), swap(C(x_u))))
+    V = -mean KL(P1, D(real)) - mean KL(P0, D(unl))
+        + lam * (mean KL(D(unl), C(unl)) - mean KL(D(unl), swap(C(unl))))
 
-The heterogeneous variant (:func:`pada_terms`) replaces ``x_p`` with source
-rows and ``x_u`` with aligned target rows ``[t_common ; F(x_target)]``. Given
-a teacher's outputs, the same builder adds the soft-label teacher pair with
-weight ``eta``:
+It is written once. PU-HDA is the same objective with source rows as
+``real`` and aligned target rows ``[t_common ; F(x_target)]`` as ``unl``: the
+batch, raw or aligned, says how the rows are read. Given a teacher's
+outputs on ``unl``, the soft-label teacher pair with weight ``eta`` follows:
 
-    + eta * (mean KL(C0, C(x_hat)) - mean KL(C0, swap(C(x_hat))))
+    + eta * (mean KL(C0, C(unl)) - mean KL(C0, swap(C(unl))))
 
 where the teacher output C0 enters as a constant, so no gradient can reach it.
 Sums over a mini-batch are divided by that batch's size, which rescales the
@@ -37,45 +39,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
-from .models import (
-    ConstTarget,
-    GradientBundle,
-    KLTerm,
-    LinearTransform,
-    ModelOutput,
-    RawBatch,
-    TransformedBatch,
-)
+from .models import Batch, ConstTarget, GradientBundle, KLTerm, LinearTransform, ModelOutput
 from .numerics import P0, P1, check_pair, require_finite
 
 # The one-hot targets, validated once when the module loads.
 _REAL = ConstTarget(P1)
 _FAKE = ConstTarget(P0)
 
+# A teacher's outputs on a batch: pairs, a ``ConstTarget``, or no teacher.
+Teacher = np.ndarray | ConstTarget | None
+
 
 def _rows(batch) -> int:
     return batch.rows.shape[-2]
 
 
-def _real_fake(model: str, real, fake, names: tuple[str, str]) -> list[KLTerm]:
+def _real_fake(model: str, real: Batch, fake: Batch, names: tuple[str, str]) -> list[KLTerm]:
     """A discriminator's pair: ``real`` rows scored toward P1, ``fake`` rows toward P0."""
     return [
         KLTerm(-1.0 / _rows(real), _REAL, ModelOutput(model, real), name=names[0]),
         KLTerm(-1.0 / _rows(fake), _FAKE, ModelOutput(model, fake), name=names[1]),
     ]
-
-
-def _classifier_pair(batch, lam: float) -> list[KLTerm]:
-    n = _rows(batch)
-    d = ModelOutput("D", batch)
-    return [
-        KLTerm(lam / n, d, ModelOutput("C", batch), name="kl_dc"),
-        KLTerm(-lam / n, d, ModelOutput("C", batch, swapped=True), name="kl_dc_swap"),
-    ]
-
-
-def _pu_terms(real, unl, lam: float) -> list[KLTerm]:
-    return _real_fake("D", real, unl, ("kl_pos", "kl_unl")) + _classifier_pair(unl, lam)
 
 
 def _teacher(teacher_probs, n: int) -> ConstTarget:
@@ -91,105 +75,58 @@ def _teacher(teacher_probs, n: int) -> ConstTarget:
     return teacher
 
 
-def _teacher_pair(teacher_probs, batch: TransformedBatch, eta: float) -> list[KLTerm]:
-    """The frozen-teacher pair on an aligned batch; none without a teacher."""
-    if teacher_probs is None:
-        return []
-    n_t = _rows(batch)
-    teacher = _teacher(teacher_probs, n_t)
-    return [
-        KLTerm(eta / n_t, teacher, ModelOutput("C", batch), name="kl_soft"),
-        KLTerm(-eta / n_t, teacher, ModelOutput("C", batch, swapped=True), name="kl_soft_swap"),
+def classifier_terms(batch: Batch, lam: float, *, teacher_probs: Teacher = None,
+                     eta: float = 0.0) -> list[KLTerm]:
+    """The classifier-dependent pair on one unlabeled batch, raw or aligned,
+    then the frozen-teacher pair (weight ``eta``) when ``teacher_probs`` are
+    given. This is the classifier's whole gradient surface, so a classifier
+    update phase can evaluate just these terms on its own fresh batch."""
+    n = _rows(batch)
+    d = ModelOutput("D", batch)
+    terms = [
+        KLTerm(lam / n, d, ModelOutput("C", batch), name="kl_dc"),
+        KLTerm(-lam / n, d, ModelOutput("C", batch, swapped=True), name="kl_dc_swap"),
     ]
+    if teacher_probs is not None:
+        teacher = _teacher(teacher_probs, n)
+        terms += [
+            KLTerm(eta / n, teacher, ModelOutput("C", batch), name="kl_soft"),
+            KLTerm(-eta / n, teacher, ModelOutput("C", batch, swapped=True), name="kl_soft_swap"),
+        ]
+    return terms
 
 
-def pan_terms(batch_pos: np.ndarray, batch_unl: np.ndarray, lam: float) -> list[KLTerm]:
-    """Adversarial PU objective on a homogeneous feature space.
+def pu_terms(real: Batch, unl: Batch, lam: float, *, teacher_probs: Teacher = None,
+             eta: float = 0.0) -> list[KLTerm]:
+    """The adversarial PU objective V: positive rows ``real`` against unlabeled
+    rows ``unl``, then :func:`classifier_terms` on ``unl``. PU training passes
+    two ``RawBatch``es; the heterogeneous methods pass source rows and a
+    ``TransformedBatch`` of target rows, which D and C read in the source
+    feature space. With a teacher, ``eta = 0`` gives the plain value and
+    gradients."""
+    return (_real_fake("D", real, unl, ("kl_pos", "kl_unl"))
+            + classifier_terms(unl, lam, teacher_probs=teacher_probs, eta=eta))
 
-    ``batch_pos`` holds labeled-positive rows, ``batch_unl`` unlabeled rows;
-    both must share the column count the models expect.
+
+def domain_adv_terms(real: Batch, fake: Batch) -> list[KLTerm]:
+    """Plain domain-adversarial pairing: source rows against aligned target rows.
+
+    The feature discriminator Df maximizes this value (separating the two);
+    the transform minimizes it, pulling the whole target distribution toward
+    the source regardless of class.
     """
-    return _pu_terms(RawBatch(batch_pos), RawBatch(batch_unl), lam)
+    return _real_fake("Df", real, fake, ("kl_adv_src", "kl_adv_tgt"))
 
 
-def classifier_terms(batch_unl: np.ndarray, lam: float) -> list[KLTerm]:
-    """Only the classifier-dependent pair, on one unlabeled batch.
-
-    This is the classifier's whole gradient surface, so a classifier update
-    phase can evaluate just these two terms on its own fresh batch.
-    """
-    return _classifier_pair(RawBatch(batch_unl), lam)
-
-
-def aligned_classifier_terms(
-    batch_target: np.ndarray,
-    n_common: int,
-    lam: float,
-    *,
-    teacher_probs: np.ndarray | ConstTarget | None = None,
-    eta: float = 0.0,
-) -> list[KLTerm]:
-    """Only the classifier-dependent pair, on one aligned target batch.
-
-    With ``teacher_probs`` the frozen-teacher pair (weight ``eta``) follows on
-    the same batch, which is the soft-label classifier's whole surface.
-    """
-    tgt = TransformedBatch(batch_target, n_common)
-    return _classifier_pair(tgt, lam) + _teacher_pair(teacher_probs, tgt, eta)
-
-
-def pada_terms(
-    batch_source: np.ndarray,
-    batch_target: np.ndarray,
-    n_common: int,
-    lam: float,
-    *,
-    teacher_probs: np.ndarray | ConstTarget | None = None,
-    eta: float = 0.0,
-) -> list[KLTerm]:
-    """Heterogeneous objective: source rows vs aligned target rows.
-
-    Target rows are laid out ``[common | target-specific]``; the first
-    ``n_common`` columns pass through and the transform F fills the
-    source-specific slots, so D and C operate in the source feature space.
-
-    With ``teacher_probs`` (a teacher's outputs on the target batch, as pairs
-    or a ``ConstTarget``) the frozen-teacher pair, weight ``eta``, follows the
-    four PU terms: the soft-label objective. The teacher enters as a constant,
-    which keeps it frozen; ``eta = 0`` gives the plain value and gradients.
-    """
-    bs = RawBatch(batch_source)
-    tgt = TransformedBatch(batch_target, n_common)
-    return _pu_terms(bs, tgt, lam) + _teacher_pair(teacher_probs, tgt, eta)
-
-
-def domain_adv_terms(
-    batch_source: np.ndarray,
-    batch_target: np.ndarray,
-    n_common: int,
-) -> list[KLTerm]:
-    """Plain domain-adversarial pairing on the aligned space.
-
-    The feature discriminator Df maximizes this value (separating source rows
-    from aligned target rows); the transform minimizes it, pulling the whole
-    target distribution toward the source regardless of class.
-    """
-    bs = RawBatch(batch_source)
-    tgt = TransformedBatch(batch_target, n_common)
-    return _real_fake("Df", bs, tgt, ("kl_adv_src", "kl_adv_tgt"))
-
-
-def distillation_terms(teacher_probs: np.ndarray | ConstTarget,
-                       batch_target: np.ndarray) -> list[KLTerm]:
+def distillation_terms(teacher_probs: np.ndarray | ConstTarget, batch: Batch) -> list[KLTerm]:
     """Match a frozen teacher's soft labels on full target rows."""
-    bt = RawBatch(batch_target)
-    n = _rows(bt)
-    return [KLTerm(1.0 / n, _teacher(teacher_probs, n), ModelOutput("C", bt), name="kl_distill")]
+    n = _rows(batch)
+    return [KLTerm(1.0 / n, _teacher(teacher_probs, n), ModelOutput("C", batch), name="kl_distill")]
 
 
-def supervised_terms(batch_pos: np.ndarray, batch_neg: np.ndarray) -> list[KLTerm]:
+def supervised_terms(pos: Batch, neg: Batch) -> list[KLTerm]:
     """Two-class cross entropy, written as the value the model D maximizes."""
-    return _real_fake("D", RawBatch(batch_pos), RawBatch(batch_neg), ("ce_pos", "ce_neg"))
+    return _real_fake("D", pos, neg, ("ce_pos", "ce_neg"))
 
 
 # --------------------------------------------------------------------------

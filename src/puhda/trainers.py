@@ -2,25 +2,27 @@
 
 Every SGD trainer declares its game as a list of phases. A phase names the
 player it updates, the sign of its step (+1 ascends the objective, -1
-descends it), the matrices it draws one mini-batch from, in order, and its
-term builder. One loop, ``_run_phases``, plays the phases of every step in
-order. Mini-batches are drawn uniformly with replacement (so inputs smaller
-than the batch size still work). Randomness follows one documented sequence
-per run: models initialize in a fixed order from the config seed, then each
-step draws its phase batches in phase order. Nothing else consumes
-randomness, so a rerun with identical inputs and config reproduces every
-parameter bit-for-bit. Each step records one telemetry row from the phases
-marked as traced, in columns named after their terms.
+descends it), the matrices it draws one mini-batch from, in order, its term
+builder, and whether its last batch is read as aligned target rows. One
+loop, ``_run_phases``, plays the phases of every step in order. Mini-batches
+are drawn uniformly with replacement (so inputs smaller than the batch size
+still work). Randomness follows one documented sequence per run: models
+initialize in a fixed order from the config seed, then each step draws its
+phase batches in phase order. Nothing else consumes randomness, so a rerun
+with identical inputs and config reproduces every parameter bit-for-bit.
+Each step records one telemetry row from the phases marked as traced, in
+columns named after their terms.
 
-The per-step work. A phase builds its term list once per stack, on the
-first batches it plays, and plans its loss once (``models.LossPlan``); it
-builds them again only when a cell leaves the stack. Every step then binds
-its drawn rows into those terms, checked as the batch constructors check
-them, and makes one ``loss_and_grads`` call. An untraced phase asks for its
-gradient alone, so no term value is computed for it. A frozen teacher
-(``PADA_S`` rounds, ``DIST``) labels every target training row once, when
-it is made, and each step gathers its batch's labels from that table by row
-position (``models.FrozenTeacher``).
+The per-step work. A phase makes its batches and term list once per stack,
+on the first rows it plays, and plans its loss once (``models.LossPlan``);
+it makes them again only when a cell leaves the stack. Every step then fills
+its gathered rows into those batches by position, without a second check
+(they are taken from matrices checked when they entered), and makes one
+``loss_and_grads`` call. An untraced phase asks for its gradient alone, so
+no term value is computed for it. A frozen teacher (``PADA_S`` rounds,
+``DIST``) labels every target training row once, when it is made, and each
+step gathers its batch's labels from that table by row position
+(``models.FrozenTeacher``).
 
 The phases per step:
 
@@ -78,7 +80,8 @@ from .models import (
     LinearTransform,
     LossPlan,
     Model,
-    ModelOutput,
+    RawBatch,
+    TransformedBatch,
     frozen_teacher,
     loss_and_grads,
 )
@@ -94,13 +97,11 @@ from .numerics import (
 )
 from .objectives import (
     CompletionBlocks,
-    aligned_classifier_terms,
     classifier_terms,
     distillation_terms,
     domain_adv_terms,
     dsft_loss,
-    pada_terms,
-    pan_terms,
+    pu_terms,
     supervised_terms,
 )
 
@@ -345,11 +346,13 @@ class Phase(NamedTuple):
 
     ``player`` steps by ``sign * learning_rate`` (+1 ascends, -1 descends)
     along the gradient of ``terms(*batches)``, with one batch drawn from each
-    matrix of ``draws`` in order; when the stack has a teacher, ``terms`` also
-    takes ``teacher_probs``, the teacher's labels of the last batch. A phase
-    with a ``trace`` prefix adds its value and term values to the step's
-    telemetry row, under the columns ``prefix + "value"`` and its term names;
-    an untraced phase computes only its gradient.
+    matrix of ``draws`` in order. Every batch is a ``RawBatch`` but the last,
+    which ``n_common`` reads as aligned target rows (a ``TransformedBatch``)
+    when given; the last batch is also the one a stack's teacher labels, and
+    ``terms`` then takes those labels as ``teacher_probs``. A phase with a
+    ``trace`` prefix adds its value and term values to the step's telemetry
+    row, under the columns ``prefix + "value"`` and its term names; an
+    untraced phase computes only its gradient.
     """
 
     player: str
@@ -357,31 +360,30 @@ class Phase(NamedTuple):
     draws: tuple[np.ndarray, ...]
     terms: Callable[..., list]
     trace: str | None = None
+    n_common: int | None = None
 
 
 class _Move:
-    """A phase's terms for the live cells of a stack: built once, by the phase's
-    builder on the first batches it plays, and planned once (``LossPlan``);
-    every later step binds its batches, checked as the builder checks them,
-    and the teacher's labels into them. A builder keeps the rows it is given
-    (``require_finite`` passes a float64 array through), so the batch that
-    holds each drawn matrix is found by identity."""
+    """A phase's batches and terms for the live cells of a stack, made once on
+    the first rows it plays (the batch constructors check them) and planned
+    once (``LossPlan``). Every later step fills each batch's ``rows`` with its
+    draw's gathered rows, by position, and the teacher's labels into the
+    constant side; those rows are taken from matrices checked when they
+    entered, so they are not checked again."""
 
     def __init__(self, stack: _Stack, phase: Phase, rows, index):
+        *raw, last = rows
+        self.batches = [RawBatch(r) for r in raw] + [
+            RawBatch(last) if phase.n_common is None else TransformedBatch(last, phase.n_common)]
         self.labels = None if stack.teacher is None else stack.teacher.gather(index)
-        terms = (phase.terms(*rows) if self.labels is None
-                 else phase.terms(*rows, teacher_probs=self.labels))
-        self.loss = LossPlan(terms)
-        position = {id(r): i for i, r in enumerate(rows)}
-        batches = {id(side.batch): side.batch for term in terms for side in (term.left, term.right)
-                   if isinstance(side, ModelOutput)}
-        self.batches = [(batch, position[id(batch.rows)]) for batch in batches.values()]
+        self.loss = LossPlan(phase.terms(*self.batches) if self.labels is None
+                             else phase.terms(*self.batches, teacher_probs=self.labels))
 
-    def bind(self, stack: _Stack, rows, index) -> None:
+    def fill(self, stack: _Stack, rows, index) -> None:
         if self.labels is not None:
             stack.teacher.gather(index, into=self.labels)
-        for batch, i in self.batches:
-            batch.bind(rows[i])
+        for batch, r in zip(self.batches, rows):
+            batch.rows = r
 
 
 def _play(stack: _Stack, key: int, phase: Phase, draws):
@@ -396,7 +398,7 @@ def _play(stack: _Stack, key: int, phase: Phase, draws):
         if move is None:
             move = stack.moves[key] = _Move(stack, phase, rows, index[-1])
         else:
-            move.bind(stack, rows, index[-1])
+            move.fill(stack, rows, index[-1])
         res = loss_and_grads(stack.models, move.loss, wrt=(phase.player,),
                              values=phase.trace is not None)
         stack.models[phase.player].apply_step(res.grads[phase.player],
@@ -449,7 +451,7 @@ def _pan_stack(stack: _Stack, x_pos, x_unl, rngs):
     stack.models = {name: stack.init(rngs, LinearSoftmaxModel.initialize, x_pos.shape[-1])
                     for name in ("D", "C")}
     phases = [
-        Phase("D", +1, (x_pos, x_unl), lambda bp, bu: pan_terms(bp, bu, stack.lam), trace=""),
+        Phase("D", +1, (x_pos, x_unl), lambda bp, bu: pu_terms(bp, bu, stack.lam), trace=""),
         Phase("C", -1, (x_unl,), lambda bu: classifier_terms(bu, stack.lam)),
     ]
     return _run_phases(stack, phases, rngs)
@@ -490,16 +492,15 @@ def _pada_loop(stack: _Stack, x_s, x_t, n_common, s_dim, rngs):
     stack.models["F"] = stack.init(rngs, LinearTransform.initialize, x_t.shape[1], s_dim)
 
     def full_terms(bs, bt, teacher_probs=None):
-        return pada_terms(bs, bt, n_common, stack.lam, teacher_probs=teacher_probs, eta=stack.eta)
+        return pu_terms(bs, bt, stack.lam, teacher_probs=teacher_probs, eta=stack.eta)
 
     def classifier_pair(bt, teacher_probs=None):
-        return aligned_classifier_terms(bt, n_common, stack.lam, teacher_probs=teacher_probs,
-                                        eta=stack.eta)
+        return classifier_terms(bt, stack.lam, teacher_probs=teacher_probs, eta=stack.eta)
 
     phases = [
-        Phase("D", +1, (x_s, x_t), full_terms, trace=""),
-        Phase("F", -1, (x_s, x_t), full_terms),
-        Phase("C", -1, (x_t,), classifier_pair),
+        Phase("D", +1, (x_s, x_t), full_terms, trace="", n_common=n_common),
+        Phase("F", -1, (x_s, x_t), full_terms, n_common=n_common),
+        Phase("C", -1, (x_t,), classifier_pair, n_common=n_common),
     ]
     return _run_phases(stack, phases, rngs)
 
@@ -616,15 +617,13 @@ def pada_f_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Ou
     stack.models["F"] = stack.init(rngs, LinearTransform.initialize, x_t.shape[1], schema.s)
     stack.models["Df"] = stack.init(rngs, LinearSoftmaxModel.initialize, x_s.shape[1])
 
-    def pairing(bs, bt):
-        return domain_adv_terms(bs, bt, schema.c)
-
+    c = schema.c
     phases = [
-        Phase("D", +1, (x_s, x_t), lambda bs, bt: pada_terms(bs, bt, schema.c, stack.lam),
-              trace=""),
-        Phase("Df", +1, (x_s, x_t), pairing, trace="adv_"),
-        Phase("F", -1, (x_s, x_t), pairing),
-        Phase("C", -1, (x_t,), lambda bt: aligned_classifier_terms(bt, schema.c, stack.lam)),
+        Phase("D", +1, (x_s, x_t), lambda bs, bt: pu_terms(bs, bt, stack.lam), trace="",
+              n_common=c),
+        Phase("Df", +1, (x_s, x_t), domain_adv_terms, trace="adv_", n_common=c),
+        Phase("F", -1, (x_s, x_t), domain_adv_terms, n_common=c),
+        Phase("C", -1, (x_t,), lambda bt: classifier_terms(bt, stack.lam), n_common=c),
     ]
     return stack.results("PADA_F", *_run_phases(stack, phases, rngs))
 

@@ -40,14 +40,14 @@ from puhda.metrics import (
     discrimination_accuracy,
     improvement_metrics,
 )
-from puhda.models import LinearSoftmaxModel, LinearTransform, loss_and_grads
-from puhda.objectives import (
-    CompletionBlocks,
-    domain_adv_terms,
-    dsft_loss,
-    pada_terms,
-    pan_terms,
+from puhda.models import (
+    LinearSoftmaxModel,
+    LinearTransform,
+    RawBatch,
+    TransformedBatch,
+    loss_and_grads,
 )
+from puhda.objectives import CompletionBlocks, domain_adv_terms, dsft_loss, pu_terms
 from puhda.trainers import (
     TrainConfig,
     align_features,
@@ -128,17 +128,18 @@ def _gradient_instances(rng):
 
     yield "pu", {
         "C": softmax_model(c), "D": softmax_model(c),
-    }, lambda: pan_terms(rng.normal(size=(n1, c)), rng.normal(size=(n2, c)), lam)
+    }, lambda: pu_terms(RawBatch(rng.normal(size=(n1, c))), RawBatch(rng.normal(size=(n2, c))),
+                        lam)
 
     def hetero_models():
         return {"C": softmax_model(c + s), "D": softmax_model(c + s),
                 "F": transform(c + t, s)}
 
-    yield "joint", hetero_models(), lambda: pada_terms(bs, bt, c, lam)
-    yield "soft", hetero_models(), lambda: pada_terms(bs, bt, c, lam,
-                                                      teacher_probs=teacher, eta=eta)
+    yield "joint", hetero_models(), lambda: pu_terms(RawBatch(bs), TransformedBatch(bt, c), lam)
+    yield "soft", hetero_models(), lambda: pu_terms(RawBatch(bs), TransformedBatch(bt, c), lam,
+                                                    teacher_probs=teacher, eta=eta)
     yield "domain", {"Df": softmax_model(c + s), "F": transform(c + t, s)}, (
-        lambda: domain_adv_terms(bs, bt, c))
+        lambda: domain_adv_terms(RawBatch(bs), TransformedBatch(bt, c)))
 
     maps = {"psi_s": transform(c, s), "psi_t": transform(c, t)}
     s_c = rng.normal(size=(n1, c))

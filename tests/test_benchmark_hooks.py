@@ -15,7 +15,8 @@ import puhda.experiment
 import puhda.models
 import puhda.objectives
 import puhda.trainers
-from puhda.objectives import pada_terms, pan_terms
+from puhda.models import RawBatch, TransformedBatch
+from puhda.objectives import pu_terms
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -46,5 +47,5 @@ def test_objective_of_tells_the_pu_objective_from_the_aligned_one():
     layers = _layers()
     rng = np.random.default_rng(0)
     x_s, x_t = rng.normal(size=(4, 3)), rng.normal(size=(4, 5))
-    assert layers.objective_of(pan_terms(x_s, x_s, 0.1)) == "pan"
-    assert layers.objective_of(pada_terms(x_s, x_t, 1, 0.1)) == "pada"
+    assert layers.objective_of(pu_terms(RawBatch(x_s), RawBatch(x_s), 0.1)) == "pan"
+    assert layers.objective_of(pu_terms(RawBatch(x_s), TransformedBatch(x_t, 1), 0.1)) == "pada"

@@ -615,29 +615,53 @@ def test_the_stack_cut_never_changes_output(tmp_path, monkeypatch):
             assert (outs[0] / rel).read_bytes() == (out / rel).read_bytes(), rel
 
 
-def test_single_class_target_is_rejected_before_training(tmp_path, monkeypatch):
-    doc = base_doc()
-    gen = generate_files(build_config(doc), out_dir=tmp_path / "gen")
+def _generated_csv(doc, gen, columns):
+    """``doc`` with a csv dataset read from files generated into ``gen``, the
+    target file's ``columns`` (name -> value) set to one value on every row."""
+    gen = generate_files(build_config(doc), out_dir=gen)
     with (gen / "target.csv").open(newline="") as fh:
         header, *rows = list(csv.reader(fh))
-    label = header.index("label")
+    for name, value in columns.items():
+        for row in rows:
+            row[header.index(name)] = value
     with (gen / "target.csv").open("w", newline="") as fh:
-        csv.writer(fh).writerows([header] + [row[:label] + ["1"] + row[label + 1:]
-                                             for row in rows])
+        csv.writer(fh).writerows([header] + rows)
     schema = json.loads((gen / "target.csv.schema.json").read_text())["schema"]
     doc["dataset"] = {"kind": "csv", "csv": {
         "source": str(gen / "source.csv"), "target": str(gen / "target.csv"),
         "schema": {"common": schema["common"], "source_specific": schema["source_specific"],
                    "target_specific": schema["target_specific"], "label": "label"}}}
+    return doc
 
-    def untouchable(*args):
-        raise AssertionError("trained before the target was checked")
 
-    monkeypatch.setattr(experiment_module, "train_group", untouchable)
+def _untouchable(*args):
+    raise AssertionError("trained before the target was checked")
+
+
+def test_single_class_target_is_rejected_before_training(tmp_path, monkeypatch):
+    doc = _generated_csv(base_doc(), tmp_path / "gen", {"label": "1"})
+    monkeypatch.setattr(experiment_module, "train_group", _untouchable)
     out = tmp_path / "run"
     with pytest.raises(ConfigurationError, match="test split holds only class 1"):
         run_experiment(build_config(doc), out_dir=out)
     assert not (out / "telemetry").exists() and not (out / "checkpoints").exists()
+
+
+@pytest.mark.parametrize("entry", [run_experiment, ablate_experiment], ids=["run", "ablate"])
+@pytest.mark.parametrize("case", ["no_common_columns", "constant_common_columns"])
+def test_data_the_analytics_cannot_describe_stops_before_anything_trains(
+        tmp_path, monkeypatch, entry, case):
+    doc = base_doc()
+    doc["methods"] = ["COM_P", "PADA", "PADA_F"]
+    constant = {"com_0": "0.5", "com_1": "0.5"} if case == "constant_common_columns" else {}
+    doc = _generated_csv(doc, tmp_path / "gen", constant)
+    if case == "no_common_columns":
+        doc["dataset"]["csv"]["schema"]["common"] = []
+    monkeypatch.setattr(experiment_module, "train_group", _untouchable)
+    out = tmp_path / "out"
+    with pytest.raises(InvalidInputError, match="common vs label: no feature with nonzero variance"):
+        entry(build_config(doc), out_dir=out)
+    assert list(out.iterdir()) == []
 
 
 def test_test_split_opens_exactly_once(run_config):
@@ -1145,6 +1169,15 @@ def test_ablation_method_accuracy_matches_the_evaluation(ablation_config, ablati
 def test_ablation_writes_the_standard_reports_too(ablation_dir):
     for name in ("grid.csv", "selection.csv", "eval.csv", "comparison.txt"):
         assert (ablation_dir / name).is_file()
+
+
+def test_parallel_ablation_matches_serial_byte_for_byte(ablation_config, ablation_dir, tmp_path):
+    par = ablate_experiment(ablation_config, out_dir=tmp_path / "par", jobs=2)
+    files = sorted(p.relative_to(ablation_dir) for p in ablation_dir.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(par) for p in par.rglob("*") if p.is_file())
+    assert {rel.parts[0] for rel in files} >= {"ablation.csv", "ablation.txt", "grid.csv"}
+    for rel in files:
+        assert (ablation_dir / rel).read_bytes() == (par / rel).read_bytes(), rel
 
 
 # --------------------------------------------------------------------------

@@ -247,7 +247,7 @@ def _oracle_side(models, side):
             mapped = transform_row(t.weights, t.bias, raw)
             rows.append(list(raw[:batch.n_common]) + mapped)
     else:
-        rows = [list(r) for r in batch.x]
+        rows = [list(r) for r in batch.rows]
     out = []
     for row in rows:
         pair = classify_row(model.weights, model.bias, row)
@@ -344,7 +344,7 @@ _WIDTH_MISMATCHES = {
     "loss_forward": lambda: loss_and_grads(
         {"D": _head(3)}, [KLTerm(1.0, ConstTarget(numerics.P1),
                                  ModelOutput("D", RawBatch(np.ones((2, 4)))))]),
-    "frozen_teacher": lambda: frozen_teacher({"C": _head(3)}, 2)(np.ones((2, 5))),
+    "frozen_teacher": lambda: frozen_teacher({"C": _head(3)}, 2, np.ones((2, 5))),
     "dsft_loss": lambda: dsft_loss(
         CompletionBlocks(np.ones((2, 2)), np.ones((2, 1)), np.ones((3, 2)), np.ones((3, 1)), 1.0),
         _map(3, 1), _map(3, 1)),

@@ -9,17 +9,17 @@ from puhda.models import (
     LinearTransform,
     LossPlan,
     ModelOutput,
+    RawBatch,
+    TransformedBatch,
     loss_and_grads,
 )
 from puhda.objectives import (
     CompletionBlocks,
-    aligned_classifier_terms,
     classifier_terms,
     distillation_terms,
     domain_adv_terms,
     dsft_loss,
-    pada_terms,
-    pan_terms,
+    pu_terms,
     supervised_terms,
 )
 
@@ -38,6 +38,16 @@ from _oracles import (
 
 P1 = clamp_pair(0.0, 1.0)
 P0 = clamp_pair(1.0, 0.0)
+
+
+def _pan(bp, bu, lam, **teacher):
+    """The PU terms on positive and unlabeled rows of one feature space."""
+    return pu_terms(RawBatch(bp), RawBatch(bu), lam, **teacher)
+
+
+def _pada(bs, bt, c, lam, **teacher):
+    """The PU terms on source rows and target rows aligned by F."""
+    return pu_terms(RawBatch(bs), TransformedBatch(bt, c), lam, **teacher)
 
 
 def _pan_value_oracle(c_model, d_model, batch_pos, batch_unl, lam):
@@ -81,7 +91,7 @@ class TestPanTerms:
             bp = rng.normal(size=(int(rng.integers(1, 6)), d))
             bu = rng.normal(size=(int(rng.integers(1, 6)), d))
             lam = float(rng.uniform(0, 1))
-            got = loss_and_grads(models, pan_terms(bp, bu, lam)).value
+            got = loss_and_grads(models, _pan(bp, bu, lam)).value
             want = _pan_value_oracle(models["C"], models["D"], bp, bu, lam)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -91,7 +101,7 @@ class TestPanTerms:
             "C": LinearSoftmaxModel(rng.normal(size=(3, 2)), rng.normal(size=2)),
             "D": LinearSoftmaxModel(rng.normal(size=(3, 2)), rng.normal(size=2)),
         }
-        terms = pan_terms(rng.normal(size=(4, 3)), rng.normal(size=(5, 3)), lam=0.0)
+        terms = _pan(rng.normal(size=(4, 3)), rng.normal(size=(5, 3)), lam=0.0)
         res = loss_and_grads(models, terms, wrt=("C",))
         assert np.array_equal(res.grads["C"].d_weights, np.zeros((3, 2)))
         assert np.array_equal(res.grads["C"].d_bias, np.zeros(2))
@@ -104,8 +114,8 @@ class TestPanTerms:
         }
         bp = rng.normal(size=(4, 3))
         bu = rng.normal(size=(5, 3))
-        base = loss_and_grads(models, pan_terms(bp, bu, lam=0.25)).term_values
-        doubled = loss_and_grads(models, pan_terms(bp, bu, lam=0.5)).term_values
+        base = loss_and_grads(models, _pan(bp, bu, lam=0.25)).term_values
+        doubled = loss_and_grads(models, _pan(bp, bu, lam=0.5)).term_values
         assert doubled[2] == pytest.approx(2 * base[2], rel=1e-12)
         assert doubled[3] == pytest.approx(2 * base[3], rel=1e-12)
         assert doubled[0] == base[0] and doubled[1] == base[1]
@@ -119,7 +129,7 @@ class TestPanTerms:
                 "C": LinearSoftmaxModel(rng.normal(size=(d, 2)), rng.normal(size=2)),
                 "D": LinearSoftmaxModel(rng.normal(size=(d, 2)), rng.normal(size=2)),
             }
-            terms = pan_terms(
+            terms = _pan(
                 rng.normal(size=(int(rng.integers(1, 5)), d)),
                 rng.normal(size=(int(rng.integers(1, 5)), d)),
                 lam=float(rng.uniform(0.05, 1.0)),
@@ -145,16 +155,16 @@ class TestPadaTerms:
         bs = rng.normal(size=(4, c + s))
         bt = rng.normal(size=(5, c + t))
         lam = 0.3
-        pada_val = loss_and_grads(models, pada_terms(bs, bt, c, lam)).value
+        pada_val = loss_and_grads(models, _pada(bs, bt, c, lam)).value
         aligned = np.hstack([bt[:, :c], models["F"].transform(bt)])
-        pan_val = loss_and_grads(models, pan_terms(bs, aligned, lam)).value
+        pan_val = loss_and_grads(models, _pan(bs, aligned, lam)).value
         assert pada_val == pan_val
 
     def test_source_term_has_no_transform_gradient(self):
         rng = np.random.default_rng(21)
         c, s, t = 2, 2, 3
         models = _models(rng, c, s, t)
-        terms = pada_terms(rng.normal(size=(4, c + s)), rng.normal(size=(4, c + t)), c, 0.5)
+        terms = _pada(rng.normal(size=(4, c + s)), rng.normal(size=(4, c + t)), c, 0.5)
         res = loss_and_grads(models, [terms[0]], wrt=("F",))
         assert np.array_equal(res.grads["F"].d_weights, np.zeros((c + t, s)))
         assert np.array_equal(res.grads["F"].d_bias, np.zeros(s))
@@ -167,7 +177,7 @@ class TestPadaTerms:
             s = int(rng.integers(1, 4))
             t = int(rng.integers(1, 4))
             models = _models(rng, c, s, t)
-            terms = pada_terms(
+            terms = _pada(
                 rng.normal(size=(int(rng.integers(1, 5)), c + s)),
                 rng.normal(size=(int(rng.integers(1, 5)), c + t)),
                 c,
@@ -194,9 +204,9 @@ class TestPadaSTerms:
         bt = rng.normal(size=(5, c + t))
         teacher = numerics.softmax2(rng.normal(size=(5, 2)))
         names = ("C", "D", "F")
-        plain = loss_and_grads(models, pada_terms(bs, bt, c, 0.4), wrt=names)
+        plain = loss_and_grads(models, _pada(bs, bt, c, 0.4), wrt=names)
         soft = loss_and_grads(
-            models, pada_terms(bs, bt, c, 0.4, eta=0.0, teacher_probs=teacher), wrt=names
+            models, _pada(bs, bt, c, 0.4, eta=0.0, teacher_probs=teacher), wrt=names
         )
         assert plain.value == soft.value
         for nm in names:
@@ -209,7 +219,7 @@ class TestPadaSTerms:
         models = _models(rng, c, s, t)
         bt = rng.normal(size=(6, c + t))
         teacher = np.full((6, 2), 0.5)
-        terms = pada_terms(rng.normal(size=(4, c + s)), bt, c, 0.3, eta=0.7, teacher_probs=teacher)
+        terms = _pada(rng.normal(size=(4, c + s)), bt, c, 0.3, eta=0.7, teacher_probs=teacher)
         res = loss_and_grads(models, terms, wrt=("C", "F"))
         assert res.term_values[4] + res.term_values[5] == 0.0
         plain = loss_and_grads(models, terms[:4], wrt=("C", "F"))
@@ -219,7 +229,7 @@ class TestPadaSTerms:
     def test_teacher_row_mismatch_is_configuration_error(self):
         rng = np.random.default_rng(32)
         with pytest.raises(ConfigurationError):
-            pada_terms(
+            _pada(
                 rng.normal(size=(3, 4)),
                 rng.normal(size=(5, 4)),
                 2,
@@ -237,7 +247,7 @@ class TestPadaSTerms:
             t = int(rng.integers(1, 4))
             n_t = int(rng.integers(1, 5))
             models = _models(rng, c, s, t)
-            terms = pada_terms(
+            terms = _pada(
                 rng.normal(size=(int(rng.integers(1, 5)), c + s)),
                 rng.normal(size=(n_t, c + t)),
                 c,
@@ -267,7 +277,7 @@ class TestDomainAdvAndHelpers:
         }
         bs = rng.normal(size=(4, c + s))
         bt = rng.normal(size=(5, c + t))
-        got = loss_and_grads(models, domain_adv_terms(bs, bt, c)).value
+        got = loss_and_grads(models, domain_adv_terms(RawBatch(bs), TransformedBatch(bt, c))).value
         want = 0.0
         for x in bs:
             want -= kl_pair(P1, classify_row(models["Df"].weights, models["Df"].bias, x)) / 4
@@ -287,9 +297,8 @@ class TestDomainAdvAndHelpers:
                 "F": LinearTransform(rng.normal(size=(c + t, s)), rng.normal(size=s)),
             }
             terms = domain_adv_terms(
-                rng.normal(size=(int(rng.integers(1, 5)), c + s)),
-                rng.normal(size=(int(rng.integers(1, 5)), c + t)),
-                c,
+                RawBatch(rng.normal(size=(int(rng.integers(1, 5)), c + s))),
+                TransformedBatch(rng.normal(size=(int(rng.integers(1, 5)), c + t)), c),
             )
             res = loss_and_grads(models, terms, wrt=names)
 
@@ -305,11 +314,11 @@ class TestDomainAdvAndHelpers:
     def test_distillation_and_supervised_shapes(self):
         rng = np.random.default_rng(42)
         teacher = numerics.softmax2(rng.normal(size=(4, 2)))
-        terms = distillation_terms(teacher, rng.normal(size=(4, 6)))
+        terms = distillation_terms(teacher, RawBatch(rng.normal(size=(4, 6))))
         assert len(terms) == 1 and terms[0].weight == pytest.approx(0.25)
         with pytest.raises(ConfigurationError):
-            distillation_terms(teacher, rng.normal(size=(5, 6)))
-        sup = supervised_terms(rng.normal(size=(2, 3)), rng.normal(size=(4, 3)))
+            distillation_terms(teacher, RawBatch(rng.normal(size=(5, 6))))
+        sup = supervised_terms(RawBatch(rng.normal(size=(2, 3))), RawBatch(rng.normal(size=(4, 3))))
         assert sup[0].weight == pytest.approx(-0.5)
         assert sup[1].weight == pytest.approx(-0.25)
 
@@ -481,7 +490,7 @@ class TestHotPath:
         rng = np.random.default_rng(70)
         c, s, t = 2, 3, 2
         models = _models(rng, c, s, t)
-        terms = pada_terms(rng.normal(size=(6, c + s)), rng.normal(size=(5, c + t)), c, 0.4)
+        terms = _pada(rng.normal(size=(6, c + s)), rng.normal(size=(5, c + t)), c, 0.4)
         want = loss_and_grads(models, terms, wrt=("C", "D", "F"))
         counts = self._counted(models)
         got = loss_and_grads(models, terms)
@@ -494,7 +503,7 @@ class TestHotPath:
         rng = np.random.default_rng(71)
         c, s, t = 2, 3, 2
         models = _models(rng, c, s, t)
-        terms = pada_terms(rng.normal(size=(6, c + s)), rng.normal(size=(5, c + t)), c, 0.4,
+        terms = _pada(rng.normal(size=(6, c + s)), rng.normal(size=(5, c + t)), c, 0.4,
                              eta=0.2, teacher_probs=numerics.softmax2(rng.normal(size=(5, 2))))
         counts = self._counted(models)
         loss_and_grads(models, terms, wrt=("F",))
@@ -505,7 +514,7 @@ class TestHotPath:
         rng = np.random.default_rng(71)
         c, s, t = 2, 3, 2
         models = _models(rng, c, s, t)
-        terms = pada_terms(rng.normal(size=(6, c + s)), rng.normal(size=(5, c + t)), c, 0.4)
+        terms = _pada(rng.normal(size=(6, c + s)), rng.normal(size=(5, c + t)), c, 0.4)
         counts = self._counted(models)
         loss_and_grads(models, terms, wrt=("F",), values=False)
         # D on source rows reads no F: only the aligned forwards and their products run
@@ -518,12 +527,12 @@ class TestHotPath:
         c, s, t = 2, 2, 2
         models = _models(rng, c, s, t)
         models["F"] = LinearTransform(np.full((c + t, s), 1e300), np.zeros(s))
-        terms = pada_terms(rng.normal(size=(4, c + s)), np.full((3, c + t), 1e10), c, 0.3)
+        terms = _pada(rng.normal(size=(4, c + s)), np.full((3, c + t), 1e10), c, 0.3)
         with pytest.raises(InvalidInputError, match="finite"):
             loss_and_grads(models, terms, wrt=("F",))
 
-    @pytest.mark.parametrize("build", [lambda a, b: pan_terms(a, b, 0.1),
-                                       lambda a, b: pada_terms(a, b, 2, 0.1)],
+    @pytest.mark.parametrize("build", [lambda a, b: _pan(a, b, 0.1),
+                                       lambda a, b: _pada(a, b, 2, 0.1)],
                              ids=["pan", "pada"])
     def test_nan_batch_is_rejected_when_terms_are_built(self, build):
         rng = np.random.default_rng(73)
@@ -563,17 +572,19 @@ def _objectives(rng, cells):
         lam, eta = np.linspace(0.1, 1.0, cells), np.linspace(0.9, 0.2, cells)
     teacher = numerics.softmax2(rng.normal(scale=3.0, size=cell + (n, 2)))
     return models, {
-        "pan": (pan_terms(bs, bu, lam), ("D", "C")),
-        "pada": (pada_terms(bs, bt, c, lam), ("D", "C", "F")),
-        "pada_teacher": (pada_terms(bs, bt, c, lam, teacher_probs=teacher, eta=eta),
+        "pan": (_pan(bs, bu, lam), ("D", "C")),
+        "pada": (_pada(bs, bt, c, lam), ("D", "C", "F")),
+        "pada_teacher": (_pada(bs, bt, c, lam, teacher_probs=teacher, eta=eta),
                          ("D", "C", "F")),
-        "domain_adv": (domain_adv_terms(bs, bt, c), ("Df", "F")),
-        "classifier_pair": (classifier_terms(bu, lam), ("C", "D")),
-        "aligned_classifier_pair": (aligned_classifier_terms(bt, c, lam), ("C", "D", "F")),
+        "domain_adv": (domain_adv_terms(RawBatch(bs), TransformedBatch(bt, c)), ("Df", "F")),
+        "classifier_pair": (classifier_terms(RawBatch(bu), lam), ("C", "D")),
+        "aligned_classifier_pair": (classifier_terms(TransformedBatch(bt, c), lam),
+                                    ("C", "D", "F")),
         "aligned_classifier_pair_teacher": (
-            aligned_classifier_terms(bt, c, lam, teacher_probs=teacher, eta=eta), ("C", "D", "F")),
-        "distill": (distillation_terms(teacher, bt), ("C",)),
-        "supervised": (supervised_terms(bs, bu), ("D",)),
+            classifier_terms(TransformedBatch(bt, c), lam, teacher_probs=teacher, eta=eta),
+            ("C", "D", "F")),
+        "distill": (distillation_terms(teacher, RawBatch(bt)), ("C",)),
+        "supervised": (supervised_terms(RawBatch(bs), RawBatch(bu)), ("D",)),
     }
 
 
@@ -597,7 +608,7 @@ class TestUntracedEvaluation:
     def test_the_stacked_draws_hit_the_clamp(self):
         """The draws above exercise the clamp mask of the Jacobian."""
         models, objectives = _objectives(np.random.default_rng(80), 4)
-        p1 = models["C"].classify(objectives["pan"][0][0].right.batch.x)[..., 1]
+        p1 = models["C"].classify(objectives["pan"][0][0].right.batch.rows)[..., 1]
         assert ((p1 <= numerics.EPS) | (p1 >= 1.0 - numerics.EPS)).any()
 
     @pytest.mark.parametrize("cells", [1, 4])
@@ -612,7 +623,7 @@ class TestUntracedEvaluation:
             for term, new in zip(terms, fresh):
                 for side, new_side in ((term.left, new.left), (term.right, new.right)):
                     if isinstance(side, ModelOutput):
-                        side.batch.bind(new_side.batch.rows)
+                        side.batch.rows = new_side.batch.rows
                     elif side is not new_side and isinstance(new_side, ConstTarget):
                         side.columns = new_side.columns
             for values in (True, False):

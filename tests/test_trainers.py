@@ -21,6 +21,7 @@ from puhda.models import (
     ConstTarget,
     LinearSoftmaxModel,
     LinearTransform,
+    RawBatch,
     TransformedBatch,
     frozen_teacher,
     load_checkpoint,
@@ -28,13 +29,7 @@ from puhda.models import (
     save_checkpoint,
 )
 from puhda.numerics import derive_seed, make_rng, softmax2
-from puhda.objectives import (
-    aligned_classifier_terms,
-    classifier_terms,
-    domain_adv_terms,
-    pada_terms,
-    pan_terms,
-)
+from puhda.objectives import classifier_terms, domain_adv_terms, pu_terms
 from puhda.trainers import (
     METHOD_TABLE,
     TrainConfig,
@@ -189,35 +184,38 @@ def test_pan_lambda_zero_leaves_classifier_at_init(tiny_data):
     assert not models_equal(art.models()["D"], d0)
 
 
-def test_pan_single_step_matches_manual_replay(tiny_data):
-    """One iteration replayed by hand: batch order, update targets, signs."""
+@pytest.mark.parametrize("steps", [1, 2])
+def test_pan_single_step_matches_manual_replay(tiny_data, steps):
+    """Each iteration replayed by hand: batch order, update targets, signs. The
+    second step is the first that refills the batches the phases made."""
     x_pos, x_unl = pu_blocks(tiny_data)
-    cfg = TrainConfig(learning_rate=1e-3, lam=0.2, steps=1, batch_size=48, seed=11)
+    cfg = TrainConfig(learning_rate=1e-3, lam=0.2, steps=steps, batch_size=48, seed=11)
     art = train_pu(x_pos, x_unl, cfg)
 
     rng = make_rng(cfg.seed)
     d = LinearSoftmaxModel.initialize(x_pos.shape[1], rng)
     c = LinearSoftmaxModel.initialize(x_pos.shape[1], rng)
     models = {"D": d, "C": c}
-    bp = x_pos[rng.integers(0, x_pos.shape[0], size=cfg.batch_size)]
-    bu = x_unl[rng.integers(0, x_unl.shape[0], size=cfg.batch_size)]
-    terms_d = pan_terms(bp, bu, cfg.lam)
-    before_d = loss_and_grads(models, terms_d, wrt=()).value
-    res_d = loss_and_grads(models, terms_d, wrt=("D",))
-    d.apply_step(res_d.grads["D"], cfg.learning_rate)
-    after_d = loss_and_grads(models, terms_d, wrt=()).value
+    for _ in range(steps):
+        bp = RawBatch(x_pos[rng.integers(0, x_pos.shape[0], size=cfg.batch_size)])
+        bu = RawBatch(x_unl[rng.integers(0, x_unl.shape[0], size=cfg.batch_size)])
+        terms_d = pu_terms(bp, bu, cfg.lam)
+        before_d = loss_and_grads(models, terms_d, wrt=()).value
+        res_d = loss_and_grads(models, terms_d, wrt=("D",))
+        d.apply_step(res_d.grads["D"], cfg.learning_rate)
+        after_d = loss_and_grads(models, terms_d, wrt=()).value
 
-    bu2 = x_unl[rng.integers(0, x_unl.shape[0], size=cfg.batch_size)]
-    terms_c = classifier_terms(bu2, cfg.lam)
-    before_c = loss_and_grads(models, terms_c, wrt=()).value
-    res_c = loss_and_grads(models, terms_c, wrt=("C",))
-    c.apply_step(res_c.grads["C"], -cfg.learning_rate)
-    after_c = loss_and_grads(models, terms_c, wrt=()).value
+        bu2 = RawBatch(x_unl[rng.integers(0, x_unl.shape[0], size=cfg.batch_size)])
+        terms_c = classifier_terms(bu2, cfg.lam)
+        before_c = loss_and_grads(models, terms_c, wrt=()).value
+        res_c = loss_and_grads(models, terms_c, wrt=("C",))
+        c.apply_step(res_c.grads["C"], -cfg.learning_rate)
+        after_c = loss_and_grads(models, terms_c, wrt=()).value
+        assert after_d >= before_d
+        assert after_c <= before_c
 
     assert models_equal(art.models()["D"], d)
     assert models_equal(art.classifier, c)
-    assert after_d >= before_d
-    assert after_c <= before_c
 
 
 def test_pan_rejects_bad_inputs(tiny_data):
@@ -294,11 +292,12 @@ def test_pada_lambda_zero_leaves_classifier_at_init(tiny_data):
     assert not np.array_equal(art.models()["F"].weights, f0.weights)
 
 
-def test_pada_single_step_matches_manual_replay(tiny_data):
+@pytest.mark.parametrize("steps", [1, 2])
+def test_pada_single_step_matches_manual_replay(tiny_data, steps):
     source, train, _, _ = tiny_data
     schema = source.schema
     x_s, x_t = source.features(), train.features()
-    cfg = TrainConfig(learning_rate=1e-3, lam=0.2, steps=1, batch_size=48, seed=13)
+    cfg = TrainConfig(learning_rate=1e-3, lam=0.2, steps=steps, batch_size=48, seed=13)
     art = train_pada(source, train, cfg)
 
     rng = make_rng(cfg.seed)
@@ -310,26 +309,27 @@ def test_pada_single_step_matches_manual_replay(tiny_data):
     def draw(x):
         return x[rng.integers(0, x.shape[0], size=cfg.batch_size)]
 
-    bs, bt = draw(x_s), draw(x_t)
-    res_d = loss_and_grads(models, pada_terms(bs, bt, schema.c, cfg.lam), wrt=("D",))
-    d.apply_step(res_d.grads["D"], cfg.learning_rate)
+    for _ in range(steps):
+        bs, bt = RawBatch(draw(x_s)), TransformedBatch(draw(x_t), schema.c)
+        res_d = loss_and_grads(models, pu_terms(bs, bt, cfg.lam), wrt=("D",))
+        d.apply_step(res_d.grads["D"], cfg.learning_rate)
 
-    bs2, bt2 = draw(x_s), draw(x_t)
-    terms_f = pada_terms(bs2, bt2, schema.c, cfg.lam)
-    before_f = loss_and_grads(models, terms_f, wrt=()).value
-    res_f = loss_and_grads(models, terms_f, wrt=("F",))
-    f.apply_step(res_f.grads["F"], -cfg.learning_rate)
-    after_f = loss_and_grads(models, terms_f, wrt=()).value
+        bs2, bt2 = RawBatch(draw(x_s)), TransformedBatch(draw(x_t), schema.c)
+        terms_f = pu_terms(bs2, bt2, cfg.lam)
+        before_f = loss_and_grads(models, terms_f, wrt=()).value
+        res_f = loss_and_grads(models, terms_f, wrt=("F",))
+        f.apply_step(res_f.grads["F"], -cfg.learning_rate)
+        after_f = loss_and_grads(models, terms_f, wrt=()).value
 
-    bt3 = draw(x_t)
-    res_c = loss_and_grads(models, aligned_classifier_terms(bt3, schema.c, cfg.lam), wrt=("C",))
-    c.apply_step(res_c.grads["C"], -cfg.learning_rate)
+        bt3 = TransformedBatch(draw(x_t), schema.c)
+        res_c = loss_and_grads(models, classifier_terms(bt3, cfg.lam), wrt=("C",))
+        c.apply_step(res_c.grads["C"], -cfg.learning_rate)
+        assert after_f <= before_f
 
     assert models_equal(art.models()["D"], d)
     assert models_equal(art.classifier, c)
     assert np.array_equal(art.models()["F"].weights, f.weights)
     assert np.array_equal(art.models()["F"].bias, f.bias)
-    assert after_f <= before_f
 
 
 def test_pada_rejects_swapped_roles_and_schema_mismatch(tiny_data):
@@ -391,20 +391,21 @@ def test_soft_rounds_return_best_round_and_stop_early(tiny_data):
         assert vals[-1] <= max(vals[:-1])
 
 
-def test_pada_s_single_step_matches_manual_replay(tiny_data):
+@pytest.mark.parametrize("steps", [1, 2])
+def test_pada_s_single_step_matches_manual_replay(tiny_data, steps):
     """Round one with a live teacher pair: the base run, the teacher on every
     phase's target batch, and the classifier phase's teacher terms."""
     source, train, val, _ = tiny_data
     schema = source.schema
     x_s, x_t = source.features(), train.features()
-    cfg = TrainConfig(learning_rate=1e-3, lam=0.2, eta=0.3, steps=1, batch_size=48, seed=19,
-                      max_soft_rounds=1)
+    cfg = TrainConfig(learning_rate=1e-3, lam=0.2, eta=0.3, steps=steps, batch_size=48,
+                      seed=19, max_soft_rounds=1)
     art = train_pada_s(source, train, cfg, val_target=val)
 
     base = train_com_p(source, train, replace(cfg, seed=derive_seed(cfg.seed, "soft-base")))
 
     def teacher(bt):
-        return base.classifier.classify(bt[:, :schema.c])
+        return base.classifier.classify(bt.rows[:, :schema.c])
 
     rng = make_rng(cfg.seed)
     d = LinearSoftmaxModel.initialize(x_s.shape[1], rng)
@@ -415,22 +416,23 @@ def test_pada_s_single_step_matches_manual_replay(tiny_data):
     def draw(x):
         return x[rng.integers(0, x.shape[0], size=cfg.batch_size)]
 
-    bs, bt = draw(x_s), draw(x_t)
-    terms_d = pada_terms(bs, bt, schema.c, cfg.lam, teacher_probs=teacher(bt), eta=cfg.eta)
-    res_d = loss_and_grads(models, terms_d, wrt=("D",))
-    d.apply_step(res_d.grads["D"], cfg.learning_rate)
+    for step in range(steps):
+        bs, bt = RawBatch(draw(x_s)), TransformedBatch(draw(x_t), schema.c)
+        terms_d = pu_terms(bs, bt, cfg.lam, teacher_probs=teacher(bt), eta=cfg.eta)
+        res_d = loss_and_grads(models, terms_d, wrt=("D",))
+        d.apply_step(res_d.grads["D"], cfg.learning_rate)
 
-    bs2, bt2 = draw(x_s), draw(x_t)
-    terms_f = pada_terms(bs2, bt2, schema.c, cfg.lam, teacher_probs=teacher(bt2), eta=cfg.eta)
-    res_f = loss_and_grads(models, terms_f, wrt=("F",))
-    f.apply_step(res_f.grads["F"], -cfg.learning_rate)
+        bs2, bt2 = RawBatch(draw(x_s)), TransformedBatch(draw(x_t), schema.c)
+        terms_f = pu_terms(bs2, bt2, cfg.lam, teacher_probs=teacher(bt2), eta=cfg.eta)
+        res_f = loss_and_grads(models, terms_f, wrt=("F",))
+        f.apply_step(res_f.grads["F"], -cfg.learning_rate)
 
-    bt3 = draw(x_t)
-    terms_c = aligned_classifier_terms(bt3, schema.c, cfg.lam,
-                                       teacher_probs=teacher(bt3), eta=cfg.eta)
-    assert [t.name for t in terms_c] == ["kl_dc", "kl_dc_swap", "kl_soft", "kl_soft_swap"]
-    res_c = loss_and_grads(models, terms_c, wrt=("C",))
-    c.apply_step(res_c.grads["C"], -cfg.learning_rate)
+        bt3 = TransformedBatch(draw(x_t), schema.c)
+        terms_c = classifier_terms(bt3, cfg.lam, teacher_probs=teacher(bt3), eta=cfg.eta)
+        assert [t.name for t in terms_c] == ["kl_dc", "kl_dc_swap", "kl_soft", "kl_soft_swap"]
+        res_c = loss_and_grads(models, terms_c, wrt=("C",))
+        c.apply_step(res_c.grads["C"], -cfg.learning_rate)
+        assert art.trace.rows[step][1:] == (res_d.value, *res_d.term_values)
 
     assert art.rounds_run == 1
     assert art.trace.columns == ("step", "value", "kl_pos", "kl_unl", "kl_dc", "kl_dc_swap",
@@ -438,7 +440,6 @@ def test_pada_s_single_step_matches_manual_replay(tiny_data):
     assert models_equal(art.models()["D"], d)
     assert models_equal(art.classifier, c)
     assert models_equal(art.models()["F"], f)
-    assert art.trace.rows[0][1:] == (res_d.value, *res_d.term_values)
 
 
 def test_soft_rounds_need_labeled_validation(tiny_data):
@@ -453,11 +454,12 @@ def test_soft_rounds_need_labeled_validation(tiny_data):
 # Two-discriminator ablation
 
 
-def test_pada_f_single_step_matches_manual_replay(tiny_data):
+@pytest.mark.parametrize("steps", [1, 2])
+def test_pada_f_single_step_matches_manual_replay(tiny_data, steps):
     source, train, _, _ = tiny_data
     schema = source.schema
     x_s, x_t = source.features(), train.features()
-    cfg = TrainConfig(learning_rate=1e-3, lam=0.2, steps=1, batch_size=48, seed=17)
+    cfg = TrainConfig(learning_rate=1e-3, lam=0.2, steps=steps, batch_size=48, seed=17)
     art = train_pada_f(source, train, cfg)
 
     rng = make_rng(cfg.seed)
@@ -470,21 +472,22 @@ def test_pada_f_single_step_matches_manual_replay(tiny_data):
     def draw(x):
         return x[rng.integers(0, x.shape[0], size=cfg.batch_size)]
 
-    bs, bt = draw(x_s), draw(x_t)
-    res_d = loss_and_grads(models, pada_terms(bs, bt, schema.c, cfg.lam), wrt=("D",))
-    d.apply_step(res_d.grads["D"], cfg.learning_rate)
+    def pair():
+        return RawBatch(draw(x_s)), TransformedBatch(draw(x_t), schema.c)
 
-    bs2, bt2 = draw(x_s), draw(x_t)
-    res_df = loss_and_grads(models, domain_adv_terms(bs2, bt2, schema.c), wrt=("Df",))
-    df.apply_step(res_df.grads["Df"], cfg.learning_rate)
+    for _ in range(steps):
+        res_d = loss_and_grads(models, pu_terms(*pair(), cfg.lam), wrt=("D",))
+        d.apply_step(res_d.grads["D"], cfg.learning_rate)
 
-    bs3, bt3 = draw(x_s), draw(x_t)
-    res_f = loss_and_grads(models, domain_adv_terms(bs3, bt3, schema.c), wrt=("F",))
-    f.apply_step(res_f.grads["F"], -cfg.learning_rate)
+        res_df = loss_and_grads(models, domain_adv_terms(*pair()), wrt=("Df",))
+        df.apply_step(res_df.grads["Df"], cfg.learning_rate)
 
-    bt4 = draw(x_t)
-    res_c = loss_and_grads(models, aligned_classifier_terms(bt4, schema.c, cfg.lam), wrt=("C",))
-    c.apply_step(res_c.grads["C"], -cfg.learning_rate)
+        res_f = loss_and_grads(models, domain_adv_terms(*pair()), wrt=("F",))
+        f.apply_step(res_f.grads["F"], -cfg.learning_rate)
+
+        bt = TransformedBatch(draw(x_t), schema.c)
+        res_c = loss_and_grads(models, classifier_terms(bt, cfg.lam), wrt=("C",))
+        c.apply_step(res_c.grads["C"], -cfg.learning_rate)
 
     assert models_equal(art.models()["D"], d)
     assert models_equal(art.models()["Df"], df)
@@ -714,7 +717,7 @@ def _side_pairs(models, side):
         rows = batch.rows
         x = np.concatenate([rows[:, :batch.n_common], rows @ f.weights + f.bias], axis=1)
     else:
-        x = batch.x
+        x = batch.rows
     probs = models[side.model].classify(x)
     log_probs = np.log(probs)
     if side.swapped:
@@ -730,8 +733,8 @@ def test_term_values_match_the_reduction_formula(tiny_data):
     models = {name: LinearSoftmaxModel.initialize(x_s.shape[1], rng) for name in ("D", "C")}
     models["F"] = LinearTransform.initialize(x_t.shape[1], source.schema.s, rng)
     teacher_probs = softmax2(rng.normal(scale=3.0, size=(64, 2)))
-    terms = pada_terms(x_s[:64], x_t[:64], source.schema.c, 0.3,
-                       teacher_probs=teacher_probs, eta=0.2)
+    terms = pu_terms(RawBatch(x_s[:64]), TransformedBatch(x_t[:64], source.schema.c), 0.3,
+                     teacher_probs=teacher_probs, eta=0.2)
     res = loss_and_grads(models, terms, wrt=("D", "C", "F"))
     for term, got in zip(terms, res.term_values):
         (a, log_a), (_, log_b) = _side_pairs(models, term.left), _side_pairs(models, term.right)
@@ -750,7 +753,7 @@ def test_frozen_teacher_pairs_equal_classify(tiny_data, with_transform):
     else:
         models = {"C": LinearSoftmaxModel.initialize(c, rng)}
         rows = train.common
-    teacher = frozen_teacher(models, c)
+    teacher = frozen_teacher(models, c, x_t)
     pairs = teacher(x_t)
     assert isinstance(pairs, ConstTarget)
     assert np.array_equal(pairs.probs, models["C"].classify(rows))
@@ -972,7 +975,7 @@ def test_each_pada_move_computes_only_what_its_update_and_trace_read(tiny_data, 
     source, train, val, _ = tiny_data
     forwards = [0]
     moves = []
-    builds = {"pada_terms": 0, "aligned_classifier_terms": 0}
+    builds = {"pu_terms": 0, "classifier_terms": 0}
     real_softmax, real_loss = models_module._softmax_columns, trainers_module.loss_and_grads
 
     def counted_softmax(*args, **kwargs):
@@ -1002,7 +1005,7 @@ def test_each_pada_move_computes_only_what_its_update_and_trace_read(tiny_data, 
     outcomes = METHOD_TABLE["PADA"].group(source, train, val, configs)
     assert all(not isinstance(art, Exception) for art in outcomes)
     assert moves == [(("D",), 3, False), (("F",), 2, True), (("C",), 2, True)] * 4
-    assert builds == {"pada_terms": 2, "aligned_classifier_terms": 1}
+    assert builds == {"pu_terms": 2, "classifier_terms": 1}
 
 
 def _same_labels(got: ConstTarget, want: ConstTarget) -> None:
