@@ -10,8 +10,8 @@ see them, the harness uses them for validation, final scoring, and
 analytics. Source matrices are positive-only by construction, which is the
 defining constraint of the setting.
 
-Matrices are float64 and immutable once built; serialization round-trips
-bit-exactly through delimited text plus a JSON schema sidecar.
+Matrices are float64 and immutable once built; a saved matrix reads back
+bit-exactly through :func:`load_csv` with the schema its JSON sidecar records.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -344,7 +344,8 @@ def save_domain_matrix(dm: DomainMatrix, path) -> None:
     """Write a matrix as delimited text plus a JSON schema sidecar.
 
     Floats are written with shortest round-trip formatting, so reloading
-    gives bit-identical values.
+    gives bit-identical values through :func:`load_csv` with the sidecar's schema
+    and role (``label_header`` names the label column); no package code reads it.
     """
     path = Path(path)
     header = list(dm.schema.common) + list(dm.schema.specific_for(dm.role))
@@ -366,24 +367,6 @@ def save_domain_matrix(dm: DomainMatrix, path) -> None:
         "label_header": (dm.schema.label_column or "label") if dm.labels is not None else None,
     }
     Path(str(path) + ".schema.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
-
-
-def load_domain_matrix(path) -> DomainMatrix:
-    """Reload a matrix written by :func:`save_domain_matrix`."""
-    path = Path(path)
-    sidecar_path = Path(str(path) + ".schema.json")
-    if not sidecar_path.exists():
-        raise DataError(f"{path}: missing schema sidecar {sidecar_path.name}")
-    try:
-        sidecar = json.loads(sidecar_path.read_text())
-        schema = FeatureSchema(**sidecar["schema"])
-        if sidecar["has_labels"] and not schema.label_column:
-            schema = replace(schema, label_column=sidecar["label_header"])
-        role = sidecar["role"]
-        _check_role(role)
-    except (OSError, ValueError, KeyError, TypeError, InvalidInputError, SchemaError) as exc:
-        raise DataError(f"{sidecar_path}: not a schema sidecar: {exc!r}") from None
-    return load_csv(path, schema, role)
 
 
 # --------------------------------------------------------------------------
@@ -743,8 +726,11 @@ def _oracle_moments(spec: SyntheticSpec, features: str):
     return m, sigma, keys
 
 
-def oracle_accuracy(spec: SyntheticSpec, features: str = "full", n_eval: int = 4000) -> float:
-    """Accuracy of the exact generative Bayes rule on fresh target rows.
+ORACLE_ROWS = 4000   # fresh target rows the oracle's accuracy is measured on
+
+
+def oracle_accuracy(spec: SyntheticSpec, features: str = "full") -> float:
+    """Accuracy of the exact generative Bayes rule on ``ORACLE_ROWS`` fresh target rows.
 
     ``features`` picks the columns the rule may see: "full" (common plus
     target-specific), "common", or "target_specific".
@@ -753,10 +739,10 @@ def oracle_accuracy(spec: SyntheticSpec, features: str = "full", n_eval: int = 4
     beta = np.linalg.solve(sigma, m)
     prior = np.log(spec.positive_ratio / (1.0 - spec.positive_ratio))
     rng = derive_rng(spec.seed, "oracle-eval", features)
-    n_pos = round(spec.positive_ratio * n_eval)
-    y = np.zeros(n_eval, dtype=np.int8)
+    n_pos = round(spec.positive_ratio * ORACLE_ROWS)
+    y = np.zeros(ORACLE_ROWS, dtype=np.int8)
     y[:n_pos] = 1
-    y = y[rng.permutation(n_eval)]
+    y = y[rng.permutation(ORACLE_ROWS)]
     common, _, target_spec = _draw_blocks(spec, 2.0 * y - 1.0, rng)
     cols = {"common": common, "target_specific": target_spec}
     x = np.hstack([cols[k] for k in keys])

@@ -26,6 +26,8 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
+import shutil
 import time
 from collections import deque
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
@@ -287,6 +289,14 @@ def build_config(doc: dict) -> ExperimentConfig:
     return _section(ExperimentConfig, doc, "config")
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """The safe loader, reading ``1e-3`` (an exponent, no dot) as a float, as YAML 1.2 does."""
+
+
+_ConfigLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+0123456789."))
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse the config document at ``path``."""
     path = Path(path)
@@ -295,7 +305,7 @@ def load_config(path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{path}: not a valid config document: {exc}") from None
     if doc is None:
@@ -631,6 +641,11 @@ def _write_standard_reports(
     selections: dict[str, Selection],
     reports: dict[str, EvalReport],
 ) -> None:
+    """The reports of ``run`` and ``ablate``, replacing any telemetry and
+    checkpoint trees an earlier command left, which this selection does not own."""
+    for tree in (out / "telemetry", out / "checkpoints"):
+        if tree.is_dir():
+            shutil.rmtree(tree)
     write_table(
         out / "grid.csv",
         ("method", "learning_rate", "lam", "eta", "seed", "status",
@@ -707,7 +722,8 @@ def _resolve_out(config: ExperimentConfig, out_dir) -> Path:
 
 def run_experiment(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> Path:
     """Full protocol: grid search and selection, test evaluation, reports; the
-    reports are written before the per-seed telemetry and checkpoints."""
+    reports are written before the per-seed telemetry and checkpoints, which
+    replace any an earlier run left in the output directory."""
     out = _resolve_out(config, out_dir)
 
     data = prepare_data(config)
@@ -851,21 +867,15 @@ def ablate_experiment(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> 
             tgt = align_features(art.models()["F"], train_dm)
         return src, tgt[pos_mask], tgt[~pos_mask]
 
-    acc_of = {
-        "common": reports.get("COM_P"),
-        "PADA": reports.get("PADA"),
-        "PADA_F": reports.get("PADA_F"),
-    }
-
     rows = []
     averages = []
     for space in ABLATION_SPACES:
         per_seed = []
+        rep = reports.get("COM_P" if space == "common" else space)
         for seed_idx, seed in enumerate(config.seeds):
             src, pos, neg = space_rows(space, seed)
             acc_pp, acc_pn = discrimination_accuracy(
                 src, pos, neg, config.split_spec, probe_cfg)
-            rep = acc_of[space]
             method_acc = None if rep is None else rep.seed_accuracies[seed_idx]
             rows.append((space, seed, acc_pp, acc_pn, acc_pn - acc_pp, method_acc))
             per_seed.append((acc_pp, acc_pn, acc_pn - acc_pp, method_acc))

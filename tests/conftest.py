@@ -7,16 +7,22 @@ while the shared block still separates the classes enough for the
 common-features baseline to train.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from puhda.data import (
+    FeatureSchema,
     SplitSpec,
     SyntheticSpec,
     generate_synthetic,
+    load_csv,
     split,
     standardize_splits,
 )
+from puhda.experiment import train_group
 from puhda.trainers import TrainConfig
 
 BENCH_SPEC = SyntheticSpec(
@@ -43,6 +49,25 @@ def bench_config(seed: int, **overrides) -> TrainConfig:
     params = dict(learning_rate=0.02, lam=0.1, steps=5000, batch_size=128, seed=seed)
     params.update(overrides)
     return TrainConfig(**params)
+
+
+def train_stack(method, source, train, val, configs) -> list:
+    """Each config's artifacts, trained as one stack of ``method`` through the
+    pipeline's entry; the first failed cell's error is raised."""
+    outcomes = train_group(method, source, train, val, configs)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
+def load_saved(path):
+    """A matrix ``save_domain_matrix`` wrote, read back with ``load_csv`` by the
+    schema (its label column the file's ``label_header``) and role its sidecar
+    records: ``(matrix, sidecar document)``."""
+    doc = json.loads(Path(f"{path}.schema.json").read_text())
+    schema = FeatureSchema(**{**doc["schema"], "label_column": doc["label_header"]})
+    return load_csv(path, schema, doc["role"]), doc
 
 
 def _prepare(spec, split_spec):

@@ -2,8 +2,9 @@
 
 Every test prints a single PASS line with the measured numbers once its
 assertions hold, so a verbose run reads as a checklist. The benchmark
-fixtures come from conftest; training happens lazily and is shared across
-the tests that compare methods.
+fixtures come from conftest; training happens lazily, one stack of the
+benchmark seeds per method through the pipeline's ``train_group``, and is
+shared across the tests that compare methods.
 """
 
 import os
@@ -13,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import BENCH_SEEDS, BENCH_SPEC, BENCH_SPLIT, bench_config
+from conftest import BENCH_SEEDS, BENCH_SPEC, BENCH_SPLIT, bench_config, train_stack
 from _oracles import (
     finite_difference,
     kl_pair,
@@ -54,8 +55,6 @@ from puhda.trainers import (
     predict,
     train_com_p,
     train_pada,
-    train_pada_f,
-    train_pada_s,
 )
 
 PROBE_CONFIG = TrainConfig(learning_rate=0.05, steps=2000, batch_size=128, seed=0)
@@ -76,18 +75,13 @@ def bench(bench_data):
     cache: dict = {}
     timings: dict = {}
 
-    trainers = {
-        "COM_P": lambda seed: train_com_p(source, train, bench_config(seed)),
-        "PADA": lambda seed: train_pada(source, train, bench_config(seed)),
-        "PADA_F": lambda seed: train_pada_f(source, train, bench_config(seed)),
-        "PADA_S": lambda seed: train_pada_s(
-            source, train, bench_config(seed, eta=SOFT_ETA), val),
-    }
-
     def get(method):
         if method not in cache:
+            overrides = {"eta": SOFT_ETA} if method == "PADA_S" else {}
             t0 = time.perf_counter()
-            cache[method] = tuple(trainers[method](seed) for seed in BENCH_SEEDS)
+            cache[method] = tuple(train_stack(
+                method, source, train, val,
+                [bench_config(seed, **overrides) for seed in BENCH_SEEDS]))
             timings[method] = time.perf_counter() - t0
         return cache[method]
 
@@ -284,7 +278,23 @@ def test_alignment_beats_the_common_features_baseline(bench):
 
 
 # --------------------------------------------------------------------------
-# 6. Joint training vs the decoupled ablation
+# 6. Alignment vs the naive combination of completion and PU learning
+
+
+def test_alignment_beats_the_naive_combination(bench):
+    pada_accs = bench.test_accuracies("PADA")
+    dsft_accs = bench.test_accuracies("DSFT_P_linear")
+    gap = float(np.mean(pada_accs)) - float(np.mean(dsft_accs))
+    elapsed = bench.timings["PADA"] + bench.timings["DSFT_P_linear"]
+    assert gap >= 0.05
+    assert elapsed < 300.0
+    _report(
+        f"alignment vs naive combination: mean accuracy {np.mean(pada_accs):.4f} vs "
+        f"DSFT_P_linear {np.mean(dsft_accs):.4f} (+{gap:.4f} >= 0.05; training {elapsed:.0f}s)")
+
+
+# --------------------------------------------------------------------------
+# 7. Joint training vs the decoupled ablation
 
 
 def test_joint_training_beats_the_decoupled_ablation(bench):
@@ -311,7 +321,7 @@ def test_joint_training_beats_the_decoupled_ablation(bench):
 
 
 # --------------------------------------------------------------------------
-# 7. Soft-label rounds
+# 8. Soft-label rounds
 
 
 def test_soft_label_rounds_do_not_degrade_validation_accuracy(bench):
@@ -333,7 +343,7 @@ def test_soft_label_rounds_do_not_degrade_validation_accuracy(bench):
 
 
 # --------------------------------------------------------------------------
-# 8. Determinism
+# 9. Determinism
 
 
 def test_training_is_deterministic(tiny_data, tmp_path):
@@ -354,7 +364,7 @@ def test_training_is_deterministic(tiny_data, tmp_path):
 
 
 # --------------------------------------------------------------------------
-# 9. Metric unit checks
+# 10. Metric unit checks
 
 
 def test_metric_unit_checks():
@@ -396,7 +406,7 @@ def test_metric_unit_checks():
 
 
 # --------------------------------------------------------------------------
-# 10. External credit-default data (optional)
+# 11. External credit-default data (optional)
 
 
 CREDIT_ENV_VAR = "PUHDA_CREDIT_CSV"
@@ -472,10 +482,9 @@ def test_credit_default_accuracy_band():
     source, target = _load_credit_domains(os.environ[CREDIT_ENV_VAR])
     train, val, test = split(target, SplitSpec(train=0.6, val=0.2, test=0.2, seed=0))
     source, train, val, test = standardize_splits(source, train, val, test)
-    accs = []
-    for seed in BENCH_SEEDS:
-        art = train_pada_s(source, train, bench_config(seed, eta=SOFT_ETA), val)
-        accs.append(accuracy(predict(art, test), test.labels))
+    arts = train_stack("PADA_S", source, train, val,
+                       [bench_config(seed, eta=SOFT_ETA) for seed in BENCH_SEEDS])
+    accs = [accuracy(predict(art, test), test.labels) for art in arts]
     mean_acc = float(np.mean(accs))
     assert 0.58 <= mean_acc <= 0.69
     _report(f"credit default: mean accuracy {mean_acc:.4f} inside [0.58, 0.69]")

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import load_saved
 from puhda import data
 from puhda.data import (
     ColumnStats,
@@ -24,7 +25,6 @@ from puhda.data import (
     format_cell,
     generate_synthetic,
     load_csv,
-    load_domain_matrix,
     load_genre_file,
     load_ratings_file,
     oracle_accuracy,
@@ -402,8 +402,8 @@ class TestMatrixSerialization:
         )
         path = tmp_path / "m.csv"
         save_domain_matrix(dm, path)
-        back = load_domain_matrix(path)
-        assert back.role == "target"
+        back, sidecar = load_saved(path)
+        assert sidecar["role"] == back.role == "target"
         assert np.array_equal(back.common, dm.common)
         assert np.array_equal(back.specific, dm.specific)
         assert np.array_equal(back.aux_specific, dm.aux_specific)
@@ -431,7 +431,7 @@ class TestMatrixSerialization:
         took, loaded, scanned = _read_both(monkeypatch, path)
         assert took
         assert loaded == scanned
-        back = load_domain_matrix(path)
+        back, _ = load_saved(path)
         for got, want in [(back.common, dm.common), (back.specific, dm.specific),
                           (back.aux_specific, dm.aux_specific), (back.labels, dm.labels)]:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -442,42 +442,10 @@ class TestMatrixSerialization:
         dm = DomainMatrix(sch, "source", rng.normal(size=(5, 2)), rng.normal(size=(5, 3)))
         path = tmp_path / "m.csv"
         save_domain_matrix(dm, path)
-        back = load_domain_matrix(path)
+        back, _ = load_saved(path)
         assert back.labels is None
         assert back.aux_specific is None
         assert np.array_equal(back.specific, dm.specific)
-
-    def test_missing_sidecar(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("c0,c1,t0\n1,2,3\n")
-        with pytest.raises(DataError, match="sidecar"):
-            load_domain_matrix(path)
-
-    @pytest.mark.parametrize("spoil", [
-        pytest.param(lambda doc: doc.pop("role"), id="missing-role"),
-        pytest.param(lambda doc: doc.pop("has_labels"), id="missing-has_labels"),
-        pytest.param(lambda doc: doc["schema"].update(extra=["x"]), id="extra-schema-key"),
-        pytest.param(lambda doc: doc.update(schema=["c0", "c1"]), id="schema-not-a-mapping"),
-        pytest.param(lambda doc: doc.update(role="middle"), id="unknown-role"),
-        pytest.param(lambda doc: doc["schema"].update(target_specific=["c0"]),
-                     id="overlapping-groups"),
-        pytest.param(None, id="not-json"),
-    ])
-    def test_bad_sidecar_is_a_data_error_naming_the_file(self, tmp_path, spoil):
-        rng = derive_rng(9, "serialize-test")
-        dm = DomainMatrix(small_schema(), "source", rng.normal(size=(5, 2)),
-                          rng.normal(size=(5, 3)))
-        path = tmp_path / "m.csv"
-        save_domain_matrix(dm, path)
-        sidecar = tmp_path / "m.csv.schema.json"
-        if spoil is None:
-            sidecar.write_text("{not json")
-        else:
-            doc = json.loads(sidecar.read_text())
-            spoil(doc)
-            sidecar.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="m.csv.schema.json: not a schema sidecar"):
-            load_domain_matrix(path)
 
     def test_unreadable_files_are_data_errors_naming_them(self, tmp_path):
         rng = derive_rng(9, "serialize-test")
@@ -487,12 +455,7 @@ class TestMatrixSerialization:
         save_domain_matrix(dm, path)
         path.unlink()
         with pytest.raises(DataError, match=re.escape(f"{path}: cannot read")):
-            load_domain_matrix(path)
-        sidecar = tmp_path / "m.csv.schema.json"
-        sidecar.unlink()
-        sidecar.mkdir()
-        with pytest.raises(DataError, match="m.csv.schema.json: not a schema sidecar"):
-            load_domain_matrix(path)
+            load_csv(path, small_schema(), "source")
 
 
 # --------------------------------------------------------------------------

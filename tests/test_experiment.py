@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import load_saved
 from puhda.cli import main
-from puhda.data import SyntheticSpec, generate_synthetic, load_domain_matrix
+from puhda.data import SyntheticSpec, generate_synthetic
 from puhda.errors import ConfigurationError, DataError, InvalidInputError, PuhdaError
 from puhda.experiment import (
     ABLATION_SPACES,
@@ -366,6 +367,31 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.yaml")
 
 
+def _with_grid(tmp_path, grid_text: str):
+    """A config file of ``base_doc`` whose grid section is written as ``grid_text``."""
+    doc = base_doc()
+    del doc["grid"]
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc) + f"grid: {grid_text}\n")
+    return path
+
+
+def test_load_config_reads_an_exponent_without_a_dot_as_a_number(tmp_path):
+    config = load_config(_with_grid(
+        tmp_path, "{learning_rate: [1e-3, 5E-4], lam: [1e3], eta: [.5e-1, -0e+0]}"))
+    assert config.grid == GridSpec(learning_rate=(0.001, 0.0005), lam=(1000.0,),
+                                   eta=(0.05, 0.0))
+    assert all(type(v) is float for axis in vars(config.grid).values() for v in axis)
+    assert config_to_dict(config)["grid"] == {
+        "learning_rate": [0.001, 0.0005], "lam": [1000.0], "eta": [0.05, 0.0]}
+
+
+def test_load_config_keeps_a_quoted_exponent_a_string(tmp_path):
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "grid.learning_rate: expected a number, got '1e-3'")):
+        load_config(_with_grid(tmp_path, "{learning_rate: ['1e-3']}"))
+
+
 # --------------------------------------------------------------------------
 # Grid enumeration and selection
 
@@ -613,6 +639,42 @@ def test_the_stack_cut_never_changes_output(tmp_path, monkeypatch):
         assert files == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
         for rel in files:
             assert (outs[0] / rel).read_bytes() == (out / rel).read_bytes(), rel
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_a_run_replaces_the_artifacts_an_earlier_run_left(tmp_path):
+    doc = base_doc()
+    doc["methods"] = ["COM_P", "PADA"]
+    doc["grid"]["learning_rate"] = [0.05]
+    out = run_experiment(build_config(doc), out_dir=tmp_path / "out")
+    assert len(list((out / "checkpoints").rglob("*.json"))) == 4
+    doc["seeds"] = [0]
+    run_experiment(build_config(doc), out_dir=out)
+    assert _files(out) == _files(run_experiment(build_config(doc), out_dir=tmp_path / "fresh"))
+    doc["grid"]["learning_rate"] = [1.0e308]
+    run_experiment(build_config(doc), out_dir=out)
+    assert {row["status"] for row in read_table(out / "selection.csv")} == {"failed"}
+    assert not (out / "checkpoints").exists() and not (out / "telemetry").exists()
+
+
+def test_an_ablation_replaces_an_earlier_run_only_once_it_succeeds(tmp_path):
+    doc = base_doc()
+    doc["methods"] = ["PADA", "PADA_F"]
+    doc["seeds"] = [0]
+    doc["grid"]["learning_rate"] = [0.05]
+    out = run_experiment(build_config(doc), out_dir=tmp_path / "out")
+    before = _files(out)
+    failing = base_doc() | {"methods": doc["methods"], "seeds": doc["seeds"]}
+    failing["grid"]["learning_rate"] = [1.0e308]
+    with pytest.raises(ConfigurationError, match="every PADA grid cell failed"):
+        ablate_experiment(build_config(failing), out_dir=out)
+    assert _files(out) == before
+    ablate_experiment(build_config(doc), out_dir=out)
+    assert not (out / "checkpoints").exists() and not (out / "telemetry").exists()
+    assert _files(out) == _files(ablate_experiment(build_config(doc), out_dir=tmp_path / "fresh"))
 
 
 def _generated_csv(doc, gen, columns):
@@ -1189,8 +1251,8 @@ def test_generate_round_trips_the_synthetic_matrices(tmp_path):
     config = build_config(doc)
     out = generate_files(config, out_dir=tmp_path / "gen")
     source, target, oracle = generate_synthetic(config.dataset)
-    loaded_source = load_domain_matrix(out / "source.csv")
-    loaded_target = load_domain_matrix(out / "target.csv")
+    loaded_source, _ = load_saved(out / "source.csv")
+    loaded_target, _ = load_saved(out / "target.csv")
     assert np.array_equal(loaded_source.common, source.common)
     assert np.array_equal(loaded_source.specific, source.specific)
     assert np.array_equal(loaded_target.specific, target.specific)
@@ -1244,12 +1306,12 @@ def test_aggregate_writes_loadable_matrices(tmp_path):
     doc = base_doc()
     doc["dataset"] = write_ratings_fixture(tmp_path)
     out = aggregate_files(build_config(doc), out_dir=tmp_path / "agg")
-    source = load_domain_matrix(out / "source.csv")
-    target = load_domain_matrix(out / "target.csv")
-    assert source.role == "source"
-    assert target.role == "target"
-    assert source.schema.common == ("drama", "comedy")
-    assert target.schema.target_specific == ("romance", "scifi")
+    source, source_doc = load_saved(out / "source.csv")
+    target, target_doc = load_saved(out / "target.csv")
+    assert source_doc["role"] == "source"
+    assert target_doc["role"] == "target"
+    assert source_doc["schema"]["common"] == ["drama", "comedy"]
+    assert target_doc["schema"]["target_specific"] == ["romance", "scifi"]
     assert set(np.unique(target.labels)) <= {0, 1}
     meta = json.loads((out / "aggregation_meta.json").read_text())
     assert meta["label_genre"] == "horror"
