@@ -457,6 +457,32 @@ class TestMatrixSerialization:
         with pytest.raises(DataError, match=re.escape(f"{path}: cannot read")):
             load_csv(path, small_schema(), "source")
 
+    def test_a_directory_in_place_of_the_file_is_a_data_error_naming_it(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.mkdir()
+        with pytest.raises(DataError, match=re.escape(f"{path}: cannot read")):
+            load_csv(path, small_schema(), "source")
+
+    def test_the_sidecar_records_role_schema_labels_and_aux(self, tmp_path):
+        rng = derive_rng(10, "serialize-test")
+        sch = small_schema()
+        bare = DomainMatrix(sch, "source", rng.normal(size=(5, 2)), rng.normal(size=(5, 3)))
+        full = DomainMatrix(sch, "target", rng.normal(size=(5, 2)), rng.normal(size=(5, 1)),
+                            labels=np.array([1, 0, 1, 0, 0], dtype=np.int8),
+                            aux_specific=rng.normal(size=(5, 3)))
+        schema = {"common": ["c0", "c1"], "source_specific": ["s0", "s1", "s2"],
+                  "target_specific": ["t0"], "label_column": "y"}
+        docs = []
+        for name, dm in (("bare.csv", bare), ("full.csv", full)):
+            save_domain_matrix(dm, tmp_path / name)
+            docs.append(json.loads((tmp_path / f"{name}.schema.json").read_text()))
+        assert docs == [
+            {"format": 1, "role": "source", "schema": schema,
+             "has_labels": False, "has_aux": False, "label_header": None},
+            {"format": 1, "role": "target", "schema": schema,
+             "has_labels": True, "has_aux": True, "label_header": "y"},
+        ]
+
 
 # --------------------------------------------------------------------------
 # Splitting

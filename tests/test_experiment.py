@@ -367,18 +367,18 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.yaml")
 
 
-def _with_grid(tmp_path, grid_text: str):
-    """A config file of ``base_doc`` whose grid section is written as ``grid_text``."""
+def _with_section(tmp_path, name: str, text: str):
+    """A config file of ``base_doc`` whose ``name`` section is written as ``text``."""
     doc = base_doc()
-    del doc["grid"]
+    del doc[name]
     path = tmp_path / "config.yaml"
-    path.write_text(yaml.safe_dump(doc) + f"grid: {grid_text}\n")
+    path.write_text(yaml.safe_dump(doc) + f"{name}: {text}\n")
     return path
 
 
 def test_load_config_reads_an_exponent_without_a_dot_as_a_number(tmp_path):
-    config = load_config(_with_grid(
-        tmp_path, "{learning_rate: [1e-3, 5E-4], lam: [1e3], eta: [.5e-1, -0e+0]}"))
+    config = load_config(_with_section(
+        tmp_path, "grid", "{learning_rate: [1e-3, 5E-4], lam: [1e3], eta: [.5e-1, -0e+0]}"))
     assert config.grid == GridSpec(learning_rate=(0.001, 0.0005), lam=(1000.0,),
                                    eta=(0.05, 0.0))
     assert all(type(v) is float for axis in vars(config.grid).values() for v in axis)
@@ -389,7 +389,29 @@ def test_load_config_reads_an_exponent_without_a_dot_as_a_number(tmp_path):
 def test_load_config_keeps_a_quoted_exponent_a_string(tmp_path):
     with pytest.raises(ConfigurationError, match=re.escape(
             "grid.learning_rate: expected a number, got '1e-3'")):
-        load_config(_with_grid(tmp_path, "{learning_rate: ['1e-3']}"))
+        load_config(_with_section(tmp_path, "grid", "{learning_rate: ['1e-3']}"))
+
+
+_CSV_SECTION = ("{kind: csv, csv: {source: s.csv, target: t.csv, positive_value: %s, "
+                "schema: {common: [%s], source_specific: [c], target_specific: [d], "
+                "label: y}}}")
+
+
+def test_load_config_reads_exponent_lookalikes_as_names(tmp_path):
+    config = load_config(_with_section(
+        tmp_path, "dataset", _CSV_SECTION % ("'1e3'", "e3, 1e, 1e+, E-4")))
+    assert config.dataset.schema.common == ("e3", "1e", "1e+", "E-4")
+    assert config.dataset.positive_value == "1e3"
+
+
+@pytest.mark.parametrize("positive_value, common, message", [
+    ("1e3", "a, b", "dataset.csv.positive_value: expected a label value, got 1000.0"),
+    ("yes", "a, 1e3", "dataset.csv.schema.common: expected a string, got 1000.0"),
+], ids=["label-value", "column-name"])
+def test_load_config_rejects_an_unquoted_exponent_name(tmp_path, positive_value, common,
+                                                       message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load_config(_with_section(tmp_path, "dataset", _CSV_SECTION % (positive_value, common)))
 
 
 # --------------------------------------------------------------------------
@@ -658,6 +680,20 @@ def test_a_run_replaces_the_artifacts_an_earlier_run_left(tmp_path):
     run_experiment(build_config(doc), out_dir=out)
     assert {row["status"] for row in read_table(out / "selection.csv")} == {"failed"}
     assert not (out / "checkpoints").exists() and not (out / "telemetry").exists()
+
+
+def test_a_run_that_fails_leaves_the_earlier_tree_whole(tmp_path):
+    doc = base_doc()
+    doc["methods"] = ["COM_P"]
+    doc["seeds"] = [0]
+    doc["grid"]["learning_rate"] = [0.05]
+    out = run_experiment(build_config(doc), out_dir=tmp_path / "out")
+    assert (out / "checkpoints" / "COM_P" / "seed-0.json").is_file()
+    before = _files(out)
+    doc["dataset"] = csv_dataset(source=str(tmp_path / "missing.csv"))
+    with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'missing.csv'}: cannot read")):
+        run_experiment(build_config(doc), out_dir=out)
+    assert _files(out) == before
 
 
 def test_an_ablation_replaces_an_earlier_run_only_once_it_succeeds(tmp_path):
@@ -1418,6 +1454,19 @@ def test_cli_seeds_flag_narrows_the_run(config_file, tmp_path, capsys):
                  "--seeds", "1"]) == 0
     rows = read_table(out / "eval.csv")
     assert {row["seed"] for row in rows} == {"1"}
+
+
+def test_cli_run_reads_an_exponent_grid(config_file, tmp_path, capsys):
+    doc = yaml.safe_load(config_file.read_text())
+    del doc["grid"]
+    config_file.write_text(
+        yaml.safe_dump(doc) + "grid: {learning_rate: [2e-2, 5e-2], lam: [1e-1]}\n")
+    out = tmp_path / "exp"
+    assert main(["run", "--config", str(config_file), "--out", str(out)]) == 0
+    rows = read_table(out / "grid.csv")
+    assert {(row["learning_rate"], row["lam"]) for row in rows} == {
+        ("0.02", "0.1"), ("0.05", "0.1")}
+    assert {row["status"] for row in rows} == {"ok"}
 
 
 def test_cli_seeds_flag_goes_through_the_config_checks(config_file, tmp_path, capsys):
