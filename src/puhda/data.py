@@ -340,6 +340,9 @@ def _row_scan(path, rows, columns, positions, label_pos, positive_value):
 # Serialization
 
 
+_SAVE_ROWS = 1024   # rows joined and formatted at a time, so no whole-matrix copy is made
+
+
 def save_domain_matrix(dm: DomainMatrix, path) -> None:
     """Write a matrix as delimited text plus a JSON schema sidecar.
 
@@ -353,7 +356,8 @@ def save_domain_matrix(dm: DomainMatrix, path) -> None:
     if dm.aux_specific is not None:
         header += dm.schema.specific_for("target" if dm.role == "source" else "source")
         blocks.append(dm.aux_specific)
-    rows = (row.tolist() for row in np.hstack(blocks))
+    rows = (row for start in range(0, dm.n, _SAVE_ROWS)
+            for row in np.hstack([b[start:start + _SAVE_ROWS] for b in blocks]).tolist())
     if dm.labels is not None:
         header.append(dm.schema.label_column or "label")
         rows = (cells + [label] for cells, label in zip(rows, dm.labels.tolist()))
@@ -390,7 +394,12 @@ class SplitSpec:
 
 
 def split(dm: DomainMatrix, spec: SplitSpec) -> tuple[DomainMatrix, DomainMatrix, DomainMatrix]:
-    """Partition rows into train/val/test.
+    """Partition rows into train/val/test, at the positions :func:`split_rows` picks."""
+    return tuple(dm.select(idx) for idx in split_rows(dm, spec))
+
+
+def split_rows(dm: DomainMatrix, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sorted row positions of the train/val/test partition.
 
     With hidden labels the shuffle is stratified per class so split label
     proportions track the full matrix; row order inside each split keeps the
@@ -409,13 +418,11 @@ def split(dm: DomainMatrix, spec: SplitSpec) -> tuple[DomainMatrix, DomainMatrix
         picks[0].append(perm[:n_train])
         picks[1].append(perm[n_train : n_train + n_val])
         picks[2].append(perm[n_train + n_val :])
-    parts = []
-    for name, groups in zip(("train", "val", "test"), picks):
-        idx = np.sort(np.concatenate(groups))
+    parts = tuple(np.sort(np.concatenate(groups)) for groups in picks)
+    for name, idx in zip(("train", "val", "test"), parts):
         if idx.size == 0:
             raise ConfigurationError(f"split produced an empty {name} set (n={dm.n})")
-        parts.append(dm.select(idx))
-    return tuple(parts)
+    return parts
 
 
 # --------------------------------------------------------------------------
@@ -633,7 +640,8 @@ def _structure(spec: SyntheticSpec):
 
 
 def _draw_blocks(spec: SyntheticSpec, u: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Common, source-specific, and target-specific blocks for labels u in {-1,+1}."""
+    """Common, source-specific, and target-specific blocks for labels u in {-1,+1}, built in
+    place with the bits of ``signal * (outer + z_rest @ q) + noise_scale * noise``."""
     d_c, d_s, d_t, q_c, q_s, q_t = _structure(spec)
     n = u.shape[0]
     k = spec.latent_noise_dim
@@ -643,14 +651,21 @@ def _draw_blocks(spec: SyntheticSpec, u: np.ndarray, rng) -> tuple[np.ndarray, n
     noise_c = rng.normal(size=(n, spec.c))
     noise_s = rng.normal(size=(n, spec.s))
     noise_t = rng.normal(size=(n, spec.t))
-    latent_c = spec.signal_common * (np.outer(z0, d_c) + z_rest @ q_c)
-    latent_s = spec.signal_source * (np.outer(z0, d_s) + z_rest @ q_s)
-    latent_t = spec.signal_target * (np.outer(z0, d_t) + z_rest @ q_t)
+
+    def latent(d, q, signal):   # one buffer; IEEE + and * commute, so the bits are kept
+        out = np.outer(z0, d)
+        out += z_rest @ q
+        return np.multiply(out, signal, out=out)
+
     rho = spec.coupling
-    common = latent_c + spec.noise_scale * noise_c
-    source_spec = latent_s + spec.noise_scale * noise_s
-    target_spec = rho * latent_t + np.sqrt(1.0 - rho * rho) * h + spec.noise_scale * noise_t
-    return common, source_spec, target_spec
+    h *= np.sqrt(1.0 - rho * rho)
+    h += rho * latent(d_t, q_t, spec.signal_target)
+    for noise in (noise_c, noise_s, noise_t):
+        noise *= spec.noise_scale
+    noise_c += latent(d_c, q_c, spec.signal_common)
+    noise_s += latent(d_s, q_s, spec.signal_source)
+    noise_t += h
+    return noise_c, noise_s, noise_t
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[DomainMatrix, DomainMatrix, float]:

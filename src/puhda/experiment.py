@@ -30,7 +30,7 @@ import re
 import shutil
 import time
 from collections import deque
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, astuple, dataclass, fields, is_dataclass
 from functools import partial
 from itertools import chain, groupby, product
 from pathlib import Path
@@ -55,7 +55,7 @@ from .data import (
     parse_float,
     read_table,
     save_domain_matrix,
-    split,
+    split_rows,
     standardize_splits,
     write_table,
 )
@@ -370,20 +370,25 @@ def load_domains(config: ExperimentConfig) -> tuple[DomainMatrix, DomainMatrix]:
 
 
 def prepare_data(config: ExperimentConfig) -> PreparedData:
+    """Load both domains, then split and standardize the target. Its checks (hidden labels,
+    both classes in the test rows, the whole target's analytics) run in that order, before
+    anything trains; the whole target is dropped before its splits are standardized."""
     source, target = load_domains(config)
     if target.labels is None:
         raise ConfigurationError(
             "the target data carries no hidden labels, so validation selection "
             "and test evaluation are impossible")
-    train, val, test = split(target, config.split_spec)
+    rows = split_rows(target, config.split_spec)
     # Only the class set of the test rows is read here, so a grid is never
     # trained for a split whose AUC cannot be computed.
-    if len(np.unique(test.labels)) < 2:
+    test_labels = target.labels[rows[2]]
+    if len(np.unique(test_labels)) < 2:
         raise ConfigurationError(
-            f"the test split holds only class {int(test.labels[0])}; "
+            f"the test split holds only class {int(test_labels[0])}; "
             "test evaluation needs both classes")
-    fa = correlation_analytics(target)
-    analytics = (fa.corr_tar_lab, fa.corr_com_lab, fa.r_tar_com, fa.corr_tar_sou)
+    analytics = astuple(correlation_analytics(target))
+    train, val, test = (target.select(idx) for idx in rows)
+    del target
     source, train, val, test = standardize_splits(source, train, val, test)
     return PreparedData(source=source, train=train, val=val, sealed_test=SealedMatrix(test),
                         analytics=analytics)
@@ -423,6 +428,7 @@ def _cell_config(cell: GridCell, seed: int, training: TrainingSpec) -> TrainConf
                        **dict(training.budget))
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a diverging cell fails its finite checks
 def train_group(method: str, source: DomainMatrix, train: DomainMatrix, val: DomainMatrix,
                 configs: list[TrainConfig]) -> list:
     """Train one stack of cells the way the method-table entry says: each
@@ -477,6 +483,7 @@ def _seeds(runs) -> str:
     return ",".join(map(str, sorted({seed for _, seed in runs})))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cell_result(method, cell, seed, outcome, val) -> tuple[CellResult, TrainedArtifacts | None]:
     if not isinstance(outcome, Exception):
         try:
@@ -859,12 +866,10 @@ def ablate_experiment(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> 
 
     def space_rows(space: str, seed: int):
         if space == "common":
-            src = data.source.common
-            tgt = train_dm.common
+            src, tgt = data.source.common, train_dm.common
         else:
-            art = artifacts[(space, seed)]
             src = data.source.features()
-            tgt = align_features(art.models()["F"], train_dm)
+            tgt = align_features(artifacts[(space, seed)].models()["F"], train_dm)
         return src, tgt[pos_mask], tgt[~pos_mask]
 
     rows = []
@@ -873,9 +878,10 @@ def ablate_experiment(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> 
         per_seed = []
         rep = reports.get("COM_P" if space == "common" else space)
         for seed_idx, seed in enumerate(config.seeds):
-            src, pos, neg = space_rows(space, seed)
-            acc_pp, acc_pn = discrimination_accuracy(
-                src, pos, neg, config.split_spec, probe_cfg)
+            # the rows live only for the call: a space's rows are freed before the next's
+            with np.errstate(over="ignore", invalid="ignore"):
+                acc_pp, acc_pn = discrimination_accuracy(
+                    *space_rows(space, seed), config.split_spec, probe_cfg)
             method_acc = None if rep is None else rep.seed_accuracies[seed_idx]
             rows.append((space, seed, acc_pp, acc_pn, acc_pn - acc_pp, method_acc))
             per_seed.append((acc_pp, acc_pn, acc_pn - acc_pp, method_acc))

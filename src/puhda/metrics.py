@@ -106,8 +106,6 @@ class FeatureAnalytics:
 def _abs_corr_mean(a: np.ndarray, b: np.ndarray, what: str) -> float:
     """Mean |Pearson| over all column pairs of a and b, skipping zero-variance
     columns (with a warning) and adjusting the divisor."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
     a_c = a - a.mean(axis=0)
     b_c = b - b.mean(axis=0)
     a_norm = np.sqrt((a_c * a_c).sum(axis=0))
@@ -119,7 +117,10 @@ def _abs_corr_mean(a: np.ndarray, b: np.ndarray, what: str) -> float:
         logger.warning("%s: excluded %d zero-variance feature(s)", what, dropped)
     if not a_keep.any() or not b_keep.any():
         raise InvalidInputError(f"{what}: no feature with nonzero variance")
-    corr = (a_c[:, a_keep].T @ b_c[:, b_keep]) / np.outer(a_norm[a_keep], b_norm[b_keep])
+    # kept-column copies free the centered blocks; their layout sets the BLAS path and bits
+    a_c = a_c[:, a_keep]
+    b_c = b_c[:, b_keep]
+    corr = (a_c.T @ b_c) / np.outer(a_norm[a_keep], b_norm[b_keep])
     return float(np.mean(np.abs(corr)))
 
 

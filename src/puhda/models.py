@@ -119,7 +119,9 @@ class _Linear:
             raise InvalidInputError(
                 f"inputs have {x.shape[-1]} columns, {self.kind} expects {self.input_dim}"
             )
-        return x @ self.weights + (self.bias if self.bias.ndim == 1 else self.bias[:, None])
+        out = x @ self.weights
+        out += self.bias if self.bias.ndim == 1 else self.bias[:, None]
+        return out
 
     def apply_step(self, grads: GradientBundle, scale) -> None:
         """In-place parameter update ``theta += scale * grad``, where ``scale`` is a

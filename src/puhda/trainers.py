@@ -572,8 +572,8 @@ def pada_s_group(source: DomainMatrix, target: DomainMatrix, val_target: DomainM
             elif round_idx - 1 - best >= config.val_patience:
                 stop[j] = True
         stack.finish(stop, artifacts)
-        if not stack.cells.size:
-            break
+        if not stack.cells.size or round_idx == config.max_soft_rounds:
+            break   # no round follows, so no teacher is built
         stack.teacher = frozen_teacher(stack.models, schema.c, x_t)
     stack.finish(np.ones(len(stack.cells), dtype=bool), artifacts)
     return stack.outcomes

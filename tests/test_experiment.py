@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import re
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -39,7 +40,7 @@ from puhda.experiment import (
 )
 from puhda.metrics import improvement_metrics
 from puhda.models import LinearSoftmaxModel, LinearTransform, load_checkpoint
-from puhda.trainers import GRID_LEARNING_RATE, GRID_WEIGHT
+from puhda.trainers import GRID_LEARNING_RATE, GRID_WEIGHT, TrainConfig
 
 import puhda.experiment as experiment_module
 
@@ -891,6 +892,34 @@ def test_a_diverging_cell_fails_alone_while_its_stack_finishes(tmp_path):
         _assert_written_artifacts_are(out, "PADA", seed, art, tmp_path)
         with pytest.raises(InvalidInputError, match=re.escape(error)):
             _fresh(config, data, "PADA", GridCell(1e308, 0.1, 0.0), seed)
+
+
+def test_a_diverging_cell_fails_by_its_finite_check_and_numpy_warns_nothing(tiny_data):
+    source, train, val, _ = tiny_data
+    config = TrainConfig(learning_rate=1e308, lam=0.1, steps=20, batch_size=32, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (outcome,) = experiment_module.train_group("PADA", source, train, val, [config])
+    assert str(outcome) == "logits of 'D': values must be finite"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_diverging_stack_reports_the_same_errors_with_numpy_warnings_as_errors(
+        tiny_data, method):
+    # the worker also scores each finished cell on the validation rows, where
+    # a cell that trained to huge finite weights overflows and fails
+    source, train, val, _ = tiny_data
+    runs = tuple((GridCell(1e308, lam, 0.01), seed) for lam in (0.1, 1.0) for seed in (0, 1, 2))
+    item = (method, runs, build_config(base_doc()).training)
+
+    def errors(action):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            results, _ = experiment_module._group_worker(item, (source, train, val))
+        return [result.error for result, _ in results]
+
+    quiet = errors("ignore")
+    assert any(quiet) and errors("error") == quiet
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

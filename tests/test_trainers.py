@@ -391,6 +391,22 @@ def test_soft_rounds_return_best_round_and_stop_early(tiny_data):
         assert vals[-1] <= max(vals[:-1])
 
 
+def test_no_teacher_is_built_after_the_last_round(tiny_data, monkeypatch):
+    source, train, val, _ = tiny_data
+    built = []
+
+    def counted_teacher(*args):
+        built.append(args)
+        return frozen_teacher(*args)
+
+    monkeypatch.setattr(trainers_module, "frozen_teacher", counted_teacher)
+    configs = [TrainConfig(learning_rate=lr, lam=0.1, eta=0.05, steps=10, batch_size=32, seed=3,
+                           max_soft_rounds=3, val_patience=3) for lr in (0.01, 0.02)]
+    outcomes = METHOD_TABLE["PADA_S"].group(source, train, val, configs)
+    assert [art.rounds_run for art in outcomes] == [3, 3]
+    assert len(built) == 3   # the base run's teacher, then one for each of rounds 2 and 3
+
+
 @pytest.mark.parametrize("steps", [1, 2])
 def test_pada_s_single_step_matches_manual_replay(tiny_data, steps):
     """Round one with a live teacher pair: the base run, the teacher on every
