@@ -270,7 +270,8 @@ def load_csv(path, schema: FeatureSchema, role: str, positive_value: str = "1") 
     file has it (values equal to ``positive_value`` after trimming are
     positive). If the file also carries all of the other domain's specific
     columns they are loaded into the auxiliary analytics block. A value cell
-    that is not a finite number is a DataError naming the file, row and column.
+    that is not a finite number is a DataError naming the file, row and column,
+    and a negative label in a source file an InvalidInputError naming the file.
     """
     _check_role(role)
     header, rows = read_table(path)
@@ -285,8 +286,12 @@ def load_csv(path, schema: FeatureSchema, role: str, positive_value: str = "1") 
 
     values, labels = (_numpy_pass(path, len(header), positions, label_pos, positive_value)
                       or _row_scan(path, rows, columns, positions, label_pos, positive_value))
-    return DomainMatrix(schema, role, values[:, :schema.c], values[:, schema.c:own], labels=labels,
-                        aux_specific=values[:, own:] if len(columns) > own else None)
+    aux = values[:, own:] if len(columns) > own else None
+    try:
+        return DomainMatrix(schema, role, values[:, :schema.c], values[:, schema.c:own],
+                            labels=labels, aux_specific=aux)
+    except InvalidInputError as exc:   # a negative label in a source file
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def _numpy_pass(path, width, positions, label_pos, positive_value):
@@ -674,8 +679,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[DomainMatrix, DomainMatrix,
     The source matrix holds only positive rows. The target matrix carries
     hidden labels at exactly ``round(positive_ratio * n_target)`` positives
     and includes the auxiliary source-specific block for analytics. The
-    returned float is the accuracy of the generative Bayes rule on the full
-    target feature space, measured on an independent draw.
+    returned float is :func:`oracle_accuracy`, measured on an independent draw.
     """
     schema = FeatureSchema(
         common=tuple(f"com_{i}" for i in range(spec.c)),
@@ -703,64 +707,40 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[DomainMatrix, DomainMatrix,
         schema, "target", common_t, spec_t, labels=y, aux_specific=aux_s
     )
 
-    oracle = oracle_accuracy(spec, features="full")
-    return source, target, oracle
+    return source, target, oracle_accuracy(spec)
 
 
-def _oracle_moments(spec: SyntheticSpec, features: str):
-    """Class-conditional mean (for u=+1) and shared covariance of the chosen columns."""
-    d_c, d_s, d_t, q_c, q_s, q_t = _structure(spec)
+def _oracle_moments(spec: SyntheticSpec):
+    """Class-conditional mean (for u=+1) and shared covariance of the target's
+    columns, common then target-specific."""
+    d_c, _, d_t, q_c, _, q_t = _structure(spec)
     rho = spec.coupling
-    # stack order: common, then target-specific
-    mean_parts = {
-        "common": spec.signal_common * spec.label_separation * d_c,
-        "target_specific": rho * spec.signal_target * spec.label_separation * d_t,
-    }
-    load_z0 = {
-        "common": spec.signal_common * d_c,
-        "target_specific": rho * spec.signal_target * d_t,
-    }
-    load_rest = {
-        "common": spec.signal_common * q_c,
-        "target_specific": rho * spec.signal_target * q_t,
-    }
-    extra_diag = {
-        "common": np.full(spec.c, spec.noise_scale**2),
-        "target_specific": np.full(spec.t, spec.noise_scale**2 + (1.0 - rho * rho)),
-    }
-    if features == "full":
-        keys = ["common", "target_specific"]
-    elif features in ("common", "target_specific"):
-        keys = [features]
-    else:
-        raise InvalidInputError(f"unknown feature subset {features!r}")
-    m = np.concatenate([mean_parts[k] for k in keys])
-    b = np.concatenate([load_z0[k] for k in keys])
-    q = np.hstack([load_rest[k] for k in keys])
-    sigma = np.outer(b, b) + q.T @ q + np.diag(np.concatenate([extra_diag[k] for k in keys]))
-    return m, sigma, keys
+    m = np.concatenate([spec.signal_common * spec.label_separation * d_c,
+                        rho * spec.signal_target * spec.label_separation * d_t])
+    b = np.concatenate([spec.signal_common * d_c, rho * spec.signal_target * d_t])
+    q = np.hstack([spec.signal_common * q_c, rho * spec.signal_target * q_t])
+    noise = np.concatenate([np.full(spec.c, spec.noise_scale**2),
+                            np.full(spec.t, spec.noise_scale**2 + (1.0 - rho * rho))])
+    sigma = np.outer(b, b) + q.T @ q + np.diag(noise)
+    return m, sigma
 
 
 ORACLE_ROWS = 4000   # fresh target rows the oracle's accuracy is measured on
 
 
-def oracle_accuracy(spec: SyntheticSpec, features: str = "full") -> float:
-    """Accuracy of the exact generative Bayes rule on ``ORACLE_ROWS`` fresh target rows.
-
-    ``features`` picks the columns the rule may see: "full" (common plus
-    target-specific), "common", or "target_specific".
-    """
-    m, sigma, keys = _oracle_moments(spec, features)
+def oracle_accuracy(spec: SyntheticSpec) -> float:
+    """Accuracy of the exact generative Bayes rule, which reads every target
+    feature (common plus target-specific), on ``ORACLE_ROWS`` fresh target rows."""
+    m, sigma = _oracle_moments(spec)
     beta = np.linalg.solve(sigma, m)
     prior = np.log(spec.positive_ratio / (1.0 - spec.positive_ratio))
-    rng = derive_rng(spec.seed, "oracle-eval", features)
+    rng = derive_rng(spec.seed, "oracle-eval", "full")   # another tag would move every value
     n_pos = round(spec.positive_ratio * ORACLE_ROWS)
     y = np.zeros(ORACLE_ROWS, dtype=np.int8)
     y[:n_pos] = 1
     y = y[rng.permutation(ORACLE_ROWS)]
     common, _, target_spec = _draw_blocks(spec, 2.0 * y - 1.0, rng)
-    cols = {"common": common, "target_specific": target_spec}
-    x = np.hstack([cols[k] for k in keys])
+    x = np.hstack([common, target_spec])
     scores = 2.0 * (x @ beta) + prior
     pred = (scores > 0).astype(np.int8)
     return float(np.mean(pred == y))

@@ -85,7 +85,6 @@ from .trainers import (
     RunBudget,
     TrainConfig,
     TrainedArtifacts,
-    align_features,
     predict,
 )
 
@@ -175,16 +174,17 @@ def _section(cls, doc, where: str):
     return cls(**kwargs)
 
 
-def _echo(value):
-    """JSON-ready form of a section, in config-grammar names, that parses back.
-    A dataset section is written under its kind, and an unset output is left out."""
+def config_to_dict(value):
+    """JSON-ready echo of a config, or of one of its sections or values, in
+    config-grammar names, that parses back; run metadata holds it. A dataset
+    section is written under its kind, and an unset output is left out."""
     if is_dataclass(value):
-        doc = {_GRAMMAR_NAMES.get(f.name, f.name): _echo(getattr(value, f.name))
+        doc = {_GRAMMAR_NAMES.get(f.name, f.name): config_to_dict(getattr(value, f.name))
                for f in fields(value) if (f.name, getattr(value, f.name)) != ("output", None)}
         kind = _KINDS.get(type(value))
         return doc if kind is None else {"kind": kind, kind: doc}
     if isinstance(value, tuple):
-        return [_echo(v) for v in value]
+        return [config_to_dict(v) for v in value]
     if isinstance(value, Path):
         return str(value)
     return value
@@ -311,11 +311,6 @@ def load_config(path) -> ExperimentConfig:
     if doc is None:
         raise ConfigurationError(f"{path}: config document is empty")
     return build_config(doc)
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    """JSON-ready echo of a config, written into run metadata."""
-    return _echo(config)
 
 
 # --------------------------------------------------------------------------
@@ -753,7 +748,8 @@ def _read_rows(path: Path, columns) -> list[tuple[int, dict]]:
 
 def _read_overrides(path: Path) -> dict[str, float]:
     """Method-accuracy pairs under an optional ``method,accuracy`` header; values
-    above 1 are read as percentages. An empty file holds no overrides."""
+    above 1 are read as percentages, and a method outside ``METHODS`` is an
+    error. An empty file holds no overrides."""
     if path.is_file() and path.stat().st_size == 0:
         return {}
     header, rows = read_table(path)
@@ -766,6 +762,8 @@ def _read_overrides(path: Path) -> dict[str, float]:
             continue
         if len(parts) != 2:
             raise DataError(f"{path}: line {i + 1}: expected method,accuracy")
+        if parts[0] not in METHODS:
+            raise DataError(f"{path}: line {i + 1}: unknown method {parts[0]!r}")
         try:
             value = float(parts[1])
         except ValueError:
@@ -869,7 +867,7 @@ def ablate_experiment(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> 
             src, tgt = data.source.common, train_dm.common
         else:
             src = data.source.features()
-            tgt = align_features(artifacts[(space, seed)].models()["F"], train_dm)
+            tgt = METHOD_TABLE[space].rows(artifacts[(space, seed)].slots, train_dm)
         return src, tgt[pos_mask], tgt[~pos_mask]
 
     rows = []

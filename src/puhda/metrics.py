@@ -19,18 +19,23 @@ from .numerics import check_pair, derive_rng, require_finite
 logger = logging.getLogger(__name__)
 
 
+def _check_labels(labels, n: int, against: str) -> np.ndarray:
+    """0/1 labels, one per prediction or score; ``against`` names what they must match."""
+    y = np.asarray(labels)
+    if y.shape != (n,):
+        raise InvalidInputError(f"labels shape {y.shape} does not match {against}")
+    if not np.all(np.isin(y, (0, 1))):
+        raise InvalidInputError("labels must be 0 or 1")
+    return y.astype(np.int8)
+
+
 def _check_probs_labels(probs, labels):
     p = require_finite("predictions", probs)
-    y = np.asarray(labels)
     if p.ndim != 2 or p.shape[1] != 2:
         raise InvalidInputError(f"predictions must be probability pairs, got shape {p.shape}")
     if p.shape[0] == 0:
         raise InvalidInputError("predictions are empty")
-    if y.shape != (p.shape[0],):
-        raise InvalidInputError(f"labels shape {y.shape} does not match {p.shape[0]} predictions")
-    if not np.all(np.isin(y, (0, 1))):
-        raise InvalidInputError("labels must be 0 or 1")
-    return p, y.astype(np.int8)
+    return p, _check_labels(labels, p.shape[0], f"{p.shape[0]} predictions")
 
 
 def accuracy(probs, labels) -> float:
@@ -53,11 +58,7 @@ def auc(scores, labels) -> float:
     s = require_finite("scores", scores)
     if s.ndim != 1 or s.shape[0] == 0:
         raise InvalidInputError(f"scores must be a non-empty vector, got shape {s.shape}")
-    y = np.asarray(labels)
-    if y.shape != s.shape:
-        raise InvalidInputError(f"labels shape {y.shape} does not match scores {s.shape}")
-    if not np.all(np.isin(y, (0, 1))):
-        raise InvalidInputError("labels must be 0 or 1")
+    y = _check_labels(labels, s.shape[0], f"scores {s.shape}")
     n_pos = int(y.sum())
     n_neg = y.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -191,12 +192,10 @@ def discrimination_accuracy(
     def probe(other, tag):
         src_train, src_test = holdout(src, f"source-{tag}")
         oth_train, oth_test = holdout(other, tag)
-        probe_art = train_discriminator(src_train, oth_train, config)
-        model = probe_art.models()["D"]
-        pred_src = model.classify(src_test)[:, 1] > 0.5
-        pred_oth = model.classify(oth_test)[:, 1] > 0.5
-        correct = int(pred_src.sum()) + int((~pred_oth).sum())
-        return correct / (src_test.shape[0] + oth_test.shape[0])
+        model = train_discriminator(src_train, oth_train, config).models()["D"]
+        probs = np.concatenate([model.classify(src_test), model.classify(oth_test)])
+        labels = np.repeat(np.array([1, 0], dtype=np.int8), (len(src_test), len(oth_test)))
+        return accuracy(probs, labels)   # source rows are the positive class
 
     return probe(pos, "positive-target"), probe(neg, "negative-target")
 

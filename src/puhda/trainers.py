@@ -582,7 +582,7 @@ def pada_s_group(source: DomainMatrix, target: DomainMatrix, val_target: DomainM
 def _val_accuracies(stack: _Stack, val_target: DomainMatrix) -> list[float]:
     """Each live cell's validation accuracy; a cell it cannot score fails."""
     def score():
-        probs = stack.models["C"].classify(align_features(stack.models["F"], val_target))
+        probs = stack.models["C"].classify(METHOD_TABLE["PADA_S"].rows(stack.models, val_target))
         return [accuracy(p, val_target.labels) for p in (probs if stack.stacked else [probs])]
 
     return stack.attempt(score) or []
@@ -805,29 +805,29 @@ def align_features(transform: LinearTransform, dm: DomainMatrix) -> np.ndarray:
     return transform.align(dm.features(), dm.schema.c)
 
 
-def _aligned_rows(artifacts: TrainedArtifacts, dm: DomainMatrix) -> np.ndarray:
-    return align_features(artifacts.models()["F"], dm)
+def _aligned_rows(slots: dict[str, Model], dm: DomainMatrix) -> np.ndarray:
+    return align_features(slots["F"], dm)
 
 
 @dataclass(frozen=True)
 class Method:
     """One pipeline method: how it trains a stack of cells from
     ``(source, train, val, configs)``, which rows its classifier scores, and
-    whether its grid has an ``eta`` axis."""
+    whether its grid has an ``eta`` axis. ``rows(slots, dm)`` reads a matrix
+    through trained models under their slot names, one cell's or a stack's."""
 
     group: Callable[..., list[Outcome]]
-    rows: Callable[[TrainedArtifacts, DomainMatrix], np.ndarray]
+    rows: Callable[[dict[str, Model], DomainMatrix], np.ndarray]
     searches_eta: bool = False
 
 
 # The methods a config can name, in report order. Entries look trainers up by
 # module name at call time, so a replaced module attribute is what runs.
 METHOD_TABLE = {
-    "COM_P": Method(lambda s, t, v, cs: com_p_group(s, t, cs), lambda art, dm: dm.common),
-    "DIST": Method(lambda s, t, v, cs: dist_group(s, t, cs), lambda art, dm: dm.features()),
+    "COM_P": Method(lambda s, t, v, cs: com_p_group(s, t, cs), lambda slots, dm: dm.common),
+    "DIST": Method(lambda s, t, v, cs: dist_group(s, t, cs), lambda slots, dm: dm.features()),
     "DSFT_P_linear": Method(lambda s, t, v, cs: dsft_p_group(s, t, cs),
-                            lambda art, dm: complete_features(art.models()["psi_s"],
-                                                              art.models()["psi_t"], dm)),
+                            lambda slots, dm: complete_features(slots["psi_s"], slots["psi_t"], dm)),
     "PADA": Method(lambda s, t, v, cs: pada_group(s, t, cs), _aligned_rows),
     "PADA_S": Method(lambda s, t, v, cs: pada_s_group(s, t, v, cs), _aligned_rows,
                      searches_eta=True),
@@ -836,8 +836,9 @@ METHOD_TABLE = {
 
 
 def predict(artifacts: TrainedArtifacts, dm: DomainMatrix) -> np.ndarray:
-    """Probability pairs for a matrix, routed by the method table."""
+    """Probability pairs for a matrix: the classifier scores the rows its
+    method's ``Method.rows`` reads through the run's slots."""
     entry = METHOD_TABLE.get(artifacts.method)
     if entry is None:
         raise ConfigurationError(f"method {artifacts.method!r} has no prediction rule")
-    return artifacts.classifier.classify(entry.rows(artifacts, dm))
+    return artifacts.classifier.classify(entry.rows(artifacts.slots, dm))

@@ -794,12 +794,14 @@ class TestGenerateSynthetic:
         assert a_oracle == b_oracle
 
     def test_the_drawn_bits_and_their_analytics_are_pinned(self):
-        # Values of the generator that built each block out of place. They pin
-        # the bits of every block and of the analytics on them, which an
-        # in-place build or a change of the analytics' operand layout could
-        # move. They were taken with NumPy 2.4's PCG64 streams and OpenBLAS 0.3.31.
-        src, tgt, _ = generate_synthetic(
-            SyntheticSpec(c=3, s=16, t=16, n_source=300, n_target=600, seed=11))
+        # Values of the generator that built each block out of place, and of the
+        # oracle that read its columns by feature subset. They pin the bits of
+        # every block, of the analytics on them and of the oracle, which an
+        # in-place build or a change of an operand layout or order could move.
+        # They were taken with NumPy 2.4's PCG64 streams and OpenBLAS 0.3.31.
+        spec = SyntheticSpec(c=3, s=16, t=16, n_source=300, n_target=600, seed=11)
+        src, tgt, oracle = generate_synthetic(spec)
+        assert repr(oracle) == repr(oracle_accuracy(spec)) == "0.80375"
         digest = hashlib.sha256()
         for dm in (src, tgt):
             for block in (dm.common, dm.specific, dm.aux_specific, dm.labels):
@@ -823,7 +825,7 @@ class TestGenerateSynthetic:
         # Dual route: the closed-form class mean and covariance used by the
         # exact rule must match sample moments of the actual draw.
         spec = bench_spec(n_target=60000)
-        m, sigma, _ = _oracle_moments(spec, "full")
+        m, sigma = _oracle_moments(spec)
         rng = derive_rng(spec.seed, "moment-check")
         u = np.ones(60000)
         common, _, target_spec = _draw_blocks(spec, u, rng)
@@ -833,7 +835,7 @@ class TestGenerateSynthetic:
 
     def test_negative_class_mean_is_mirrored(self):
         spec = bench_spec(n_target=60000)
-        m, _, _ = _oracle_moments(spec, "full")
+        m, _ = _oracle_moments(spec)
         rng = derive_rng(spec.seed, "moment-check-neg")
         common, _, target_spec = _draw_blocks(spec, -np.ones(60000), rng)
         x = np.hstack([common, target_spec])
@@ -842,22 +844,13 @@ class TestGenerateSynthetic:
 
 class TestOracleAccuracy:
     def test_better_than_chance_and_valid(self):
-        acc = oracle_accuracy(bench_spec(), "full")
+        acc = oracle_accuracy(bench_spec())
         assert 0.5 < acc <= 1.0
 
-    def test_full_beats_common_only(self):
-        # the benchmark design puts most label signal in the specific blocks
-        spec = bench_spec(signal_common=0.4, signal_target=1.2)
-        assert oracle_accuracy(spec, "full") > oracle_accuracy(spec, "common")
-
     def test_separation_increases_accuracy(self):
-        lo = oracle_accuracy(bench_spec(label_separation=0.3), "full")
-        hi = oracle_accuracy(bench_spec(label_separation=2.0), "full")
+        lo = oracle_accuracy(bench_spec(label_separation=0.3))
+        hi = oracle_accuracy(bench_spec(label_separation=2.0))
         assert hi > lo
-
-    def test_unknown_subset(self):
-        with pytest.raises(InvalidInputError):
-            oracle_accuracy(bench_spec(), "source_specific")
 
     def test_rule_optimality_on_sample(self):
         # the exact rule should not lose to a learned logistic fit by more

@@ -1120,6 +1120,8 @@ def test_analyze_names_the_missing_method(tmp_path):
         ("PADA_S,wat\n", "cannot parse accuracy"),
         ("PADA_S,150\n", "out of range"),
         ("PADA_S,-0.2\n", "out of range"),
+        ("PADA-S,0.99\n", "ov.csv: line 1: unknown method 'PADA-S'"),
+        ("method,accuracy\nCOM_P,0.6\nDIST_P,0.7\n", "ov.csv: line 3: unknown method 'DIST_P'"),
     ],
 )
 def test_override_file_diagnostics(tmp_path, text, message):
@@ -1191,6 +1193,17 @@ def test_run_with_a_missing_data_file_is_an_error_not_a_traceback(
     path.write_text(yaml.safe_dump({"dataset": dataset, "methods": ["COM_P"]}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"error: {missing}: cannot read" in capsys.readouterr().err
+
+
+def test_run_on_a_source_file_with_a_negative_label_names_the_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.csv").write_text("a,b,c,y\n0.1,0.2,0.3,yes\n0.4,0.5,0.6,no\n")
+    (tmp_path / "t.csv").write_text("a,b,d,y\n0.1,0.2,0.3,yes\n0.4,0.5,0.6,no\n")
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({"dataset": csv_dataset(), "methods": ["COM_P"]}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: s.csv: a source matrix can only carry positive labels\n")
 
 
 @pytest.mark.parametrize("field", ["n_source", "n_target"])

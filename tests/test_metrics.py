@@ -1,9 +1,12 @@
 """Metric definitions: threshold rule, rank statistic, improvement ratios,
 correlation analytics, and the domain-discrimination probe."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from puhda import trainers
 from puhda.data import DomainMatrix, FeatureSchema, SplitSpec
 from puhda.errors import InvalidInputError, UndefinedMetricError
 from puhda.metrics import (
@@ -14,7 +17,7 @@ from puhda.metrics import (
     discrimination_accuracy,
     improvement_metrics,
 )
-from puhda.models import LinearTransform
+from puhda.models import LinearSoftmaxModel, LinearTransform
 from puhda.objectives import CompletionBlocks, dsft_loss
 from puhda.trainers import TrainConfig
 
@@ -300,6 +303,36 @@ def test_probe_is_deterministic(rng):
     first = discrimination_accuracy(src, pos, neg, PROBE_SPLIT, PROBE_CFG)
     second = discrimination_accuracy(src, pos, neg, PROBE_SPLIT, PROBE_CFG)
     assert first == second
+
+
+def test_probe_scores_its_held_out_rows_by_the_accuracy_rule(rng, monkeypatch):
+    # A fixed probe whose p1 is 0.5 exactly on a third of the rows: its held-out
+    # accuracy is the count of source rows with p1 > 0.5 plus other rows without,
+    # over all held-out rows, to the bit.
+    seen = []
+
+    class Probe(LinearSoftmaxModel):
+        def classify(self, x):
+            seen.append(probs := super().classify(x))
+            return probs
+
+    probe = Probe(np.array([[1.0, 2.0], [0.0, 0.0], [0.5, 0.5]]), np.array([0.0, 0.0]))
+    monkeypatch.setattr(trainers, "train_discriminator",
+                        lambda x_a, x_b, config: SimpleNamespace(models=lambda: {"D": probe}))
+
+    def rows(n):
+        x = rng.normal(size=(n, 3))
+        x[::3, 0] = 0.0
+        return x
+
+    result = discrimination_accuracy(rows(120), rows(90), rows(75), PROBE_SPLIT, PROBE_CFG)
+    assert len(seen) == 4
+    want = []
+    for p_src, p_oth in (seen[:2], seen[2:]):
+        correct = int((p_src[:, 1] > 0.5).sum()) + int((~(p_oth[:, 1] > 0.5)).sum())
+        want.append(correct / (p_src.shape[0] + p_oth.shape[0]))
+    assert result == tuple(want)
+    assert 0.0 < min(want) and max(want) < 1.0
 
 
 def test_probe_rejects_column_mismatch(rng):
