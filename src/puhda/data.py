@@ -180,8 +180,6 @@ class DomainMatrix:
 
 def format_cell(value) -> str:
     """One table cell: a float in shortest round-trip form, None as empty."""
-    if type(value) is float:
-        return repr(value)
     if value is None:
         return ""
     if isinstance(value, str):
@@ -673,6 +671,12 @@ def _draw_blocks(spec: SyntheticSpec, u: np.ndarray, rng) -> tuple[np.ndarray, n
     return noise_c, noise_s, noise_t
 
 
+def _draw_labels(spec: SyntheticSpec, n: int, rng) -> np.ndarray:
+    y = np.zeros(n, dtype=np.int8)
+    y[:round(spec.positive_ratio * n)] = 1
+    return y[rng.permutation(n)]
+
+
 def generate_synthetic(spec: SyntheticSpec) -> tuple[DomainMatrix, DomainMatrix, float]:
     """Draw both domains plus the exact-rule oracle accuracy on held-out rows.
 
@@ -697,10 +701,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[DomainMatrix, DomainMatrix,
     )
 
     tgt_rng = derive_rng(spec.seed, "target-rows")
-    n_pos = round(spec.positive_ratio * spec.n_target)
-    y = np.zeros(spec.n_target, dtype=np.int8)
-    y[:n_pos] = 1
-    y = y[tgt_rng.permutation(spec.n_target)]
+    y = _draw_labels(spec, spec.n_target, tgt_rng)
     u_tgt = 2.0 * y - 1.0
     common_t, aux_s, spec_t = _draw_blocks(spec, u_tgt, tgt_rng)
     target = DomainMatrix(
@@ -735,10 +736,7 @@ def oracle_accuracy(spec: SyntheticSpec) -> float:
     beta = np.linalg.solve(sigma, m)
     prior = np.log(spec.positive_ratio / (1.0 - spec.positive_ratio))
     rng = derive_rng(spec.seed, "oracle-eval", "full")   # another tag would move every value
-    n_pos = round(spec.positive_ratio * ORACLE_ROWS)
-    y = np.zeros(ORACLE_ROWS, dtype=np.int8)
-    y[:n_pos] = 1
-    y = y[rng.permutation(ORACLE_ROWS)]
+    y = _draw_labels(spec, ORACLE_ROWS, rng)
     common, _, target_spec = _draw_blocks(spec, 2.0 * y - 1.0, rng)
     x = np.hstack([common, target_spec])
     scores = 2.0 * (x @ beta) + prior

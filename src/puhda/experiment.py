@@ -116,6 +116,14 @@ def _string(value, where: str, what: str = "a string") -> str:
     return value
 
 
+def _distinct(where: str, values) -> None:
+    """The rule for a list a config names: non-empty, with no repeats."""
+    if not values:
+        raise ConfigurationError(f"{where}: the list is empty")
+    if len(set(values)) != len(values):
+        raise ConfigurationError(f"{where}: duplicate entries")
+
+
 def _label_value(value, where: str) -> str:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ConfigurationError(f"{where}: expected a label value, got {value!r}")
@@ -243,8 +251,7 @@ class GridSpec:
     def __post_init__(self):
         check_fields(self)
         for name, axis in vars(self).items():
-            if len(set(axis)) != len(axis):
-                raise ConfigurationError(f"grid.{name}: duplicate entries")
+            _distinct(f"grid.{name}", axis)
 
 
 @dataclass(frozen=True)
@@ -269,19 +276,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if not self.methods:
-            raise ConfigurationError("methods: the list is empty")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigurationError(
                     f"methods: unknown method {m!r}; expected a subset of {list(METHODS)}"
                 )
-        if len(set(self.methods)) != len(self.methods):
-            raise ConfigurationError("methods: duplicate entries")
-        if not self.seeds:
-            raise ConfigurationError("seeds: the list is empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigurationError("seeds: duplicate entries")
+        _distinct("methods", self.methods)
+        _distinct("seeds", self.seeds)
 
 
 def build_config(doc: dict) -> ExperimentConfig:
@@ -543,6 +544,12 @@ class Selection:
     mean_val_accuracy: float
     status: str  # "ok" | "failed"
 
+    @property
+    def report_cells(self) -> tuple:
+        """Method, cell (blank without one), mean validation accuracy (None unless ok)."""
+        cell = ("", "", "") if self.cell is None else astuple(self.cell)
+        return (self.method, *cell, self.mean_val_accuracy if self.status == "ok" else None)
+
 
 def _select(config: ExperimentConfig, outcomes):
     """The selection rule, as one fold over ``(CellResult, payload)`` pairs in
@@ -659,10 +666,7 @@ def _write_standard_reports(
     write_table(
         out / "selection.csv",
         ("method", "learning_rate", "lam", "eta", "mean_val_accuracy", "status"),
-        [(m, *(("", "", "") if s.cell is None else
-               (s.cell.learning_rate, s.cell.lam, s.cell.eta)),
-          None if s.status != "ok" else s.mean_val_accuracy, s.status)
-         for m, s in ((m, selections[m]) for m in config.methods)],
+        [(*selections[m].report_cells, selections[m].status) for m in config.methods],
     )
     write_table(
         out / "eval.csv",
@@ -676,16 +680,10 @@ def _write_standard_reports(
 
     comparison_rows = []
     for m in config.methods:
-        sel = selections[m]
+        method, *cell, mean_val = selections[m].report_cells
         rep = reports.get(m)
-        comparison_rows.append((
-            m,
-            *(("", "", "") if sel.cell is None else
-              map(format_cell, (sel.cell.learning_rate, sel.cell.lam, sel.cell.eta))),
-            None if sel.status != "ok" else sel.mean_val_accuracy,
-            None if rep is None else rep.accuracy,
-            None if rep is None else rep.auc,
-        ))
+        comparison_rows.append((method, *map(format_cell, cell), mean_val,
+                                *((None, None) if rep is None else (rep.accuracy, rep.auc))))
     _write_aligned(
         out / "comparison.txt",
         ("method", "learning_rate", "lam", "eta", "mean_val", "test_accuracy", "test_auc"),
@@ -746,10 +744,13 @@ def _read_rows(path: Path, columns) -> list[tuple[int, dict]]:
     return [(i, dict(zip(header, row))) for i, row in rows]
 
 
+ANALYSIS_METHODS = ("COM_P", "DIST", "PADA_S")
+
+
 def _read_overrides(path: Path) -> dict[str, float]:
     """Method-accuracy pairs under an optional ``method,accuracy`` header; values
-    above 1 are read as percentages, and a method outside ``METHODS`` is an
-    error. An empty file holds no overrides."""
+    above 1 are read as percentages. A method outside ``ANALYSIS_METHODS`` is a DataError
+    naming the file, the line and the methods analyze reads. An empty file holds none."""
     if path.is_file() and path.stat().st_size == 0:
         return {}
     header, rows = read_table(path)
@@ -762,8 +763,9 @@ def _read_overrides(path: Path) -> dict[str, float]:
             continue
         if len(parts) != 2:
             raise DataError(f"{path}: line {i + 1}: expected method,accuracy")
-        if parts[0] not in METHODS:
-            raise DataError(f"{path}: line {i + 1}: unknown method {parts[0]!r}")
+        if parts[0] not in ANALYSIS_METHODS:
+            raise DataError(f"{path}: line {i + 1}: unknown method {parts[0]!r}; "
+                            f"analyze reads {', '.join(ANALYSIS_METHODS)}")
         try:
             value = float(parts[1])
         except ValueError:
@@ -775,9 +777,6 @@ def _read_overrides(path: Path) -> dict[str, float]:
             raise DataError(f"{path}: line {i + 1}: accuracy {parts[1]} out of range")
         overrides[parts[0]] = value
     return overrides
-
-
-ANALYSIS_METHODS = ("COM_P", "DIST", "PADA_S")
 
 
 def analyze_experiment(exp_dir, overrides_path=None, out_dir=None) -> Path:
@@ -873,7 +872,6 @@ def ablate_experiment(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> 
     rows = []
     averages = []
     for space in ABLATION_SPACES:
-        per_seed = []
         rep = reports.get("COM_P" if space == "common" else space)
         for seed_idx, seed in enumerate(config.seeds):
             # the rows live only for the call: a space's rows are freed before the next's
@@ -882,13 +880,9 @@ def ablate_experiment(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> 
                     *space_rows(space, seed), config.split_spec, probe_cfg)
             method_acc = None if rep is None else rep.seed_accuracies[seed_idx]
             rows.append((space, seed, acc_pp, acc_pn, acc_pn - acc_pp, method_acc))
-            per_seed.append((acc_pp, acc_pn, acc_pn - acc_pp, method_acc))
-        mean = [
-            float(np.mean([r[i] for r in per_seed]))
-            if all(r[i] is not None for r in per_seed) else None
-            for i in range(4)
-        ]
-        averages.append((space, "average", *mean))
+        columns = list(zip(*rows[-len(config.seeds):]))[2:]
+        averages.append((space, "average", *(
+            None if None in column else float(np.mean(column)) for column in columns)))
 
     header = ("space", "seed", "acc_pp", "acc_pn", "gap", "method_accuracy")
     write_table(out / "ablation.csv", header, rows + averages)

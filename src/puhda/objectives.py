@@ -75,24 +75,21 @@ def _teacher(teacher_probs, n: int) -> ConstTarget:
     return teacher
 
 
+def _against_c(weight, left, batch: Batch, name: str) -> list[KLTerm]:
+    return [KLTerm(weight, left, ModelOutput("C", batch), name=name),
+            KLTerm(-weight, left, ModelOutput("C", batch, swapped=True), name=name + "_swap")]
+
+
 def classifier_terms(batch: Batch, lam: float, *, teacher_probs: Teacher = None,
                      eta: float = 0.0) -> list[KLTerm]:
-    """The classifier-dependent pair on one unlabeled batch, raw or aligned,
-    then the frozen-teacher pair (weight ``eta``) when ``teacher_probs`` are
-    given. This is the classifier's whole gradient surface, so a classifier
-    update phase can evaluate just these terms on its own fresh batch."""
+    """The classifier-dependent pair ``kl_dc`` (D, weight ``lam``) on one unlabeled batch, raw
+    or aligned, then the frozen-teacher pair ``kl_soft`` (weight ``eta``) when ``teacher_probs``
+    are given, each one :func:`_against_c`. This is the classifier's whole gradient surface,
+    so a classifier update phase can evaluate just these terms on its own fresh batch."""
     n = _rows(batch)
-    d = ModelOutput("D", batch)
-    terms = [
-        KLTerm(lam / n, d, ModelOutput("C", batch), name="kl_dc"),
-        KLTerm(-lam / n, d, ModelOutput("C", batch, swapped=True), name="kl_dc_swap"),
-    ]
+    terms = _against_c(lam / n, ModelOutput("D", batch), batch, "kl_dc")
     if teacher_probs is not None:
-        teacher = _teacher(teacher_probs, n)
-        terms += [
-            KLTerm(eta / n, teacher, ModelOutput("C", batch), name="kl_soft"),
-            KLTerm(-eta / n, teacher, ModelOutput("C", batch, swapped=True), name="kl_soft_swap"),
-        ]
+        terms += _against_c(eta / n, _teacher(teacher_probs, n), batch, "kl_soft")
     return terms
 
 

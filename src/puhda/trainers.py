@@ -174,18 +174,22 @@ class TrainTrace:
 
 @dataclass
 class TrainedArtifacts:
-    """The models one run trained, keyed by checkpoint slot name, plus its telemetry."""
+    """The models one run trained, keyed by checkpoint slot name, plus its telemetry;
+    a soft-label run adds each round's validation accuracy, one per round it ran."""
 
     method: str
     config: TrainConfig
     slots: dict[str, Model]
     trace: TrainTrace
-    rounds_run: int = 0
     round_val_accuracy: tuple[float, ...] = ()
 
     def models(self) -> dict[str, Model]:
         """The trained models under their checkpoint slot names."""
         return self.slots
+
+    @property
+    def rounds_run(self) -> int:
+        return len(self.round_val_accuracy)
 
     @property
     def classifier(self) -> LinearSoftmaxModel | None:
@@ -457,18 +461,20 @@ def _pan_stack(stack: _Stack, x_pos, x_unl, rngs):
     return _run_phases(stack, phases, rngs)
 
 
-def _com_p_stack(stack: _Stack, source: DomainMatrix, target: DomainMatrix):
+def _com_p_stack(stack: _Stack, source: DomainMatrix, target: DomainMatrix, rngs):
+    """PU training on the common columns, drawing from ``rngs``: the ``COM_P`` baseline,
+    ``DIST``'s teacher and the first teacher of ``PADA_S``'s soft-label rounds."""
     _check_roles(source, target)
     if source.schema.c < 1:
         raise ConfigurationError("the common-features baseline needs at least one common column")
     return _pan_stack(stack, *check_pair("positive rows", source.common,
-                                         "unlabeled rows", target.common), stack.rngs())
+                                         "unlabeled rows", target.common), rngs)
 
 
 def com_p_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Outcome]:
     """The common-features baseline: PU training on the shared columns only."""
     stack = _Stack(configs)
-    return stack.results("COM_P", *_com_p_stack(stack, source, target))
+    return stack.results("COM_P", *_com_p_stack(stack, source, target, stack.rngs()))
 
 
 def train_com_p(source: DomainMatrix, target: DomainMatrix, config: TrainConfig) -> TrainedArtifacts:
@@ -548,15 +554,14 @@ def pada_s_group(source: DomainMatrix, target: DomainMatrix, val_target: DomainM
     stack = _Stack(configs)
     config = stack.config
 
-    _pan_stack(stack, *check_pair("positive rows", source.common, "unlabeled rows", target.common),
-               stack.rngs("soft-base"))
+    _com_p_stack(stack, source, target, stack.rngs("soft-base"))
     stack.teacher = frozen_teacher(stack.models, schema.c, x_t)
     val_accs = {i: [] for i in stack.cells}
     best_run = {}
 
     def artifacts(i, j):
         return TrainedArtifacts("PADA_S", stack.configs[i], *best_run[i],
-                                rounds_run=len(val_accs[i]), round_val_accuracy=tuple(val_accs[i]))
+                                round_val_accuracy=tuple(val_accs[i]))
 
     for round_idx in range(1, config.max_soft_rounds + 1):
         rngs = stack.rngs() if round_idx == 1 else stack.rngs("soft-round", round_idx)
@@ -773,7 +778,7 @@ def _dist_stack(stack: _Stack, target: DomainMatrix, base_classifier: LinearSoft
 def dist_group(source: DomainMatrix, target: DomainMatrix, configs) -> list[Outcome]:
     """The distillation baseline, its common-features teacher trained in the same stack."""
     stack = _Stack(configs)
-    _com_p_stack(stack, source, target)
+    _com_p_stack(stack, source, target, stack.rngs())
     return stack.results("DIST", *_dist_stack(stack, target, stack.models["C"]))
 
 

@@ -438,6 +438,13 @@ def test_grid_cells_sorted_ascending():
     assert keys[0] == (0.02, 0.1, 0.01)
 
 
+@pytest.mark.parametrize("axis", ["learning_rate", "lam", "eta"])
+def test_a_grid_built_with_an_empty_axis_is_rejected(run_config, tmp_path, axis):
+    # the loader rejects an empty list first; a grid built in code has no loader
+    with pytest.raises(ConfigurationError, match=re.escape(f"grid.{axis}: the list is empty")):
+        run_experiment(replace(run_config, grid=GridSpec(**{axis: ()})), out_dir=tmp_path)
+
+
 def test_stacks_cover_every_run_once_and_hold_at_most_the_cap():
     doc = base_doc()
     doc["methods"] = list(METHODS)
@@ -845,6 +852,32 @@ def test_error_text_with_comma_and_quote_round_trips(tmp_path, monkeypatch):
     assert 0.0 <= float(row["acc_pada_s"]) <= 1.0
 
 
+def test_a_cell_whose_validation_scoring_fails_is_recorded_and_the_grid_goes_on(
+        tmp_path, monkeypatch):
+    doc = base_doc()
+    doc["methods"] = ["COM_P", "PADA"]
+    config = build_config(doc)
+
+    real = experiment_module.predict
+
+    def sabotaged(art, dm):
+        if art.method == "PADA" and art.config.learning_rate == 0.05:
+            raise DataError("cannot score")
+        return real(art, dm)
+
+    monkeypatch.setattr(experiment_module, "predict", sabotaged)
+    out = run_experiment(config, out_dir=tmp_path / "unscored")
+
+    pada_rows = [r for r in read_table(out / "grid.csv") if r["method"] == "PADA"]
+    assert [(r["learning_rate"], r["status"], r["error"]) for r in pada_rows] == [
+        ("0.02", "ok", ""), ("0.02", "ok", ""),
+        ("0.05", "failed", "cannot score"), ("0.05", "failed", "cannot score")]
+    sel = {r["method"]: r for r in read_table(out / "selection.csv")}
+    assert (sel["PADA"]["status"], sel["PADA"]["learning_rate"]) == ("ok", "0.02")
+    assert sel["COM_P"]["status"] == "ok"
+    assert {r["method"] for r in read_table(out / "eval.csv")} == {"COM_P", "PADA"}
+
+
 def test_unexpected_exception_fails_only_its_cells(tmp_path, monkeypatch):
     doc = base_doc()
     doc["methods"] = ["COM_P", "PADA"]
@@ -1122,6 +1155,9 @@ def test_analyze_names_the_missing_method(tmp_path):
         ("PADA_S,-0.2\n", "out of range"),
         ("PADA-S,0.99\n", "ov.csv: line 1: unknown method 'PADA-S'"),
         ("method,accuracy\nCOM_P,0.6\nDIST_P,0.7\n", "ov.csv: line 3: unknown method 'DIST_P'"),
+        # a method a config can name, which the analysis does not read
+        ("PADA,0.9\n",
+         "ov.csv: line 1: unknown method 'PADA'; analyze reads COM_P, DIST, PADA_S"),
     ],
 )
 def test_override_file_diagnostics(tmp_path, text, message):

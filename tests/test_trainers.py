@@ -249,6 +249,25 @@ def test_com_p_requires_source_and_target_roles(tiny_data):
         train_com_p(train, train, cfg)
 
 
+def _domains_without_common_columns():
+    schema = FeatureSchema(common=(), source_specific=("s0",), target_specific=("t0",))
+    rng = np.random.default_rng(0)
+    source = DomainMatrix(schema, "source", np.empty((20, 0)), rng.normal(size=(20, 1)),
+                          labels=np.ones(20, dtype=np.int8))
+    target = DomainMatrix(schema, "target", np.empty((30, 0)), rng.normal(size=(30, 1)),
+                          labels=np.arange(30) % 2)
+    return source, target
+
+
+@pytest.mark.parametrize("method", ["COM_P", "DIST", "PADA_S"])
+def test_every_common_features_base_needs_a_common_column(method):
+    source, target = _domains_without_common_columns()
+    cfg = TrainConfig(learning_rate=0.05, lam=0.1, eta=0.05, steps=1)
+    with pytest.raises(ConfigurationError, match="the common-features baseline needs at least "
+                                                 "one common column"):
+        METHOD_TABLE[method].group(source, target, target, (cfg,))
+
+
 # --------------------------------------------------------------------------
 # Joint alignment loop
 
@@ -337,6 +356,16 @@ def test_pada_rejects_swapped_roles_and_schema_mismatch(tiny_data):
     cfg = TrainConfig(learning_rate=0.02, steps=1)
     with pytest.raises(ConfigurationError, match="roles"):
         train_pada(train, source, cfg)
+
+
+def test_pada_rejects_matrices_of_different_schemas(tiny_data):
+    source, train, _, _ = tiny_data
+    renamed = FeatureSchema(train.schema.common, train.schema.source_specific,
+                            tuple(f"other_{name}" for name in train.schema.target_specific))
+    other = DomainMatrix(renamed, "target", train.common, train.specific)
+    cfg = TrainConfig(learning_rate=0.02, steps=1)
+    with pytest.raises(ConfigurationError, match="disagree on the feature schema"):
+        train_pada(source, other, cfg)
 
 
 def test_pada_requires_both_specific_blocks():
@@ -551,6 +580,13 @@ def test_completion_gamma_zero_reaches_least_squares_optimum(tiny_data):
     assert final <= best * (1 + 1e-3) + 1e-12
 
 
+def test_completion_needs_a_common_column():
+    source, target = _domains_without_common_columns()
+    cfg = TrainConfig(learning_rate=0.05, steps=1)
+    with pytest.raises(ConfigurationError, match="feature completion needs at least one common"):
+        train_dsft(source, target, cfg)
+
+
 def test_completion_trace_never_increases(tiny_data):
     source, train, _, _ = tiny_data
     cfg = TrainConfig(learning_rate=0.05, gamma_mmd=1.0, steps=120, batch_size=1, seed=0)
@@ -625,6 +661,14 @@ def test_distilling_a_uniform_teacher_yields_uniform_outputs(tiny_data):
     art = train_dist(train, teacher, cfg)
     probs = predict(art, test)
     assert np.max(np.abs(probs - 0.5)) < 0.03
+
+
+def test_distillation_trains_on_the_target_matrix(tiny_data):
+    source, _, _, _ = tiny_data
+    teacher = LinearSoftmaxModel(np.zeros((source.schema.c, 2)), np.zeros(2))
+    cfg = TrainConfig(learning_rate=0.1, steps=1)
+    with pytest.raises(ConfigurationError, match="distillation trains on the target matrix"):
+        train_dist(source, teacher, cfg)
 
 
 def test_distillation_checks_teacher_width(tiny_data):
